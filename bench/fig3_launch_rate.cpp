@@ -32,23 +32,19 @@ namespace {
 struct RealMeasurement {
   double rate = 0.0;  // launches/s over the dispatch window
   parcl::core::DispatchCounters counters;
-  std::uint64_t dispatcher_threads = 0;  // 0 = serial loop
 };
 
 /// Real measurement: dispatch `n` no-op commands through the engine and
 /// LocalExecutor, return launches/s plus the executor's hot-path counters.
 /// `command` defaults to the bypass-eligible "/bin/true {}"; appending a
 /// shell metacharacter (" ;") forces the /bin/sh path for comparison.
-/// `dispatchers` 1 pins the serial loop; N >= 2 requests the sharded core
-/// (N dispatcher threads, each with its own executor shard and poll set).
+/// `zygote` forks the children from a preforked helper (--zygote).
 RealMeasurement measure_real_rate(std::size_t n, std::size_t jobs,
                                   const std::string& command = "/bin/true {}",
-                                  std::size_t dispatchers = 1,
                                   bool zygote = false) {
   using namespace parcl;
   core::Options options;
   options.jobs = jobs;
-  options.dispatchers = dispatchers;
   options.zygote = zygote;
   options.output_mode = core::OutputMode::kUngroup;  // no pipes: pure spawn cost
   exec::SpawnTuning tuning;
@@ -60,12 +56,7 @@ RealMeasurement measure_real_rate(std::size_t n, std::size_t jobs,
   inputs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) inputs.push_back({std::to_string(i)});
   core::RunSummary summary = engine.run(command, std::move(inputs));
-  RealMeasurement m{summary.dispatch_rate(), executor.counters(),
-                    summary.dispatch.dispatcher_threads};
-  // The sharded run's spawn/reap counters live in the per-shard executors
-  // and are merged into the summary; surface those instead when present.
-  if (summary.dispatch.spawns > 0) m.counters = summary.dispatch;
-  return m;
+  return RealMeasurement{summary.dispatch_rate(), executor.counters()};
 }
 
 /// Completion-to-wakeup latency: a child of known lifetime, no capture pipes
@@ -154,42 +145,27 @@ int main() {
   std::cout << "completion-to-wakeup (incl. spawn, no pipes): "
             << util::format_double(wakeup_latency_s * 1e3, 2) << " ms mean\n\n";
 
-  // Sharded dispatch core: serial loop vs --dispatchers N on the same
-  // workload. The speedup is core-count-bound — on a single-core host the
-  // shards serialize and the ratio hovers near 1.0; the BENCH_throughput
-  // numbers carry `cores` so a floor guard can judge them in context.
+  // The one dispatch loop with and without the --zygote spawn helper on the
+  // same workload; the BENCH_throughput numbers carry `cores` so a guard can
+  // judge them in context.
   std::size_t cores = std::thread::hardware_concurrency();
   if (cores == 0) cores = 1;
-  std::size_t shard_count = std::min<std::size_t>(4, std::max<std::size_t>(2, cores));
-  std::cout << "(a2) sharded dispatch (" << cores << " cores):\n";
-  util::Table shard_table({"dispatchers", "launches_per_s", "speedup"});
-  RealMeasurement serial = measure_real_rate(600, 64, "/bin/true {}", 1);
-  shard_table.add_row({"1 (serial)", util::format_double(serial.rate, 0), "1.00"});
-  RealMeasurement sharded =
-      measure_real_rate(600, 64, "/bin/true {}", shard_count);
-  double speedup = serial.rate > 0.0 ? sharded.rate / serial.rate : 0.0;
-  shard_table.add_row({std::to_string(shard_count),
-                       util::format_double(sharded.rate, 0),
-                       util::format_double(speedup, 2)});
-  RealMeasurement zygote =
-      measure_real_rate(600, 64, "/bin/true {}", shard_count, /*zygote=*/true);
-  shard_table.add_row({std::to_string(shard_count) + " +zygote",
-                       util::format_double(zygote.rate, 0),
+  std::cout << "(a2) spawn path (" << cores << " cores):\n";
+  util::Table spawn_table({"spawn", "launches_per_s", "vs_direct"});
+  RealMeasurement serial = measure_real_rate(600, 64);
+  spawn_table.add_row({"direct", util::format_double(serial.rate, 0), "1.00"});
+  RealMeasurement zygote = measure_real_rate(600, 64, "/bin/true {}", /*zygote=*/true);
+  spawn_table.add_row({"zygote", util::format_double(zygote.rate, 0),
                        util::format_double(
                            serial.rate > 0.0 ? zygote.rate / serial.rate : 0.0, 2)});
-  std::cout << shard_table.render() << '\n';
+  std::cout << spawn_table.render() << '\n';
 
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   bench::BenchJson throughput("BENCH_throughput.json");
   throughput.set("fig3_throughput", "cores", static_cast<double>(cores));
-  throughput.set("fig3_throughput", "dispatchers", static_cast<double>(shard_count));
   throughput.set("fig3_throughput", "launches_per_s_serial", serial.rate);
-  throughput.set("fig3_throughput", "launches_per_s_sharded", sharded.rate);
-  throughput.set("fig3_throughput", "launches_per_s_sharded_zygote", zygote.rate);
-  throughput.set("fig3_throughput", "sharded_speedup", speedup);
-  throughput.set("fig3_throughput", "dispatcher_threads_engaged",
-                 static_cast<double>(sharded.dispatcher_threads));
+  throughput.set("fig3_throughput", "launches_per_s_zygote", zygote.rate);
   throughput.set("fig3_throughput", "max_rss_kb",
                  static_cast<double>(usage.ru_maxrss));
   bench::stamp_provenance(throughput);
@@ -231,7 +207,6 @@ int main() {
   json.set("fig3_launch_rate", "mean_spawn_us", mean_spawn_us);
   json.set("fig3_launch_rate", "mean_completion_to_wakeup_us",
            wakeup_latency_s * 1e6);
-  json.set("fig3_launch_rate", "launches_per_s_sharded", sharded.rate);
   bench::stamp_provenance(json);
   json.write();
   std::cout << "wrote BENCH_dispatch.json\n";

@@ -240,10 +240,6 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
       plan.semaphore = true;
     } else if (arg == "--id") {
       plan.semaphore_id = take_value(argv, i, arg);
-    } else if (arg == "--dispatchers") {
-      long count = util::parse_long(take_value(argv, i, arg));
-      if (count < 0) throw util::ParseError("--dispatchers must be >= 0");
-      plan.options.dispatchers = static_cast<std::size_t>(count);
     } else if (arg == "--zygote") {
       plan.options.zygote = true;
     } else if (arg == "--joblog") {
@@ -601,12 +597,8 @@ options:
                       median runtime onto another host; first success
                       wins (0 = off)
       --dry-run       print composed commands, do not run
-      --dispatchers N shard dispatch across N threads, each with its own
-                      slot range and poll set (0 = auto: min(4, hardware
-                      threads); 1 = serial). Falls back to the serial loop
-                      when the backend or feature set cannot shard
-      --zygote        prefork a spawn helper per dispatcher so direct-exec
-                      jobs fork from a small address space (local runs)
+      --zygote        prefork a spawn helper so direct-exec jobs fork
+                      from a small address space (local runs)
       --joblog PATH   append a GNU-Parallel-format job log
       --joblog-fsync  fsync the joblog after every record
       --joblog-flush SIZE

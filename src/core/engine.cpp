@@ -138,27 +138,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     }
   }
 
-  // Sharded fast path: when the option set permits it and the backend can
-  // shard, hand the run to the multi-threaded dispatch core. Any shard the
-  // backend refuses routes the whole run back to this serial loop. DAG
-  // runs always take the serial loop: the ready-queue is fed by completion
-  // events, which the per-shard dispatchers do not exchange (the same
-  // fallback shape elastic backends use).
-  if (std::size_t n = dag == nullptr ? sharded_shard_count() : 1; n >= 2) {
-    std::vector<std::unique_ptr<Executor>> shards;
-    shards.reserve(n);
-    bool sharded = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto shard = executor_.make_shard();
-      if (shard == nullptr) {
-        sharded = false;
-        break;
-      }
-      shards.push_back(std::move(shard));
-    }
-    if (sharded) return execute_sharded(tmpl, source, std::move(shards));
-  }
-
   RunSummary summary;
   const bool collect = options_.collect_results;
 
@@ -550,6 +529,10 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
   // (quarantined host): short executor waits keep health probes pumping so
   // reinstatement can unblock dispatch.
   constexpr double kQuarantinePoll = 0.05;
+  // Wait cap while --joblog-flush rows sit in memory: a wait that times out
+  // is an idle tick and flushes them, so a finished job's row never waits
+  // on the next completion, however long the running jobs take.
+  constexpr double kJoblogIdleFlush = 0.05;
 
   auto print_progress = [&] {
     if (!options_.progress) return;
@@ -840,6 +823,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       if (seen >= 1 && drain_stage == 0) {
         drain_stage = 1;
         scheduler.stop();
+        if (joblog) joblog->flush();
         summary.interrupt_signal = signals_->first_signal();
         summary.dispatch.drained += active.size();
         err_ << "parcl: received signal " << summary.interrupt_signal
@@ -849,6 +833,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       if (seen >= 2 && drain_stage == 1) {
         drain_stage = 2;
         term_index = 0;
+        if (joblog) joblog->flush();
         err_ << "parcl: second interrupt; escalating --termseq " << options_.term_seq
              << " to " << active.size() << " running job(s)\n";
         for (auto& [id, running] : active) {
@@ -1054,6 +1039,9 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       // observe delivered signals promptly.
       cap_wait(kSignalPollInterval);
     }
+    if (joblog && joblog->pending_rows() != 0 && !active.empty()) {
+      cap_wait(kJoblogIdleFlush);
+    }
     if (active.empty() && wait < 0.0) {
       // Nothing running and nothing gating: loop back to start more.
       continue;
@@ -1061,6 +1049,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
 
     std::optional<ExecResult> completion = executor_.wait_any(wait);
     now = executor_.now();
+    if (!completion && joblog) joblog->flush();  // idle tick
 
     // Phase 3: enforce due timeouts (heap-ordered, O(log n) per event).
     while (!deadlines.empty() && deadlines.top().time <= now) {

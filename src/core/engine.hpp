@@ -84,19 +84,6 @@ class Engine {
  private:
   RunSummary execute(const CommandTemplate& tmpl, JobSource& source);
 
-  /// Multi-threaded dispatch core (engine_sharded.cpp): a prefetching
-  /// reader thread feeds `shards.size()` dispatcher threads — one executor
-  /// shard and slot range each — through a bounded queue, while this thread
-  /// coordinates retries, --halt, signals, collation, and the joblog.
-  RunSummary execute_sharded(const CommandTemplate& tmpl, JobSource& source,
-                             std::vector<std::unique_ptr<Executor>> shards);
-
-  /// Dispatcher shards this run should use: effective_dispatchers() when the
-  /// option set permits sharding (no feature needing one globally ordered
-  /// dispatch decision per start), else 1 (serial loop). The backend gets
-  /// the final veto via Executor::make_shard().
-  std::size_t sharded_shard_count() const;
-
   Options options_;
   Executor& executor_;
   std::ostream& out_;

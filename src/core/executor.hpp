@@ -125,24 +125,16 @@ class Executor {
   // ---- Thread-safety contract ----------------------------------------------
   // An Executor instance is single-threaded: start/wait_any/kill/kill_signal
   // must all be called from one thread at a time, and no call may overlap
-  // another. The engine's sharded dispatch mode therefore never shares an
-  // instance across dispatcher threads — it asks the backend for independent
-  // *shard* instances instead, one per dispatcher, each driven exclusively by
-  // its own thread.
+  // another. The engine drives one instance from its single dispatch loop.
 
-  /// Returns a fresh executor shard sharing this backend's clock epoch (so
-  /// timestamps from different shards compare), or nullptr when the backend
-  /// cannot be sharded — the engine then falls back to the serial dispatch
-  /// loop. A shard owns its own children/poll state and counters; only
-  /// `now()` and const introspection on the parent remain callable while
-  /// shards are live. Shards must be created before dispatcher threads start
-  /// and destroyed (or drained) before the parent.
+  /// No engine calls this, and every backend keeps the nullptr default. It
+  /// stays only because the benchmark's timing decorator (perfbench/trace.cpp)
+  /// still overrides it; drop it once that override is gone.
   virtual std::unique_ptr<Executor> make_shard() { return nullptr; }
 
   /// Backend-side dispatch counters (spawn/reap/poll costs), or nullptr when
-  /// the backend keeps none. The sharded engine merges each shard's counters
-  /// into RunSummary::dispatch after the dispatcher threads join, so the
-  /// totals survive shard destruction.
+  /// the backend keeps none. Lets a caller holding only the Executor
+  /// interface read them (a decorator forwards its backend's).
   virtual const struct DispatchCounters* dispatch_counters() const { return nullptr; }
 };
 

@@ -81,13 +81,11 @@ struct DispatchCounters {
   std::uint64_t hedges_won = 0;      // duplicates that finished first and were kept
   std::uint64_t hedges_lost = 0;     // duplicates discarded after the primary won
   std::uint64_t quarantines = 0;     // host quarantine transitions (backend-reported)
-  std::uint64_t dispatcher_threads = 0;  // shards the run dispatched through (0 = serial)
   std::uint64_t joblog_flushes = 0;      // batched joblog write() calls issued
 
-  /// Adds another counter set into this one. The sharded engine keeps one
-  /// DispatchCounters per dispatcher shard — plain increments on thread-local
-  /// state, no atomics on the hot path — and merges them here after the
-  /// dispatcher threads join.
+  /// Adds another counter set into this one, field by field: totals over
+  /// several executors (the benchmark's traced run sums each executor's
+  /// counters this way).
   void merge(const DispatchCounters& other) noexcept;
 
   /// Mean parent-side cost of one spawn, microseconds (0 when no spawns).

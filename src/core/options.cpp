@@ -1,6 +1,5 @@
 #include "core/options.hpp"
 
-#include <algorithm>
 #include <thread>
 
 #include "core/signal_coordinator.hpp"
@@ -83,17 +82,6 @@ std::size_t Options::effective_jobs() const {
   if (jobs != 0) return jobs;
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-std::size_t Options::effective_dispatchers() const {
-  std::size_t n = dispatchers;
-  if (n == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    n = std::min<std::size_t>(4, hw == 0 ? 1 : hw);
-  }
-  n = std::min<std::size_t>(n, 16);        // shard count sanity cap
-  n = std::min(n, effective_jobs());       // a shard needs at least one slot
-  return n == 0 ? 1 : n;
 }
 
 }  // namespace parcl::core

@@ -23,17 +23,7 @@ struct Options {
   /// -j/--jobs: concurrent slots. 0 means "one per hardware thread".
   std::size_t jobs = 1;
 
-  /// --dispatchers: dispatcher threads sharding the dispatch hot path. Each
-  /// shard owns a contiguous slot range and its own executor instance (own
-  /// pidfd poll set); a prefetching reader thread feeds them through a
-  /// bounded queue. 0 = auto: min(4, hardware threads), engaged only for
-  /// runs with enough slots to shard (see Engine). 1 forces the serial loop.
-  /// Sharding requires a backend that supports Executor::make_shard() and a
-  /// feature set without global inter-start ordering (--delay, --memfree,
-  /// --load, --hedge, and adaptive --timeout N% all fall back to serial).
-  std::size_t dispatchers = 0;
-
-  /// --zygote: prefork a small spawn helper per dispatcher shard and serve
+  /// --zygote: prefork a small spawn helper per LocalExecutor and serve
   /// shell-bypass-eligible commands from it over a SOCK_SEQPACKET pipe, so
   /// each job forks from a tiny address space instead of the full parcl
   /// process. LocalExecutor only; silently inert elsewhere.
@@ -242,12 +232,6 @@ struct Options {
 
   /// Resolved slot count (expands jobs == 0).
   std::size_t effective_jobs() const;
-
-  /// Resolved dispatcher-thread count (expands dispatchers == 0 to
-  /// min(4, hardware threads)), capped at 16 and at effective_jobs(). This
-  /// is the *requested* count; the engine may still run serial when the
-  /// backend or feature set cannot shard.
-  std::size_t effective_dispatchers() const;
 };
 
 }  // namespace parcl::core

@@ -29,7 +29,6 @@ void DispatchCounters::merge(const DispatchCounters& other) noexcept {
   hedges_won += other.hedges_won;
   hedges_lost += other.hedges_lost;
   quarantines += other.quarantines;
-  dispatcher_threads += other.dispatcher_threads;
   joblog_flushes += other.joblog_flushes;
 }
 
@@ -67,9 +66,8 @@ std::string DispatchCounters::render() const {
     out << "hedging          " << hedges_launched << " launched, " << hedges_won
         << " won, " << hedges_lost << " lost\n";
   }
-  if (dispatcher_threads != 0 || joblog_flushes != 0) {
-    out << "sharding         " << dispatcher_threads << " dispatchers, "
-        << joblog_flushes << " joblog flushes\n";
+  if (joblog_flushes != 0) {
+    out << "joblog flushes   " << joblog_flushes << '\n';
   }
   return out.str();
 }

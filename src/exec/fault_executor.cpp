@@ -37,7 +37,7 @@ bool FaultPlan::inert() const noexcept {
 }
 
 FaultInjectingExecutor::FaultInjectingExecutor(core::Executor& inner, FaultPlan plan)
-    : inner_(&inner), plan_(plan), shared_(std::make_shared<SharedState>()) {
+    : inner_(&inner), plan_(plan) {
   auto check = [](double p, const char* name) {
     if (p < 0.0 || p > 1.0) {
       throw util::ConfigError(std::string("fault probability out of range: ") + name);
@@ -63,28 +63,9 @@ FaultInjectingExecutor::FaultInjectingExecutor(std::unique_ptr<core::Executor> i
   owned_ = std::move(inner);
 }
 
-FaultInjectingExecutor::FaultInjectingExecutor(std::unique_ptr<core::Executor> inner,
-                                               FaultPlan plan,
-                                               std::shared_ptr<SharedState> shared)
-    : inner_(inner.get()), plan_(plan), shared_(std::move(shared)) {
-  // Plan already validated by the parent this shard was made from.
-  owned_ = std::move(inner);
-}
-
-std::unique_ptr<core::Executor> FaultInjectingExecutor::make_shard() {
-  std::unique_ptr<core::Executor> inner_shard = inner_->make_shard();
-  if (inner_shard == nullptr) return nullptr;
-  return std::unique_ptr<core::Executor>(
-      new FaultInjectingExecutor(std::move(inner_shard), plan_, shared_));
-}
-
 FaultInjectingExecutor::Decision FaultInjectingExecutor::decide(
     const std::string& command) {
-  std::uint64_t attempt;
-  {
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    attempt = shared_->attempt_index[command]++;
-  }
+  std::uint64_t attempt = attempt_index_[command]++;
   util::Rng rng(mix64(plan_.seed) ^ mix64(hash_command(command) + attempt));
   // Fixed draw order: every class consumes its draws whether or not it
   // fires, so plans with different probabilities stay stream-compatible.
@@ -104,10 +85,7 @@ FaultInjectingExecutor::Decision FaultInjectingExecutor::decide(
 void FaultInjectingExecutor::start(const core::ExecRequest& request) {
   Decision decision = decide(request.command);
   if (decision.spawn_fail) {
-    {
-      std::lock_guard<std::mutex> lock(shared_->mu);
-      ++shared_->counters.spawn_failures;
-    }
+    ++counters_.spawn_failures;
     throw util::SystemError("injected spawn failure", EAGAIN);
   }
   pending_.emplace(request.job_id, decision);
@@ -117,23 +95,21 @@ void FaultInjectingExecutor::start(const core::ExecRequest& request) {
     pending_.erase(request.job_id);
     throw;
   }
-  std::lock_guard<std::mutex> lock(shared_->mu);
-  ++shared_->counters.started;
+  ++counters_.started;
 }
 
 void FaultInjectingExecutor::apply(const Decision& decision,
                                    core::ExecResult& result) {
-  std::lock_guard<std::mutex> lock(shared_->mu);
   if (decision.kill) {
-    ++shared_->counters.kills;
+    ++counters_.kills;
     result.term_signal = SIGKILL;
     result.exit_code = 128 + SIGKILL;
   } else if (decision.fail && result.term_signal == 0 && result.exit_code == 0) {
-    ++shared_->counters.exit_rewrites;
+    ++counters_.exit_rewrites;
     result.exit_code = plan_.fail_exit_code;
   }
   if (decision.truncate) {
-    ++shared_->counters.truncations;
+    ++counters_.truncations;
     auto keep = static_cast<std::size_t>(
         decision.truncate_fraction * static_cast<double>(result.stdout_data.size()));
     result.stdout_data.resize(std::min(keep, result.stdout_data.size()));
@@ -167,7 +143,7 @@ std::optional<core::ExecResult> FaultInjectingExecutor::wait_any(
       timeout_seconds < 0.0 ? -1.0 : inner_->now() + timeout_seconds;
   while (true) {
     if (auto due = take_due_held()) {
-      { std::lock_guard<std::mutex> lock(shared_->mu); ++shared_->counters.delivered; }
+      ++counters_.delivered;
       return due;
     }
 
@@ -195,19 +171,19 @@ std::optional<core::ExecResult> FaultInjectingExecutor::wait_any(
       if (it != pending_.end()) pending_.erase(it);
       apply(decision, *completion);
       if (decision.delay > 0.0) {
-        { std::lock_guard<std::mutex> lock(shared_->mu); ++shared_->counters.stragglers; }
+        ++counters_.stragglers;
         double release = completion->end_time + decision.delay;
         held_.push_back(Held{std::move(*completion), release});
         continue;  // the loop re-checks for due releases
       }
-      { std::lock_guard<std::mutex> lock(shared_->mu); ++shared_->counters.delivered; }
+      ++counters_.delivered;
       return completion;
     }
 
     // Backend timed out. Surface any straggler that just came due; else
     // honour the caller's deadline.
     if (auto due = take_due_held()) {
-      { std::lock_guard<std::mutex> lock(shared_->mu); ++shared_->counters.delivered; }
+      ++counters_.delivered;
       return due;
     }
     now = inner_->now();

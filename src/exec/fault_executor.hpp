@@ -7,7 +7,7 @@
 // derived from (plan.seed, command hash, per-command attempt index), never
 // from wall-clock time or completion order — so a fault schedule replays
 // bit-for-bit from its seed alone, even over a multi-threaded backend whose
-// job ids land in a different order on every run. The chaos-soak harness
+// completions land in a different order on every run. The chaos-soak harness
 // (tests/chaos_soak_test.cpp) leans on exactly this property.
 #pragma once
 
@@ -20,7 +20,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 
 #include "core/executor.hpp"
 #include "exec/multi_executor.hpp"
@@ -107,16 +106,8 @@ class FaultInjectingExecutor final : public core::Executor {
   std::size_t active_count() const override;
   double now() const override { return inner_->now(); }
 
-  /// Shards the wrapped backend and hands the shard an injector that SHARES
-  /// this one's per-command attempt streams and counters (mutex-protected):
-  /// the fault decision for (command, attempt#) must not depend on which
-  /// dispatcher shard happens to run the attempt. Returns nullptr when the
-  /// backend cannot shard.
-  std::unique_ptr<core::Executor> make_shard() override;
-
-  /// Tallies, summed across this injector and every shard made from it.
-  /// Read after dispatcher threads join (or from the driving thread).
-  const FaultCounters& counters() const noexcept { return shared_->counters; }
+  /// What this injector has injected so far.
+  const FaultCounters& counters() const noexcept { return counters_; }
 
  private:
   struct Decision {
@@ -131,18 +122,6 @@ class FaultInjectingExecutor final : public core::Executor {
     core::ExecResult result;
     double release_time = 0.0;
   };
-  /// Decision-stream and tally state shared between a parent injector and
-  /// its shards, so schedules replay identically however work is sharded.
-  struct SharedState {
-    std::mutex mu;
-    std::unordered_map<std::string, std::uint64_t> attempt_index;
-    FaultCounters counters;
-  };
-
-  /// Shard constructor: adopts the parent's shared decision state.
-  FaultInjectingExecutor(std::unique_ptr<core::Executor> inner, FaultPlan plan,
-                         std::shared_ptr<SharedState> shared);
-
   /// Draws the fault decision for one attempt of `command`. The attempt
   /// index is tracked per command string, so the decision stream is stable
   /// under any interleaving of starts and completions. (Jobs sharing one
@@ -158,7 +137,8 @@ class FaultInjectingExecutor final : public core::Executor {
   std::unique_ptr<core::Executor> owned_;  // null for the borrowing ctor
   core::Executor* inner_;
   FaultPlan plan_;
-  std::shared_ptr<SharedState> shared_;
+  std::unordered_map<std::string, std::uint64_t> attempt_index_;
+  FaultCounters counters_;
   std::map<std::uint64_t, Decision> pending_;  // started job -> decision
   std::vector<Held> held_;                     // straggler holding pen
 };

@@ -57,7 +57,8 @@ int pidfd_open_compat(pid_t pid) {
 }
 
 /// Once pidfd_open reports ENOSYS we stop retrying it for the process.
-/// Atomic: dispatcher-thread shards consult it concurrently.
+/// Atomic: in-process pilot workers each run a LocalExecutor on their own
+/// thread and consult it concurrently.
 std::atomic<bool>& pidfd_disabled() {
   static std::atomic<bool> disabled{false};
   return disabled;
@@ -113,39 +114,12 @@ LocalExecutor::LocalExecutor(SpawnTuning tuning)
   if (sigaction(SIGPIPE, &ignore, &saved_sigpipe_) == 0) sigpipe_saved_ = true;
   // The zygote must fork before any job pipes exist: fork ignores O_CLOEXEC,
   // so a helper forked mid-run would inherit live pipe write ends and hold
-  // the client's EOF hostage. Constructing it here (and in make_shard) keeps
-  // its address space minimal too — that is the whole point of the zygote.
+  // the client's EOF hostage. Constructing it here keeps its address space
+  // minimal too — that is the whole point of the zygote.
   if (tuning_.zygote) {
     zygote_tried_ = true;
     zygote_ = Zygote::create();
   }
-}
-
-LocalExecutor::LocalExecutor(SpawnTuning tuning, double epoch, bool shard_mode)
-    : shard_mode_(shard_mode), tuning_(tuning), epoch_(epoch) {
-  // Shards leave process-global signal dispositions alone: the parent
-  // instance already holds SIGPIPE ignored for the whole process.
-  if (tuning_.zygote) {
-    zygote_tried_ = true;
-    zygote_ = Zygote::create();
-  }
-}
-
-std::unique_ptr<core::Executor> LocalExecutor::make_shard() {
-  // A shard cannot use the SIGCHLD self-pipe (sigaction is process-global
-  // and the handler's single pipe cannot route wakeups per thread), so it
-  // needs pidfd exit notification. Probe with our own pid before agreeing.
-  if (pidfd_disabled().load(std::memory_order_relaxed)) return nullptr;
-  int probe = pidfd_open_compat(::getpid());
-  if (probe < 0) {
-    if (errno == ENOSYS || errno == EPERM) {
-      pidfd_disabled().store(true, std::memory_order_relaxed);
-    }
-    return nullptr;
-  }
-  close(probe);
-  return std::unique_ptr<core::Executor>(
-      new LocalExecutor(tuning_, epoch_, /*shard_mode=*/true));
 }
 
 LocalExecutor::~LocalExecutor() {
@@ -183,11 +157,11 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     if (fds[0] >= 0) close(fds[0]);
     if (fds[1] >= 0) close(fds[1]);
   };
-  // O_CLOEXEC on BOTH ends: with concurrent dispatcher shards, another
-  // thread's child can exec between our pipe() and spawn, and an inherited
-  // write end would keep this child's stdout open past its exit (EOF never
-  // arrives). The spawn installs the child-side ends with dup2, which
-  // clears CLOEXEC on the duplicate.
+  // O_CLOEXEC on BOTH ends: with LocalExecutors on several threads (the
+  // in-process pilot workers), another thread's child can exec between our
+  // pipe() and spawn, and an inherited write end would keep this child's
+  // stdout open past its exit (EOF never arrives). The spawn installs the
+  // child-side ends with dup2, which clears CLOEXEC on the duplicate.
   if (request.capture_output) {
     if (pipe2(out_pipe, O_CLOEXEC) != 0) throw util::SystemError("pipe", errno);
     if (pipe2(err_pipe, O_CLOEXEC) != 0) {
@@ -441,14 +415,6 @@ void LocalExecutor::compact_poll_set() {
 }
 
 void LocalExecutor::enable_self_pipe() {
-  if (shard_mode_) {
-    // sigaction and the handler's pipe are process-global; a shard must not
-    // touch them from a dispatcher thread. Degrade to bounded polling with
-    // WNOHANG sweeps for the (pidfd-less) children this shard holds.
-    degraded_sweep_ = true;
-    need_sweep_ = true;
-    return;
-  }
   if (use_self_pipe_) return;
   if (g_self_pipe_users == 0) {
     int fds[2];
@@ -658,7 +624,7 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
     // happened are collected (matching the old sweep-first behavior).
     int timeout_ms;
     if (deadline < 0.0) {
-      timeout_ms = capped_poll() ? 100 : -1;
+      timeout_ms = use_self_pipe_ ? 100 : -1;
     } else {
       double remaining = deadline - monotonic_seconds();
       if (remaining <= 0.0) {
@@ -667,7 +633,7 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
         timeout_ms = 0;
       } else {
         timeout_ms = static_cast<int>(std::min(remaining * 1e3 + 1.0, 3.6e6));
-        if (capped_poll() && timeout_ms > 100) timeout_ms = 100;
+        if (use_self_pipe_ && timeout_ms > 100) timeout_ms = 100;
       }
     }
 
@@ -681,7 +647,7 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
       throw util::SystemError("poll", errno);
     }
     if (nready == 0) {
-      if (capped_poll()) sweep_unreaped();
+      if (use_self_pipe_) sweep_unreaped();
       continue;
     }
 

@@ -65,13 +65,6 @@ class LocalExecutor final : public core::Executor {
   std::size_t active_count() const override { return children_.size(); }
   double now() const override;
 
-  /// Shard for a dispatcher thread: shares this executor's clock epoch (so
-  /// cross-shard timestamps compare), never touches process-global signal
-  /// state (no SIGCHLD self-pipe, no SIGPIPE sigaction), and keeps its own
-  /// counters/poll set/children. Returns nullptr when the kernel lacks
-  /// pidfds — shards cannot fall back to the shared self-pipe, so the
-  /// engine must stay single-threaded there.
-  std::unique_ptr<core::Executor> make_shard() override;
   const core::DispatchCounters* dispatch_counters() const noexcept override {
     return &counters_;
   }
@@ -84,9 +77,6 @@ class LocalExecutor final : public core::Executor {
   double spawn_seconds() const noexcept { return counters_.spawn_seconds; }
 
  private:
-  /// Shard constructor: inherits the parent's clock epoch and tuning.
-  LocalExecutor(SpawnTuning tuning, double epoch, bool shard_mode);
-
   struct Child {
     pid_t pid = -1;
     int pidfd = -1;   // -1 when pidfds are unavailable (self-pipe fallback)
@@ -150,15 +140,6 @@ class LocalExecutor final : public core::Executor {
   bool self_pipe_owner_ = false;
   int self_pipe_slot_ = -1;
   bool need_sweep_ = false;  // children predate the self-pipe handler
-
-  // Shards may not install the SIGCHLD self-pipe (process-global). If a
-  // pidfd ever fails at runtime in shard mode, exits stop producing poll
-  // events for that child, so the wait loop degrades to capped 100 ms
-  // polls + WNOHANG sweeps instead.
-  bool shard_mode_ = false;
-  bool degraded_sweep_ = false;
-  /// True when poll() must use a bounded window (wakeups can be missed).
-  bool capped_poll() const noexcept { return use_self_pipe_ || degraded_sweep_; }
 
   struct sigaction saved_sigpipe_ {};
   bool sigpipe_saved_ = false;

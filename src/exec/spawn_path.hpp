@@ -55,11 +55,11 @@ std::optional<SpawnedChild> clone3_spawn(const SpawnTarget& target);
 /// True once clone3_spawn has succeeded at least once in this process.
 bool clone3_spawn_available() noexcept;
 
-/// Preforked spawn helper. One instance serves one thread (LocalExecutor
-/// shard); the instance is not thread-safe. Safe to create lazily from a
-/// dispatcher thread: the helper's service loop is malloc-free (fixed
-/// buffers, pointer arrays into the request datagram), so forking from a
-/// threaded process cannot deadlock on allocator locks.
+/// Preforked spawn helper. One instance serves one LocalExecutor; the
+/// instance is not thread-safe. Safe to create from any thread: the
+/// helper's service loop is malloc-free (fixed buffers, pointer arrays into
+/// the request datagram), so forking from a threaded process cannot
+/// deadlock on allocator locks.
 class Zygote {
  public:
   /// Forks the helper. Returns nullptr when the platform cannot support it

@@ -623,166 +623,6 @@ TEST(ChaosSoak, LocalExecutorSchedulesLeakNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 3b: the sharded dispatch core (--dispatchers 4) under the same
-// fault plans. The fault executor keys its per-command attempt streams on the
-// command string, so a seed's fault schedule is identical whichever shard a
-// job lands on — the sharded run must therefore produce byte-identical -k
-// output to the serial run, hold every invariant, and balance the merged
-// per-shard counters.
-// ---------------------------------------------------------------------------
-
-ScheduleResult run_local_sharded(std::uint64_t seed, std::size_t dispatchers,
-                                 const std::string& joblog_path,
-                                 std::size_t total_jobs, bool streamed = false) {
-  exec::LocalExecutor inner;
-  FaultPlan plan;
-  plan.seed = seed;
-  plan.spawn_failure_prob = 0.10;
-  plan.kill_prob = 0.05;
-  plan.fail_prob = 0.08;
-  plan.truncate_prob = 0.05;
-  FaultInjectingExecutor executor(inner, plan);
-
-  ScheduleResult result;
-  result.total_jobs = total_jobs;
-  result.options.jobs = 8;
-  result.options.dispatchers = dispatchers;
-  result.options.retries = 3;
-  result.options.output_mode = OutputMode::kKeepOrder;
-  result.options.joblog_path = joblog_path;
-  std::remove(joblog_path.c_str());
-
-  std::ostringstream out, err;
-  Engine engine(result.options, executor, out, err);
-  if (streamed) {
-    std::size_t next = 0;
-    core::FunctionSource source([&]() -> std::optional<core::JobInput> {
-      if (next >= total_jobs) return std::nullopt;
-      core::JobInput job;
-      job.args = {std::to_string(next++)};
-      return job;
-    });
-    result.summary = engine.run_source("/bin/echo ok {}", source);
-  } else {
-    std::vector<core::ArgVector> inputs;
-    inputs.reserve(total_jobs);
-    for (std::size_t i = 0; i < total_jobs; ++i) {
-      inputs.push_back({std::to_string(i)});
-    }
-    result.summary = engine.run("/bin/echo ok {}", std::move(inputs));
-  }
-  result.output = out.str();
-  result.joblog_bytes = testing::slurp(joblog_path);
-  result.faults = executor.counters();
-  EXPECT_EQ(executor.active_count(), 0u);
-  return result;
-}
-
-TEST(ChaosSoak, ShardedDispatchHoldsInvariants) {
-  const std::size_t kJobs = 24;
-  const std::string joblog_serial = temp_joblog("sharded_serial");
-  const std::string joblog_sharded = temp_joblog("sharded_multi");
-  const std::size_t fds_before = testing::open_fd_count();
-
-  for (std::uint64_t seed : seed_range(1, 8)) {
-    ScheduleResult serial = run_local_sharded(seed, 1, joblog_serial, kJobs);
-    ScheduleResult sharded = run_local_sharded(seed, 4, joblog_sharded, kJobs);
-    check_schedule(serial, seed, "sharded-baseline");
-    check_schedule(sharded, seed, "sharded");
-
-    // Same seed, same deterministic fault streams: the four-dispatcher run
-    // must be observationally identical to the serial one under -k.
-    EXPECT_EQ(serial.output, sharded.output) << "sharded seed " << seed;
-    EXPECT_EQ(serial.summary.succeeded, sharded.summary.succeeded)
-        << "sharded seed " << seed;
-    EXPECT_EQ(serial.summary.failed, sharded.summary.failed)
-        << "sharded seed " << seed;
-
-    // Merged per-shard counters balance: every spawn was reaped, and the
-    // run really dispatched through four shards.
-    EXPECT_EQ(sharded.summary.dispatch.dispatcher_threads, 4u)
-        << "sharded seed " << seed;
-    EXPECT_EQ(sharded.summary.dispatch.spawns, sharded.summary.dispatch.reaps)
-        << "sharded seed " << seed;
-  }
-
-  EXPECT_TRUE(testing::no_unreaped_children()) << "zombie children remain";
-  EXPECT_EQ(testing::open_fd_count(), fds_before) << "fd leak across the soak";
-  std::remove(joblog_serial.c_str());
-  std::remove(joblog_sharded.c_str());
-}
-
-TEST(ChaosSoak, StreamedMatchesBufferedUnderShardedDispatch) {
-  // The prefetching reader must make a streamed source indistinguishable
-  // from a materialized one: same seqs, same -k bytes, same joblog rows.
-  const std::size_t kJobs = 24;
-  const std::string joblog_b = temp_joblog("sharded_buf");
-  const std::string joblog_s = temp_joblog("sharded_stream");
-  for (std::uint64_t seed : seed_range(1, 4)) {
-    ScheduleResult buffered = run_local_sharded(seed, 4, joblog_b, kJobs);
-    ScheduleResult streamed =
-        run_local_sharded(seed, 4, joblog_s, kJobs, /*streamed=*/true);
-    check_schedule(buffered, seed, "sharded-buffered");
-    check_schedule(streamed, seed, "sharded-streamed");
-    EXPECT_EQ(buffered.output, streamed.output) << "stream seed " << seed;
-    EXPECT_EQ(buffered.summary.succeeded, streamed.summary.succeeded)
-        << "stream seed " << seed;
-    EXPECT_EQ(buffered.summary.failed, streamed.summary.failed)
-        << "stream seed " << seed;
-  }
-  std::remove(joblog_b.c_str());
-  std::remove(joblog_s.c_str());
-}
-
-TEST(ChaosSoak, ShardedInterruptResumePairsCoverEveryJobOnce) {
-  // Interrupt a four-dispatcher run mid-flight, then --resume it to the end
-  // over the shared joblog: across the pair every seq runs exactly once.
-  const std::size_t kJobs = 24;
-  const std::string joblog = temp_joblog("sharded_resume");
-  for (std::uint64_t seed : seed_range(1, 4)) {
-    std::remove(joblog.c_str());
-    Options options;
-    options.jobs = 4;
-    options.dispatchers = 4;
-    options.output_mode = OutputMode::kKeepOrder;
-    options.joblog_path = joblog;
-    options.resume = true;
-    options.term_seq = "TERM,100,KILL";
-
-    auto run_half = [&](bool interrupt) {
-      exec::LocalExecutor inner;
-      FaultPlan plan;
-      plan.seed = seed;
-      plan.fail_prob = 0.05;
-      FaultInjectingExecutor executor(inner, plan);
-      std::ostringstream out, err;
-      Engine engine(options, executor, out, err);
-      core::SignalCoordinator signals;
-      engine.set_signal_coordinator(&signals);
-      std::size_t completed = 0;
-      engine.set_result_callback([&](const core::JobResult&) {
-        if (interrupt && ++completed == 4) signals.notify(SIGINT);
-      });
-      std::vector<core::ArgVector> inputs;
-      for (std::size_t i = 0; i < kJobs; ++i) {
-        inputs.push_back({std::to_string(i)});
-      }
-      return engine.run("sleep 0.03; echo ok {}", std::move(inputs));
-    };
-
-    RunSummary first = run_half(/*interrupt=*/true);
-    EXPECT_EQ(first.interrupt_signal, SIGINT) << "pair seed " << seed;
-    RunSummary second = run_half(/*interrupt=*/false);
-    testing::InvariantReport report;
-    testing::check_resume_pair(first, second, kJobs, report);
-    EXPECT_TRUE(report.ok())
-        << "pair seed " << seed << " violated:\n" << report.str();
-    EXPECT_TRUE(testing::no_unreaped_children());
-  }
-  std::remove(joblog.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Scenario 2c: the pilot-worker transport under seeded frame-fault schedules
 // — drops, duplicates, reorders, delays, and mid-run connection kills on the
 // worker→pilot stream. Reconnect-and-reconcile must keep the run exactly-once:

@@ -159,6 +159,19 @@ TEST(Cli, RejectsBadUsage) {
   EXPECT_THROW(parse({"--resume", "cmd", ":::", "x"}), util::ConfigError);  // no joblog
 }
 
+TEST(Cli, DispatchersOptionIsRejected) {
+  // The multi-threaded dispatch core and its selector flag are gone; the
+  // flag is an unknown option now, not a silently accepted no-op.
+  try {
+    parse({"--dispatchers", "2", "cmd", ":::", "x"});
+    FAIL() << "--dispatchers was accepted";
+  } catch (const util::ParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown option '--dispatchers'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Cli, HelpAndVersionShortCircuit) {
   EXPECT_TRUE(parse({"--help"}).show_help);
   EXPECT_TRUE(parse({"--version"}).show_version);

@@ -95,6 +95,60 @@ TEST(Profile, RenderShowsBars) {
   EXPECT_EQ(std::count(rendered.begin(), rendered.end(), '\n'), 10);
 }
 
+TEST(DispatchCounters, MergeSumsEveryField) {
+  DispatchCounters a, b;
+  a.spawns = 3;           b.spawns = 5;
+  a.direct_execs = 1;     b.direct_execs = 2;
+  a.clone3_spawns = 2;    b.clone3_spawns = 4;
+  a.zygote_spawns = 1;    b.zygote_spawns = 1;
+  a.spawn_seconds = 0.25; b.spawn_seconds = 0.75;
+  a.reaps = 3;            b.reaps = 5;
+  a.reap_sweeps = 1;      b.reap_sweeps = 0;
+  a.polls = 10;           b.polls = 20;
+  a.poll_events = 4;      b.poll_events = 6;
+  a.exit_wakeups = 2;     b.exit_wakeups = 3;
+  a.poll_wait_seconds = 1.5; b.poll_wait_seconds = 0.5;
+  a.deferred = 1;         b.deferred = 2;
+  a.drained = 0;          b.drained = 7;
+  a.escalated = 2;        b.escalated = 1;
+  a.host_failures = 1;    b.host_failures = 1;
+  a.rescheduled = 1;      b.rescheduled = 0;
+  a.hedges_launched = 2;  b.hedges_launched = 1;
+  a.hedges_won = 1;       b.hedges_won = 0;
+  a.hedges_lost = 1;      b.hedges_lost = 1;
+  a.quarantines = 0;      b.quarantines = 1;
+  a.joblog_flushes = 2;   b.joblog_flushes = 3;
+  a.merge(b);
+  EXPECT_EQ(a.spawns, 8u);
+  EXPECT_EQ(a.direct_execs, 3u);
+  EXPECT_EQ(a.clone3_spawns, 6u);
+  EXPECT_EQ(a.zygote_spawns, 2u);
+  EXPECT_DOUBLE_EQ(a.spawn_seconds, 1.0);
+  EXPECT_EQ(a.reaps, 8u);
+  EXPECT_EQ(a.reap_sweeps, 1u);
+  EXPECT_EQ(a.polls, 30u);
+  EXPECT_EQ(a.poll_events, 10u);
+  EXPECT_EQ(a.exit_wakeups, 5u);
+  EXPECT_DOUBLE_EQ(a.poll_wait_seconds, 2.0);
+  EXPECT_EQ(a.deferred, 3u);
+  EXPECT_EQ(a.drained, 7u);
+  EXPECT_EQ(a.escalated, 3u);
+  EXPECT_EQ(a.host_failures, 2u);
+  EXPECT_EQ(a.rescheduled, 1u);
+  EXPECT_EQ(a.hedges_launched, 3u);
+  EXPECT_EQ(a.hedges_won, 1u);
+  EXPECT_EQ(a.hedges_lost, 2u);
+  EXPECT_EQ(a.quarantines, 1u);
+  EXPECT_EQ(a.joblog_flushes, 5u);
+}
+
+TEST(DispatchCounters, RenderReportsJoblogFlushes) {
+  DispatchCounters counters;
+  EXPECT_EQ(counters.render().find("joblog flushes"), std::string::npos);
+  counters.joblog_flushes = 3;
+  EXPECT_NE(counters.render().find("joblog flushes   3\n"), std::string::npos);
+}
+
 // Property: average concurrency is bounded by peak, and utilization at peak
 // slots is <= 1, for random interval sets.
 class ProfileSweep : public ::testing::TestWithParam<std::uint64_t> {};

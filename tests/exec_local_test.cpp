@@ -125,6 +125,29 @@ TEST(LocalExecutor, HaltNowKillsRunningJobs) {
   EXPECT_EQ(summary.results[1].status, core::JobStatus::kKilled);
 }
 
+TEST(LocalExecutor, ZygoteServesSpawns) {
+  // SpawnTuning::zygote (--zygote): direct-exec-eligible commands fork from
+  // the preforked helper, and the counters record it.
+  constexpr int kJobs = 24;
+  Options options;
+  options.jobs = 4;
+  SpawnTuning tuning;
+  tuning.zygote = true;
+  LocalExecutor executor{tuning};
+  std::ostringstream out, err;
+  Engine engine(options, executor, out, err);
+  std::vector<ArgVector> inputs;
+  for (int i = 0; i < kJobs; ++i) inputs.push_back({std::to_string(i)});
+  RunSummary summary = engine.run("/bin/echo z-{}", std::move(inputs));
+  EXPECT_EQ(summary.succeeded, static_cast<std::size_t>(kJobs));
+  EXPECT_EQ(executor.counters().spawns, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(executor.counters().reaps, executor.counters().spawns);
+  EXPECT_GT(executor.counters().zygote_spawns, 0u);
+  for (int i = 0; i < kJobs; ++i) {
+    EXPECT_NE(out.str().find("z-" + std::to_string(i)), std::string::npos);
+  }
+}
+
 TEST(LocalExecutor, MissingBinaryReports127) {
   Options options;
   LocalExecutor executor;

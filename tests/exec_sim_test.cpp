@@ -281,38 +281,6 @@ TEST(SimExecutor, FirstInterruptDrainsWithoutKilling) {
   EXPECT_DOUBLE_EQ(summary.makespan, 10.0);
 }
 
-TEST(SimExecutor, DrainWithDispatchersRequestedFallsBackSerial) {
-  // SimExecutor cannot shard (no make_shard), so --dispatchers 4 must fall
-  // back to the serial loop — and the signal-drain contract must be exactly
-  // the serial one: drain the running jobs, skip the rest, kill nothing.
-  sim::Simulation simulation;
-  SimExecutor executor(simulation, [](const ExecRequest&) {
-    return SimOutcome{10.0, 0, ""};
-  });
-  Options options;
-  options.jobs = 2;
-  options.dispatchers = 4;
-  std::ostringstream out, err;
-  Engine engine(options, executor, out, err);
-  core::SignalCoordinator signals;
-  engine.set_signal_coordinator(&signals);
-  bool notified = false;
-  engine.set_result_callback([&](const core::JobResult&) {
-    if (!notified) {
-      notified = true;
-      signals.notify(SIGINT);
-    }
-  });
-  RunSummary summary = engine.run("task {}", numbered(8));
-  EXPECT_EQ(summary.interrupt_signal, SIGINT);
-  EXPECT_EQ(summary.succeeded, 2u);
-  EXPECT_EQ(summary.skipped, 6u);
-  EXPECT_EQ(summary.failed, 0u);
-  EXPECT_EQ(summary.dispatch.drained, 1u);
-  EXPECT_EQ(summary.dispatch.dispatcher_threads, 0u);  // serial fallback
-  EXPECT_DOUBLE_EQ(summary.makespan, 10.0);
-}
-
 TEST(SimExecutor, InterruptBeforeFirstDispatchSkipsEverything) {
   sim::Simulation simulation;
   SimExecutor executor(simulation, [](const ExecRequest&) {
