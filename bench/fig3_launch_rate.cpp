@@ -38,18 +38,13 @@ struct RealMeasurement {
 /// LocalExecutor, return launches/s plus the executor's hot-path counters.
 /// `command` defaults to the bypass-eligible "/bin/true {}"; appending a
 /// shell metacharacter (" ;") forces the /bin/sh path for comparison.
-/// `zygote` forks the children from a preforked helper (--zygote).
 RealMeasurement measure_real_rate(std::size_t n, std::size_t jobs,
-                                  const std::string& command = "/bin/true {}",
-                                  bool zygote = false) {
+                                  const std::string& command = "/bin/true {}") {
   using namespace parcl;
   core::Options options;
   options.jobs = jobs;
-  options.zygote = zygote;
   options.output_mode = core::OutputMode::kUngroup;  // no pipes: pure spawn cost
-  exec::SpawnTuning tuning;
-  tuning.zygote = zygote;
-  exec::LocalExecutor executor{tuning};
+  exec::LocalExecutor executor;
   std::ostringstream sink_out, sink_err;
   core::Engine engine(options, executor, sink_out, sink_err);
   std::vector<core::ArgVector> inputs;
@@ -145,27 +140,19 @@ int main() {
   std::cout << "completion-to-wakeup (incl. spawn, no pipes): "
             << util::format_double(wakeup_latency_s * 1e3, 2) << " ms mean\n\n";
 
-  // The one dispatch loop with and without the --zygote spawn helper on the
-  // same workload; the BENCH_throughput numbers carry `cores` so a guard can
-  // judge them in context.
+  // The one dispatch loop on the direct-exec workload; the BENCH_throughput
+  // numbers carry `cores` so a guard can judge them in context.
   std::size_t cores = std::thread::hardware_concurrency();
   if (cores == 0) cores = 1;
-  std::cout << "(a2) spawn path (" << cores << " cores):\n";
-  util::Table spawn_table({"spawn", "launches_per_s", "vs_direct"});
   RealMeasurement serial = measure_real_rate(600, 64);
-  spawn_table.add_row({"direct", util::format_double(serial.rate, 0), "1.00"});
-  RealMeasurement zygote = measure_real_rate(600, 64, "/bin/true {}", /*zygote=*/true);
-  spawn_table.add_row({"zygote", util::format_double(zygote.rate, 0),
-                       util::format_double(
-                           serial.rate > 0.0 ? zygote.rate / serial.rate : 0.0, 2)});
-  std::cout << spawn_table.render() << '\n';
+  std::cout << "(a2) direct-exec launch rate (" << cores << " cores): "
+            << util::format_double(serial.rate, 0) << "/s\n\n";
 
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   bench::BenchJson throughput("BENCH_throughput.json");
   throughput.set("fig3_throughput", "cores", static_cast<double>(cores));
   throughput.set("fig3_throughput", "launches_per_s_serial", serial.rate);
-  throughput.set("fig3_throughput", "launches_per_s_zygote", zygote.rate);
   throughput.set("fig3_throughput", "max_rss_kb",
                  static_cast<double>(usage.ru_maxrss));
   bench::stamp_provenance(throughput);

@@ -240,14 +240,10 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
       plan.semaphore = true;
     } else if (arg == "--id") {
       plan.semaphore_id = take_value(argv, i, arg);
-    } else if (arg == "--zygote") {
-      plan.options.zygote = true;
     } else if (arg == "--joblog") {
       plan.options.joblog_path = take_value(argv, i, arg);
     } else if (arg == "--joblog-fsync") {
       plan.options.joblog_fsync = true;
-    } else if (arg == "--joblog-flush") {
-      plan.options.joblog_flush_bytes = parse_block_size(take_value(argv, i, arg));
     } else if (arg == "--results") {
       plan.options.results_dir = take_value(argv, i, arg);
     } else if (arg == "--shuf") {
@@ -597,13 +593,8 @@ options:
                       median runtime onto another host; first success
                       wins (0 = off)
       --dry-run       print composed commands, do not run
-      --zygote        prefork a spawn helper so direct-exec jobs fork
-                      from a small address space (local runs)
       --joblog PATH   append a GNU-Parallel-format job log
       --joblog-fsync  fsync the joblog after every record
-      --joblog-flush SIZE
-                      batch joblog rows and append them in one write per
-                      SIZE bytes (k/m suffixes; 0 = every row immediately)
       --results DIR   save each job's stdout/stderr/meta under DIR/<seq>/
       --shuf          run jobs in random order (buffers the whole input)
       --graph FILE    run a dependency graph: one node per line,

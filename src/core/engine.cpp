@@ -179,8 +179,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
   }
   std::unique_ptr<JoblogWriter> joblog;
   if (!options_.joblog_path.empty()) {
-    joblog = std::make_unique<JoblogWriter>(options_.joblog_path, options_.joblog_fsync,
-                                            options_.joblog_flush_bytes);
+    joblog = std::make_unique<JoblogWriter>(options_.joblog_path, options_.joblog_fsync);
   }
 
   OutputCollator::TagFn tag_fn;
@@ -529,10 +528,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
   // (quarantined host): short executor waits keep health probes pumping so
   // reinstatement can unblock dispatch.
   constexpr double kQuarantinePoll = 0.05;
-  // Wait cap while --joblog-flush rows sit in memory: a wait that times out
-  // is an idle tick and flushes them, so a finished job's row never waits
-  // on the next completion, however long the running jobs take.
-  constexpr double kJoblogIdleFlush = 0.05;
 
   auto print_progress = [&] {
     if (!options_.progress) return;
@@ -662,27 +657,35 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     }
   };
 
-  auto start_one = [&](PendingJob job) {
-    std::size_t slot = scheduler.acquire_slot();
-    scheduler.note_stage_start(job.stage);
-    CommandTemplate::Context context{job.seq, slot};
-    ActiveAttempt attempt;
-    attempt.seq = job.seq;
-    attempt.args = std::move(job.args);
-    attempt.stdin_data = std::move(job.stdin_data);
-    attempt.has_stdin = job.has_stdin;
-    attempt.slot = slot;
-    attempt.attempts = job.attempts + 1;
-    attempt.stage = job.stage;
-    attempt.command_tmpl = std::move(job.command);
-    attempt.reschedules = job.reschedules;
+  // A retry or a host-failure requeue goes back into pending form; the
+  // args, stdin block and command template move out of `attempt`.
+  auto to_pending = [](ActiveAttempt& attempt) {
+    PendingJob job;
+    job.seq = attempt.seq;
+    job.args = std::move(attempt.args);
+    job.stdin_data = std::move(attempt.stdin_data);
+    job.has_stdin = attempt.has_stdin;
+    job.attempts = attempt.attempts;
+    job.stage = attempt.stage;
+    job.command = std::move(attempt.command_tmpl);
+    job.reschedules = attempt.reschedules;
+    return job;
+  };
+
+  // The one attempt-launch path, for starts and hedges alike: expands
+  // the command for the attempt's slot, arms the fixed or adaptive
+  // --timeout from `now`, starts the attempt and moves it into `active`.
+  // Returns its job id. On a spawn failure it warns, releases the slot and
+  // stage, and returns 0; `attempt` then stays with the caller.
+  auto launch = [&](ActiveAttempt& attempt, double now) -> std::uint64_t {
+    CommandTemplate::Context context{attempt.seq, attempt.slot};
     attempt.command = template_for(attempt.command_tmpl)
                           .expand(attempt.args, context, options_.quote_args);
 
     ExecRequest request;
     request.job_id = next_job_id++;
     request.command = attempt.command;
-    request.slot = slot;
+    request.slot = attempt.slot;
     request.use_shell = options_.use_shell;
     request.capture_output = capture;
     request.stdin_data = attempt.stdin_data;
@@ -691,7 +694,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       request.env[key] = value_tmpl.expand(attempt.args, context, /*quote=*/false);
     }
 
-    double now = executor_.now();
     attempt.start_time = now;
     if (options_.timeout_seconds > 0.0) {
       attempt.deadline = now + options_.timeout_seconds;
@@ -700,47 +702,55 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       attempt.deadline = now + limit;
       deadlines.push({attempt.deadline, request.job_id, /*escalation=*/false});
     }
-    scheduler.note_start(now);
     if (collect) summary.start_times.push_back(now);
-    active.emplace(request.job_id, std::move(attempt));
     try {
       executor_.start(request);
     } catch (const util::SystemError& error) {
-      // Spawn failure counts as a failed attempt with exit code 127. It
-      // flows through the same retry budget and halt accounting as a
-      // nonzero exit: only an exhausted job becomes a final result.
-      PARCL_WARN() << "spawn failed for seq " << job.seq << ": " << error.what();
-      ActiveAttempt failed = std::move(active.at(request.job_id));
-      active.erase(request.job_id);
-      scheduler.release_slot(failed.slot);
-      scheduler.note_stage_end(failed.stage);
-      if (ledger.retryable(failed.attempts) && !scheduler.stopped()) {
-        PendingJob retry;
-        retry.seq = failed.seq;
-        retry.args = std::move(failed.args);
-        retry.stdin_data = std::move(failed.stdin_data);
-        retry.has_stdin = failed.has_stdin;
-        retry.attempts = failed.attempts;
-        retry.stage = failed.stage;
-        retry.command = std::move(failed.command_tmpl);
-        retry.reschedules = failed.reschedules;
-        ledger.park(std::move(retry), /*front=*/false);
-        return;
-      }
-      JobResult result;
-      result.seq = failed.seq;
-      result.stage = failed.stage;
-      result.args = failed.args;
-      result.slot = failed.slot;
-      result.command = failed.command;
-      result.attempts = failed.attempts;
-      result.status = JobStatus::kFailed;
-      result.exit_code = 127;
-      result.start_time = now;
-      result.end_time = now;
-      record_final(std::move(result));
-      apply_halt_policy();
+      PARCL_WARN() << (attempt.is_hedge ? "hedge spawn failed" : "spawn failed")
+                   << " for seq " << attempt.seq << ": " << error.what();
+      scheduler.release_slot(attempt.slot);
+      scheduler.note_stage_end(attempt.stage);
+      return 0;
     }
+    active.emplace(request.job_id, std::move(attempt));
+    return request.job_id;
+  };
+
+  auto start_one = [&](PendingJob job) {
+    ActiveAttempt attempt;
+    attempt.seq = job.seq;
+    attempt.args = std::move(job.args);
+    attempt.stdin_data = std::move(job.stdin_data);
+    attempt.has_stdin = job.has_stdin;
+    attempt.slot = scheduler.acquire_slot();
+    attempt.attempts = job.attempts + 1;
+    attempt.stage = job.stage;
+    attempt.command_tmpl = std::move(job.command);
+    attempt.reschedules = job.reschedules;
+    scheduler.note_stage_start(attempt.stage);
+    const double now = executor_.now();
+    scheduler.note_start(now);
+    if (launch(attempt, now) != 0) return;
+    // Spawn failure counts as a failed attempt with exit code 127. It
+    // flows through the same retry budget and halt accounting as a
+    // nonzero exit: only an exhausted job becomes a final result.
+    if (ledger.retryable(attempt.attempts) && !scheduler.stopped()) {
+      ledger.park(to_pending(attempt), /*front=*/false);
+      return;
+    }
+    JobResult result;
+    result.seq = attempt.seq;
+    result.stage = attempt.stage;
+    result.args = std::move(attempt.args);
+    result.slot = attempt.slot;
+    result.command = std::move(attempt.command);
+    result.attempts = attempt.attempts;
+    result.status = JobStatus::kFailed;
+    result.exit_code = 127;
+    result.start_time = now;
+    result.end_time = now;
+    record_final(std::move(result));
+    apply_halt_policy();
   };
 
   // --hedge: launch a speculative duplicate of a straggling attempt on a
@@ -756,7 +766,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     if (!slot) return false;
     scheduler.note_stage_start(primary.stage);
 
-    CommandTemplate::Context context{primary.seq, *slot};
     ActiveAttempt hedge;
     hedge.seq = primary.seq;
     hedge.args = primary.args;
@@ -769,48 +778,12 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     hedge.reschedules = primary.reschedules;
     hedge.is_hedge = true;
     hedge.hedge_partner = primary_id;
-    hedge.command = template_for(hedge.command_tmpl)
-                        .expand(hedge.args, context, options_.quote_args);
-
-    ExecRequest request;
-    request.job_id = next_job_id++;
-    request.command = hedge.command;
-    request.slot = *slot;
-    request.use_shell = options_.use_shell;
-    request.capture_output = capture;
-    request.stdin_data = hedge.stdin_data;
-    request.has_stdin = hedge.has_stdin;
-    for (const auto& [key, value_tmpl] : env_templates) {
-      request.env[key] = value_tmpl.expand(hedge.args, context, /*quote=*/false);
-    }
-
-    double now = executor_.now();
-    hedge.start_time = now;
-    if (options_.timeout_seconds > 0.0) {
-      hedge.deadline = now + options_.timeout_seconds;
-      deadlines.push({hedge.deadline, request.job_id, /*escalation=*/false});
-    } else if (double limit = adaptive_limit(); limit > 0.0) {
-      hedge.deadline = now + limit;
-      deadlines.push({hedge.deadline, request.job_id, /*escalation=*/false});
-    }
-    // Pair up before the hedge becomes visible, then launch. Hedges bypass
-    // the --delay gate: the primary already paid it for this job.
-    primary.hedge_partner = request.job_id;
-    if (collect) summary.start_times.push_back(now);
-    active.emplace(request.job_id, std::move(hedge));
-    try {
-      executor_.start(request);
-    } catch (const util::SystemError& error) {
-      // A hedge is pure speculation: on spawn failure drop it quietly and
-      // let the primary run out on its own.
-      PARCL_WARN() << "hedge spawn failed for seq " << primary.seq << ": "
-                   << error.what();
-      active.erase(request.job_id);
-      scheduler.release_slot(*slot);
-      scheduler.note_stage_end(primary.stage);
-      active.at(primary_id).hedge_partner = 0;
-      return false;
-    }
+    // Hedges bypass the --delay gate: the primary already paid it for this
+    // job. A hedge is pure speculation: on spawn failure it is dropped and
+    // the primary runs out on its own.
+    const std::uint64_t hedge_id = launch(hedge, executor_.now());
+    if (hedge_id == 0) return false;
+    primary.hedge_partner = hedge_id;
     ++summary.dispatch.hedges_launched;
     return true;
   };
@@ -823,7 +796,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       if (seen >= 1 && drain_stage == 0) {
         drain_stage = 1;
         scheduler.stop();
-        if (joblog) joblog->flush();
         summary.interrupt_signal = signals_->first_signal();
         summary.dispatch.drained += active.size();
         err_ << "parcl: received signal " << summary.interrupt_signal
@@ -833,7 +805,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       if (seen >= 2 && drain_stage == 1) {
         drain_stage = 2;
         term_index = 0;
-        if (joblog) joblog->flush();
         err_ << "parcl: second interrupt; escalating --termseq " << options_.term_seq
              << " to " << active.size() << " running job(s)\n";
         for (auto& [id, running] : active) {
@@ -1039,9 +1010,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       // observe delivered signals promptly.
       cap_wait(kSignalPollInterval);
     }
-    if (joblog && joblog->pending_rows() != 0 && !active.empty()) {
-      cap_wait(kJoblogIdleFlush);
-    }
     if (active.empty() && wait < 0.0) {
       // Nothing running and nothing gating: loop back to start more.
       continue;
@@ -1049,7 +1017,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
 
     std::optional<ExecResult> completion = executor_.wait_any(wait);
     now = executor_.now();
-    if (!completion && joblog) joblog->flush();  // idle tick
 
     // Phase 3: enforce due timeouts (heap-ordered, O(log n) per event).
     while (!deadlines.empty() && deadlines.top().time <= now) {
@@ -1148,15 +1115,8 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       ++summary.dispatch.host_failures;
       if (!attempt.killed_for_timeout && !attempt.killed_for_halt &&
           !scheduler.stopped() && attempt.reschedules < kMaxReschedules) {
-        PendingJob job;
-        job.seq = attempt.seq;
-        job.args = std::move(attempt.args);
-        job.stdin_data = std::move(attempt.stdin_data);
-        job.has_stdin = attempt.has_stdin;
-        job.attempts = attempt.attempts - 1;  // the attempt never counted
-        job.stage = attempt.stage;
-        job.command = std::move(attempt.command_tmpl);
-        job.reschedules = attempt.reschedules;
+        PendingJob job = to_pending(attempt);
+        --job.attempts;  // the attempt never counted
         ledger.reschedule(std::move(job));
         ++summary.dispatch.rescheduled;
         continue;
@@ -1169,16 +1129,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       // Re-queue ahead of untouched pending work (newest first — the order
       // the engine has always produced), or into the backoff heap when
       // --retry-delay applies.
-      PendingJob retry;
-      retry.seq = attempt.seq;
-      retry.args = std::move(attempt.args);
-      retry.stdin_data = std::move(attempt.stdin_data);
-      retry.has_stdin = attempt.has_stdin;
-      retry.attempts = attempt.attempts;
-      retry.stage = attempt.stage;
-      retry.command = std::move(attempt.command_tmpl);
-      retry.reschedules = attempt.reschedules;
-      ledger.park(std::move(retry), /*front=*/true);
+      ledger.park(to_pending(attempt), /*front=*/true);
       continue;
     }
 
@@ -1235,10 +1186,6 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     // Final flush: the source is exhausted now, so the total is accurate.
     print_progress();
     err_ << '\n';
-  }
-  if (joblog) {
-    joblog->flush();
-    summary.dispatch.joblog_flushes = joblog->flushes();
   }
   if (last_end > first_start) summary.makespan = last_end - first_start;
   // DAG sources number jobs themselves (densely, by declaration order), so

@@ -64,7 +64,6 @@ struct DispatchCounters {
   std::uint64_t spawns = 0;        // start() calls that produced a child
   std::uint64_t direct_execs = 0;  // shell-mode spawns that skipped /bin/sh
   std::uint64_t clone3_spawns = 0; // spawns via clone3(CLONE_PIDFD) fast path
-  std::uint64_t zygote_spawns = 0; // spawns served by the preforked zygote
   double spawn_seconds = 0.0;      // parent-side compose+spawn time
   std::uint64_t reaps = 0;         // children reaped (waitpid successes)
   std::uint64_t reap_sweeps = 0;   // fallback whole-table waitpid sweeps
@@ -81,7 +80,6 @@ struct DispatchCounters {
   std::uint64_t hedges_won = 0;      // duplicates that finished first and were kept
   std::uint64_t hedges_lost = 0;     // duplicates discarded after the primary won
   std::uint64_t quarantines = 0;     // host quarantine transitions (backend-reported)
-  std::uint64_t joblog_flushes = 0;      // batched joblog write() calls issued
 
   /// Adds another counter set into this one, field by field: totals over
   /// several executors (the benchmark's traced run sums each executor's

@@ -38,10 +38,6 @@ void write_all(int fd, const std::string& data) {
 struct JoblogWriter::Impl {
   int fd = -1;
   bool fsync_each = false;
-  std::size_t flush_bytes = 0;  // 0 = flush every record
-  std::string pending;          // batched rows awaiting one write()
-  std::size_t pending_count = 0;
-  std::uint64_t flushes = 0;
   ~Impl() {
     if (fd >= 0) ::close(fd);
   }
@@ -76,16 +72,13 @@ void trim_torn_tail(int fd, off_t size) {
   }
 }
 
-JoblogWriter::JoblogWriter(const std::string& path, bool fsync_each,
-                           std::size_t flush_bytes)
+JoblogWriter::JoblogWriter(const std::string& path, bool fsync_each)
     : impl_(std::make_unique<Impl>()) {
   impl_->fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (impl_->fd < 0) {
     throw util::SystemError("open joblog '" + path + "'", errno);
   }
   impl_->fsync_each = fsync_each;
-  impl_->flush_bytes = flush_bytes;
-  if (flush_bytes != 0) impl_->pending.reserve(flush_bytes * 2);
   struct stat st{};
   if (::fstat(impl_->fd, &st) == 0) {
     trim_torn_tail(impl_->fd, st.st_size);
@@ -95,27 +88,7 @@ JoblogWriter::JoblogWriter(const std::string& path, bool fsync_each,
   }
 }
 
-JoblogWriter::~JoblogWriter() {
-  try {
-    flush();
-  } catch (...) {
-    // Destructors must not throw; unwritten rows simply re-run on --resume.
-  }
-}
-
-void JoblogWriter::flush() {
-  if (impl_->pending.empty()) return;
-  write_all(impl_->fd, impl_->pending);
-  ++impl_->flushes;
-  impl_->pending.clear();
-  impl_->pending_count = 0;
-}
-
-std::uint64_t JoblogWriter::flushes() const noexcept { return impl_->flushes; }
-
-std::size_t JoblogWriter::pending_rows() const noexcept {
-  return impl_->pending_count;
-}
+JoblogWriter::~JoblogWriter() = default;
 
 void JoblogWriter::record(const JobResult& result, const std::string& host) {
   std::ostringstream row;
@@ -124,17 +97,10 @@ void JoblogWriter::record(const JobResult& result, const std::string& host) {
       << util::format_double(result.runtime(), 3) << '\t' << 0 << '\t'
       << result.stdout_data.size() << '\t' << result.exit_code << '\t'
       << result.term_signal << '\t' << result.command << '\n';
-  if (impl_->flush_bytes == 0) {
-    write_all(impl_->fd, row.str());
-    ++impl_->flushes;
-    if (impl_->fsync_each && ::fsync(impl_->fd) < 0) {
-      throw util::SystemError("fsync joblog", errno);
-    }
-    return;
+  write_all(impl_->fd, row.str());
+  if (impl_->fsync_each && ::fsync(impl_->fd) < 0) {
+    throw util::SystemError("fsync joblog", errno);
   }
-  impl_->pending += row.str();
-  ++impl_->pending_count;
-  if (impl_->pending.size() >= impl_->flush_bytes) flush();
 }
 
 std::vector<JoblogEntry> read_joblog_stream(std::istream& in, JoblogReadStats* stats) {

@@ -45,34 +45,14 @@ class JoblogWriter {
   /// open so new records never glue onto the fragment. With `fsync_each`,
   /// every record is fsync'd so it survives power loss. Throws SystemError
   /// when the file cannot be opened.
-  ///
-  /// `flush_bytes` batches rows: records accumulate in memory and are
-  /// appended with ONE write() once the pending batch reaches that size
-  /// (0 = flush after every record, the historical behaviour). A batch is
-  /// still a single write to an O_APPEND fd, so the crash-safety contract
-  /// is unchanged in kind: a crash can lose rows that were never written
-  /// (their jobs simply re-run on --resume) and can tear at most the final
-  /// line of the file, which the torn-tail reader already repairs. Batching
-  /// is incompatible with fsync_each (validated by Options).
-  explicit JoblogWriter(const std::string& path, bool fsync_each = false,
-                        std::size_t flush_bytes = 0);
-  /// Flushes any pending batch (best effort — destructors cannot throw).
+  explicit JoblogWriter(const std::string& path, bool fsync_each = false);
   ~JoblogWriter();
   JoblogWriter(const JoblogWriter&) = delete;
   JoblogWriter& operator=(const JoblogWriter&) = delete;
 
+  /// Appends one row with one write() to the O_APPEND fd, so a crash can
+  /// tear at most the final line, which the torn-tail repair removes.
   void record(const JobResult& result, const std::string& host);
-
-  /// Appends the pending batch now. Call at drain points (end of run, idle
-  /// ticks, signal-drain transitions) to bound how many committed rows sit
-  /// only in memory. No-op when nothing is pending.
-  void flush();
-
-  /// write() calls issued so far (rows or batches, depending on mode).
-  std::uint64_t flushes() const noexcept;
-
-  /// Rows currently batched in memory, awaiting flush().
-  std::size_t pending_rows() const noexcept;
 
  private:
   struct Impl;

@@ -68,14 +68,6 @@ void Options::validate() const {
   if (!colsep.empty() && (max_args > 1 || xargs)) {
     throw util::ConfigError("--colsep cannot be combined with -n/-X packing");
   }
-  if (joblog_flush_bytes != 0 && joblog_path.empty()) {
-    throw util::ConfigError("--joblog-flush requires --joblog");
-  }
-  if (joblog_flush_bytes != 0 && joblog_fsync) {
-    throw util::ConfigError(
-        "--joblog-flush batches rows in memory and cannot be combined with "
-        "--joblog-fsync (which promises durability per record)");
-  }
 }
 
 std::size_t Options::effective_jobs() const {

@@ -23,20 +23,6 @@ struct Options {
   /// -j/--jobs: concurrent slots. 0 means "one per hardware thread".
   std::size_t jobs = 1;
 
-  /// --zygote: prefork a small spawn helper per LocalExecutor and serve
-  /// shell-bypass-eligible commands from it over a SOCK_SEQPACKET pipe, so
-  /// each job forks from a tiny address space instead of the full parcl
-  /// process. LocalExecutor only; silently inert elsewhere.
-  bool zygote = false;
-
-  /// --joblog-flush BYTES: batch joblog rows in memory and append them with
-  /// one write() once this many bytes are pending (0 = write every row
-  /// immediately, the crash-safest setting). Batching preserves the
-  /// torn-tail recovery contract — a crash can only tear the final row of
-  /// the last batch — but widens the window of completed jobs that re-run
-  /// on --resume. Incompatible with --joblog-fsync.
-  std::size_t joblog_flush_bytes = 0;
-
   OutputMode output_mode = OutputMode::kGroup;
 
   /// --tag: prefix every output line with the job's first argument + TAB.

@@ -148,9 +148,7 @@ int main(int argc, char** argv) {
     // and the joblog, so keeping them all in the summary would reintroduce
     // the O(jobs) memory the streaming pipeline removes.
     plan.options.collect_results = false;
-    exec::SpawnTuning tuning;
-    tuning.zygote = plan.options.zygote;
-    exec::LocalExecutor executor{tuning};
+    exec::LocalExecutor executor;
     std::unique_ptr<exec::MultiExecutor> cluster;
     if (!plan.sshlogins.empty() || !plan.options.sshlogin_file.empty()) {
       cluster = make_cluster(plan);

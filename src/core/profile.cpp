@@ -12,7 +12,6 @@ void DispatchCounters::merge(const DispatchCounters& other) noexcept {
   spawns += other.spawns;
   direct_execs += other.direct_execs;
   clone3_spawns += other.clone3_spawns;
-  zygote_spawns += other.zygote_spawns;
   spawn_seconds += other.spawn_seconds;
   reaps += other.reaps;
   reap_sweeps += other.reap_sweeps;
@@ -29,7 +28,6 @@ void DispatchCounters::merge(const DispatchCounters& other) noexcept {
   hedges_won += other.hedges_won;
   hedges_lost += other.hedges_lost;
   quarantines += other.quarantines;
-  joblog_flushes += other.joblog_flushes;
 }
 
 double DispatchCounters::mean_spawn_us() const noexcept {
@@ -45,8 +43,8 @@ double DispatchCounters::events_per_poll() const noexcept {
 std::string DispatchCounters::render() const {
   std::ostringstream out;
   out << "spawns           " << spawns << " (" << direct_execs
-      << " direct-exec, " << clone3_spawns << " clone3, " << zygote_spawns
-      << " zygote), mean " << util::format_double(mean_spawn_us(), 1)
+      << " direct-exec, " << clone3_spawns << " clone3), mean "
+      << util::format_double(mean_spawn_us(), 1)
       << " us\n"
       << "reaps            " << reaps << " (" << reap_sweeps << " sweeps)\n"
       << "polls            " << polls << ", " << poll_events << " events ("
@@ -65,9 +63,6 @@ std::string DispatchCounters::render() const {
   if (hedges_launched != 0) {
     out << "hedging          " << hedges_launched << " launched, " << hedges_won
         << " won, " << hedges_lost << " lost\n";
-  }
-  if (joblog_flushes != 0) {
-    out << "joblog flushes   " << joblog_flushes << '\n';
   }
   return out.str();
 }

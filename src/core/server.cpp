@@ -262,13 +262,6 @@ ServerCore::ServerCore(ServerConfig config, Executor& executor)
   }
 }
 
-ServerCore::~ServerCore() {
-  try {
-    flush();
-  } catch (...) {
-  }
-}
-
 void ServerCore::ensure_tenant(const std::string& tenant, double weight,
                                bool connected) {
   Tenant& t = tenants_[tenant];
@@ -557,11 +550,6 @@ JoblogWriter& ServerCore::tenant_joblog(const std::string& tenant) {
   return *it->second;
 }
 
-void ServerCore::flush() {
-  ledger_.flush();
-  for (auto& [tenant, writer] : tenant_joblogs_) writer->flush();
-}
-
 // ---------------------------------------------------------------------------
 // Socket front end
 // ---------------------------------------------------------------------------
@@ -632,7 +620,6 @@ class ServiceLoop {
         core_.kill_running(/*force=*/true);
       }
       if (core_.draining() && core_.running_count() == 0) {
-        core_.flush();
         for (auto& connection : connections_) {
           if (connection->hello_done) send(*connection, transport::encode_bye());
         }

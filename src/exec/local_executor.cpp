@@ -112,14 +112,6 @@ LocalExecutor::LocalExecutor(SpawnTuning tuning)
   ignore.sa_handler = SIG_IGN;
   sigemptyset(&ignore.sa_mask);
   if (sigaction(SIGPIPE, &ignore, &saved_sigpipe_) == 0) sigpipe_saved_ = true;
-  // The zygote must fork before any job pipes exist: fork ignores O_CLOEXEC,
-  // so a helper forked mid-run would inherit live pipe write ends and hold
-  // the client's EOF hostage. Constructing it here keeps its address space
-  // minimal too — that is the whole point of the zygote.
-  if (tuning_.zygote) {
-    zygote_tried_ = true;
-    zygote_ = Zygote::create();
-  }
 }
 
 LocalExecutor::~LocalExecutor() {
@@ -215,7 +207,7 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   argv.push_back(nullptr);
 
   pid_t pid = -1;
-  int spawned_pidfd = -1;  // from clone3/zygote: arrives with the pid
+  int spawned_pidfd = -1;  // from clone3: arrives with the pid
   bool fast_spawned = false;
   if (tuning_.path != SpawnTuning::Path::kPosixSpawn) {
     SpawnTarget target;
@@ -225,24 +217,12 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     target.stdout_fd = request.capture_output ? out_pipe[1] : -1;
     target.stderr_fd = request.capture_output ? err_pipe[1] : -1;
     try {
-      // Zygote first (direct argv only — it has no shell), then clone3;
-      // a nullopt from either means "fall through", not "job failed". The
-      // helper was preforked at construction, before any job pipe existed.
-      if (direct && zygote_) {
-        if (auto spawned = zygote_->spawn(target)) {
-          pid = spawned->pid;
-          spawned_pidfd = spawned->pidfd;
-          fast_spawned = true;
-          ++counters_.zygote_spawns;
-        }
-      }
-      if (!fast_spawned) {
-        if (auto spawned = clone3_spawn(target)) {
-          pid = spawned->pid;
-          spawned_pidfd = spawned->pidfd;
-          fast_spawned = true;
-          ++counters_.clone3_spawns;
-        }
+      // A nullopt means "clone3 refused: fall through", not "job failed".
+      if (auto spawned = clone3_spawn(target)) {
+        pid = spawned->pid;
+        spawned_pidfd = spawned->pidfd;
+        fast_spawned = true;
+        ++counters_.clone3_spawns;
       }
     } catch (...) {
       close_pair(out_pipe);
@@ -277,15 +257,20 @@ void LocalExecutor::start(const core::ExecRequest& request) {
 
     posix_spawnattr_t attr;
     posix_spawnattr_init(&attr);
-    // New process group (kill() signals the whole pipeline) and default
-    // SIGPIPE in the child despite our own SIG_IGN.
+    // New process group (kill() signals the whole pipeline), default
+    // SIGPIPE in the child despite our own SIG_IGN, and an empty signal mask
+    // as on the clone3 path: an inherited blocked SIGTERM would make
+    // --timeout, halt and --termseq kills wait for SIGKILL.
     sigset_t defaults;
     sigemptyset(&defaults);
     sigaddset(&defaults, SIGPIPE);
     posix_spawnattr_setsigdefault(&attr, &defaults);
+    sigset_t none;
+    sigemptyset(&none);
+    posix_spawnattr_setsigmask(&attr, &none);
     posix_spawnattr_setpgroup(&attr, 0);
-    posix_spawnattr_setflags(&attr,
-                             POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGDEF);
+    posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGDEF |
+                                        POSIX_SPAWN_SETSIGMASK);
 
     int rc = direct ? posix_spawnp(&pid, argv[0], &actions, &attr, argv.data(),
                                    const_cast<char* const*>(envp))

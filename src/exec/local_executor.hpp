@@ -6,8 +6,9 @@
 // writing more than a pipe buffer never deadlock.
 //
 // The dispatch hot path is event-driven:
-//   - children are spawned with posix_spawn (vfork-class clone on glibc),
-//     and shell-mode commands free of metacharacters skip /bin/sh entirely;
+//   - children are spawned with clone3(CLONE_PIDFD) where the kernel allows
+//     it, otherwise posix_spawn (vfork-class clone on glibc), and shell-mode
+//     commands free of metacharacters skip /bin/sh entirely;
 //   - each child's exit is observed through a pidfd in the poll set (Linux
 //     pidfd_open), falling back to a SIGCHLD self-pipe where pidfds are
 //     unavailable, so a completion wakes wait_any() immediately and reaping
@@ -22,7 +23,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,13 +38,9 @@ namespace parcl::exec {
 struct SpawnTuning {
   enum class Path {
     kAuto,        // clone3(CLONE_PIDFD) when the kernel has it, else posix_spawn
-    kPosixSpawn,  // force the portable path (benchmarks, debugging)
+    kPosixSpawn,  // force the portable path (tests, benchmarks, debugging)
   };
   Path path = Path::kAuto;
-  /// Route shell-bypass-eligible commands through a preforked zygote helper
-  /// (--zygote): children fork from the helper's small address space instead
-  /// of the full parcl process. Falls back transparently per spawn.
-  bool zygote = false;
 };
 
 class LocalExecutor final : public core::Executor {
@@ -72,9 +68,6 @@ class LocalExecutor final : public core::Executor {
   /// Dispatch hot-path accounting (spawn/reap/poll costs) for overhead
   /// studies and the BENCH_dispatch.json benches.
   const core::DispatchCounters& counters() const noexcept { return counters_; }
-
-  /// Total dispatch time accumulated across start() calls.
-  double spawn_seconds() const noexcept { return counters_.spawn_seconds; }
 
  private:
   struct Child {
@@ -145,8 +138,6 @@ class LocalExecutor final : public core::Executor {
   bool sigpipe_saved_ = false;
 
   SpawnTuning tuning_;
-  std::unique_ptr<Zygote> zygote_;
-  bool zygote_tried_ = false;  // create() attempted (it may have failed)
 
   double epoch_ = 0.0;
   core::DispatchCounters counters_;

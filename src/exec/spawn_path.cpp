@@ -2,17 +2,13 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/syscall.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
-#include <string>
 
 #include "util/error.hpp"
 
@@ -21,9 +17,6 @@
 #endif
 #ifndef CLONE_PIDFD
 #define CLONE_PIDFD 0x00001000
-#endif
-#ifndef CLONE_PARENT
-#define CLONE_PARENT 0x00008000
 #endif
 
 extern char** environ;
@@ -48,20 +41,17 @@ struct Clone3Args {
 };
 static_assert(sizeof(Clone3Args) == 64, "must match CLONE_ARGS_SIZE_VER0");
 
-// 0 = untested, 1 = works, -1 = unavailable (ENOSYS / seccomp EPERM).
-std::atomic<int> g_clone3_state{0};
+// Set once clone3 is refused (ENOSYS / seccomp EPERM / EINVAL).
+std::atomic<bool> g_clone3_disabled{false};
 
 // Plain-fork semantics (no CLONE_VM): the child is a full copy, safe to run
 // C in. The pidfd lands in *pidfd_out atomically with process creation, and
 // the kernel opens it O_CLOEXEC.
-pid_t raw_clone3(int* pidfd_out, std::uint64_t extra_flags) noexcept {
+pid_t raw_clone3(int* pidfd_out) noexcept {
   Clone3Args args{};
-  args.flags = CLONE_PIDFD | extra_flags;
+  args.flags = CLONE_PIDFD;
   args.pidfd = reinterpret_cast<std::uint64_t>(pidfd_out);
-  // clone3 rejects a nonzero exit_signal combined with CLONE_PARENT (the
-  // reparented child sends no exit signal); on that path the shipped pidfd
-  // is the exit notification, so losing SIGCHLD costs nothing.
-  args.exit_signal = (extra_flags & CLONE_PARENT) != 0 ? 0 : SIGCHLD;
+  args.exit_signal = SIGCHLD;
   return static_cast<pid_t>(::syscall(SYS_clone3, &args, sizeof(args)));
 }
 
@@ -88,328 +78,20 @@ pid_t raw_clone3(int* pidfd_out, std::uint64_t extra_flags) noexcept {
 }  // namespace
 
 std::optional<SpawnedChild> clone3_spawn(const SpawnTarget& target) {
-  if (g_clone3_state.load(std::memory_order_relaxed) < 0) return std::nullopt;
+  if (g_clone3_disabled.load(std::memory_order_relaxed)) return std::nullopt;
   int pidfd = -1;
-  pid_t pid = raw_clone3(&pidfd, 0);
+  pid_t pid = raw_clone3(&pidfd);
   if (pid < 0) {
     // EINVAL covers kernels that know clone3 but reject CLONE_PIDFD via it;
     // EPERM is the usual seccomp verdict. All mean "use posix_spawn forever".
     if (errno == ENOSYS || errno == EPERM || errno == EINVAL) {
-      g_clone3_state.store(-1, std::memory_order_relaxed);
+      g_clone3_disabled.store(true, std::memory_order_relaxed);
       return std::nullopt;
     }
     throw util::SystemError("clone3", errno);
   }
   if (pid == 0) exec_in_child(target);
-  g_clone3_state.store(1, std::memory_order_relaxed);
   return SpawnedChild{pid, pidfd};
-}
-
-bool clone3_spawn_available() noexcept {
-  return g_clone3_state.load(std::memory_order_relaxed) > 0;
-}
-
-// ---------------------------------------------------------------------------
-// Zygote
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Fixed service-loop capacities. The client checks these before sending, so
-// an oversized command is declined locally (nullopt -> caller falls back)
-// rather than half-shipped.
-constexpr std::size_t kPayloadMax = 256 * 1024;  // NUL-joined argv + envp
-constexpr std::size_t kVecMax = 4096;            // argv/envp entries + null
-
-struct RequestHeader {
-  std::uint32_t argc = 0;
-  std::uint32_t envc = 0;  // 0 = grandchild inherits the helper's environ
-  std::uint32_t payload_bytes = 0;
-};
-
-struct Reply {
-  std::int32_t err = 0;  // 0 = ok, otherwise positive errno
-  std::int32_t pid = -1;
-};
-
-// Closes every descriptor above stderr except `keep`. The helper forks from
-// a running (possibly threaded) client, and fork ignores O_CLOEXEC: any live
-// job-pipe write end captured by the fork would be held open for the
-// helper's whole life, so the client would never see EOF on that job's
-// output. Raw getdents64 into a static buffer keeps this malloc-free (the
-// copied allocator may hold a lock another client thread owned at fork).
-void close_stray_fds(int keep) noexcept {
-  struct LinuxDirent64 {
-    std::uint64_t d_ino;
-    std::int64_t d_off;
-    unsigned short d_reclen;
-    unsigned char d_type;
-    char d_name[1];
-  };
-  static char buf[4096];
-  int dirfd = ::open("/proc/self/fd", O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd < 0) return;
-  // close() during the walk can perturb the directory stream, so rescan
-  // from the start until a pass closes nothing.
-  bool closed_any = true;
-  while (closed_any) {
-    closed_any = false;
-    ::lseek(dirfd, 0, SEEK_SET);
-    long n;
-    while ((n = ::syscall(SYS_getdents64, dirfd, buf, sizeof(buf))) > 0) {
-      for (long off = 0; off < n;) {
-        auto* entry = reinterpret_cast<LinuxDirent64*>(buf + off);
-        off += entry->d_reclen;
-        int fd = 0;
-        bool numeric = entry->d_name[0] != '\0';
-        for (const char* c = entry->d_name; *c != '\0'; ++c) {
-          if (*c < '0' || *c > '9') {
-            numeric = false;
-            break;
-          }
-          fd = fd * 10 + (*c - '0');
-        }
-        if (!numeric || fd <= 2 || fd == keep || fd == dirfd) continue;
-        if (::close(fd) == 0) closed_any = true;
-      }
-    }
-  }
-  ::close(dirfd);
-}
-
-// The helper's whole life. Runs in a fork()ed copy of a possibly-threaded
-// parent, so everything here must be malloc-free: static buffers, pointers
-// into the request datagram, raw syscalls. One request = one SEQPACKET
-// datagram carrying the header+payload and exactly three stdio fds; one
-// reply = status + pid, plus the grandchild's pidfd when spawning worked.
-[[noreturn]] void zygote_main(int sock) noexcept {
-  close_stray_fds(sock);
-  static char payload[kPayloadMax];
-  static char* argvec[kVecMax];
-  static char* envvec[kVecMax];
-  for (;;) {
-    RequestHeader header;
-    struct iovec iov[2];
-    iov[0] = {&header, sizeof(header)};
-    iov[1] = {payload, sizeof(payload)};
-    alignas(struct cmsghdr) char control[CMSG_SPACE(3 * sizeof(int))];
-    struct msghdr msg {};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = 2;
-    msg.msg_control = control;
-    msg.msg_controllen = sizeof(control);
-    ssize_t n = ::recvmsg(sock, &msg, MSG_CMSG_CLOEXEC);
-    if (n == 0) ::_exit(0);  // client closed its end: orderly shutdown
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::_exit(1);
-    }
-
-    int fds[3] = {-1, -1, -1};
-    for (struct cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr; c = CMSG_NXTHDR(&msg, c)) {
-      if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SCM_RIGHTS &&
-          c->cmsg_len == CMSG_LEN(3 * sizeof(int))) {
-        std::memcpy(fds, CMSG_DATA(c), 3 * sizeof(int));
-      }
-    }
-
-    Reply reply;
-    int pidfd = -1;
-    std::size_t want = sizeof(header) + header.payload_bytes;
-    if ((msg.msg_flags & (MSG_TRUNC | MSG_CTRUNC)) != 0 ||
-        static_cast<std::size_t>(n) != want || fds[0] < 0 || fds[1] < 0 || fds[2] < 0 ||
-        header.argc == 0 || header.argc + 1 > kVecMax || header.envc + 1 > kVecMax ||
-        header.payload_bytes == 0 || payload[header.payload_bytes - 1] != '\0') {
-      reply.err = EINVAL;
-    } else {
-      // Carve the NUL-joined payload into argv/envp pointer vectors.
-      char* cursor = payload;
-      char* end = payload + header.payload_bytes;
-      std::uint32_t found = 0;
-      for (; found < header.argc + header.envc && cursor < end; ++found) {
-        char** vec = found < header.argc ? &argvec[found] : &envvec[found - header.argc];
-        *vec = cursor;
-        cursor += std::strlen(cursor) + 1;
-      }
-      if (found != header.argc + header.envc || cursor != end) {
-        reply.err = EINVAL;
-      } else {
-        argvec[header.argc] = nullptr;
-        envvec[header.envc] = nullptr;
-        // CLONE_PARENT: the grandchild becomes the *client's* child, so the
-        // client reaps it and process-group kills behave as for direct
-        // spawns. The pidfd still lands here and is shipped back.
-        pid_t pid = raw_clone3(&pidfd, CLONE_PARENT);
-        if (pid < 0) {
-          reply.err = errno == 0 ? EAGAIN : errno;
-        } else if (pid == 0) {
-          SpawnTarget target;
-          target.argv = argvec;
-          target.envp = header.envc != 0 ? envvec : nullptr;
-          target.stdin_fd = fds[0];
-          target.stdout_fd = fds[1];
-          target.stderr_fd = fds[2];
-          exec_in_child(target);
-        } else {
-          reply.pid = static_cast<std::int32_t>(pid);
-        }
-      }
-    }
-
-    struct iovec riov = {&reply, sizeof(reply)};
-    alignas(struct cmsghdr) char rcontrol[CMSG_SPACE(sizeof(int))];
-    struct msghdr rmsg {};
-    rmsg.msg_iov = &riov;
-    rmsg.msg_iovlen = 1;
-    if (reply.err == 0 && pidfd >= 0) {
-      rmsg.msg_control = rcontrol;
-      rmsg.msg_controllen = CMSG_SPACE(sizeof(int));
-      struct cmsghdr* c = CMSG_FIRSTHDR(&rmsg);
-      c->cmsg_level = SOL_SOCKET;
-      c->cmsg_type = SCM_RIGHTS;
-      c->cmsg_len = CMSG_LEN(sizeof(int));
-      std::memcpy(CMSG_DATA(c), &pidfd, sizeof(int));
-    }
-    while (::sendmsg(sock, &rmsg, MSG_NOSIGNAL) < 0) {
-      if (errno != EINTR) ::_exit(1);  // client gone mid-request
-    }
-    for (int fd : fds) ::close(fd);
-    if (pidfd >= 0) ::close(pidfd);
-  }
-}
-
-}  // namespace
-
-std::unique_ptr<Zygote> Zygote::create() {
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, sv) != 0) return nullptr;
-  int devnull = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  if (devnull < 0) {
-    ::close(sv[0]);
-    ::close(sv[1]);
-    return nullptr;
-  }
-  pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(sv[0]);
-    ::close(sv[1]);
-    ::close(devnull);
-    return nullptr;
-  }
-  if (pid == 0) {
-    ::close(sv[0]);
-    ::close(devnull);
-    // Inherited signal handlers are kept: caught signals reset to default
-    // across the grandchild's exec anyway, and the helper itself must not
-    // die to a Ctrl-C that the client intends to survive (its lifetime is
-    // the socket's).
-    zygote_main(sv[1]);
-  }
-  ::close(sv[1]);
-  auto zygote = std::unique_ptr<Zygote>(new Zygote());
-  zygote->sock_ = sv[0];
-  zygote->devnull_ = devnull;
-  zygote->helper_pid_ = pid;
-  return zygote;
-}
-
-Zygote::~Zygote() { shutdown(); }
-
-void Zygote::shutdown() noexcept {
-  if (sock_ >= 0) {
-    ::close(sock_);  // helper sees EOF and _exit(0)s
-    sock_ = -1;
-  }
-  if (devnull_ >= 0) {
-    ::close(devnull_);
-    devnull_ = -1;
-  }
-  if (helper_pid_ > 0) {
-    int status = 0;
-    while (::waitpid(helper_pid_, &status, 0) < 0 && errno == EINTR) {
-    }
-    helper_pid_ = -1;
-  }
-}
-
-std::optional<SpawnedChild> Zygote::spawn(const SpawnTarget& target) {
-  if (sock_ < 0) return std::nullopt;
-
-  RequestHeader header;
-  std::string blob;
-  for (char* const* a = target.argv; *a != nullptr; ++a) {
-    blob.append(*a);
-    blob.push_back('\0');
-    ++header.argc;
-  }
-  if (target.envp != nullptr && target.envp != environ) {
-    for (char* const* e = target.envp; *e != nullptr; ++e) {
-      blob.append(*e);
-      blob.push_back('\0');
-      ++header.envc;
-    }
-  }
-  header.payload_bytes = static_cast<std::uint32_t>(blob.size());
-  // Decline locally what the helper's fixed buffers cannot hold; the caller
-  // falls back to clone3/posix_spawn for this one command.
-  if (header.argc == 0 || blob.size() > kPayloadMax || header.argc + 1 > kVecMax ||
-      header.envc + 1 > kVecMax) {
-    return std::nullopt;
-  }
-
-  int fds[3] = {target.stdin_fd >= 0 ? target.stdin_fd : devnull_,
-                target.stdout_fd >= 0 ? target.stdout_fd : 1,
-                target.stderr_fd >= 0 ? target.stderr_fd : 2};
-  struct iovec iov[2];
-  iov[0] = {&header, sizeof(header)};
-  iov[1] = {blob.data(), blob.size()};
-  alignas(struct cmsghdr) char control[CMSG_SPACE(3 * sizeof(int))];
-  struct msghdr msg {};
-  msg.msg_iov = iov;
-  msg.msg_iovlen = 2;
-  msg.msg_control = control;
-  msg.msg_controllen = CMSG_SPACE(3 * sizeof(int));
-  struct cmsghdr* c = CMSG_FIRSTHDR(&msg);
-  c->cmsg_level = SOL_SOCKET;
-  c->cmsg_type = SCM_RIGHTS;
-  c->cmsg_len = CMSG_LEN(3 * sizeof(int));
-  std::memcpy(CMSG_DATA(c), fds, 3 * sizeof(int));
-  while (::sendmsg(sock_, &msg, MSG_NOSIGNAL) < 0) {
-    if (errno == EINTR) continue;
-    shutdown();  // broken socket: helper is gone for good
-    return std::nullopt;
-  }
-
-  Reply reply;
-  struct iovec riov = {&reply, sizeof(reply)};
-  alignas(struct cmsghdr) char rcontrol[CMSG_SPACE(sizeof(int))];
-  struct msghdr rmsg {};
-  rmsg.msg_iov = &riov;
-  rmsg.msg_iovlen = 1;
-  rmsg.msg_control = rcontrol;
-  rmsg.msg_controllen = sizeof(rcontrol);
-  ssize_t n;
-  while ((n = ::recvmsg(sock_, &rmsg, MSG_CMSG_CLOEXEC)) < 0) {
-    if (errno != EINTR) break;
-  }
-  if (n != static_cast<ssize_t>(sizeof(reply))) {
-    shutdown();
-    return std::nullopt;
-  }
-  int pidfd = -1;
-  for (struct cmsghdr* rc = CMSG_FIRSTHDR(&rmsg); rc != nullptr; rc = CMSG_NXTHDR(&rmsg, rc)) {
-    if (rc->cmsg_level == SOL_SOCKET && rc->cmsg_type == SCM_RIGHTS &&
-        rc->cmsg_len == CMSG_LEN(sizeof(int))) {
-      std::memcpy(&pidfd, CMSG_DATA(rc), sizeof(int));
-    }
-  }
-  // A transient helper-side failure (fork pressure, clone3 refused) is not
-  // fatal to the zygote: this job falls back, the next may succeed.
-  if (reply.err != 0 || reply.pid <= 0 || pidfd < 0) {
-    if (pidfd >= 0) ::close(pidfd);
-    return std::nullopt;
-  }
-  return SpawnedChild{static_cast<pid_t>(reply.pid), pidfd};
 }
 
 }  // namespace parcl::exec

@@ -159,16 +159,23 @@ TEST(Cli, RejectsBadUsage) {
   EXPECT_THROW(parse({"--resume", "cmd", ":::", "x"}), util::ConfigError);  // no joblog
 }
 
-TEST(Cli, DispatchersOptionIsRejected) {
-  // The multi-threaded dispatch core and its selector flag are gone; the
-  // flag is an unknown option now, not a silently accepted no-op.
-  try {
-    parse({"--dispatchers", "2", "cmd", ":::", "x"});
-    FAIL() << "--dispatchers was accepted";
-  } catch (const util::ParseError& error) {
-    EXPECT_NE(std::string(error.what()).find("unknown option '--dispatchers'"),
-              std::string::npos)
-        << error.what();
+TEST(Cli, RemovedDispatchOptionsAreRejected) {
+  // The multi-threaded dispatch core, the preforked spawn helper and the
+  // batched joblog writer are gone; their flags are unknown options now,
+  // not silently accepted no-ops.
+  const std::vector<std::vector<std::string>> removed = {
+      {"--dispatchers", "2"}, {"--zygote"}, {"--joblog-flush", "64k"}};
+  for (std::vector<std::string> argv : removed) {
+    const std::string flag = argv[0];
+    argv.insert(argv.end(), {"cmd", ":::", "x"});
+    try {
+      parse_cli(argv);
+      FAIL() << flag << " was accepted";
+    } catch (const util::ParseError& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown option '" + flag + "'"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

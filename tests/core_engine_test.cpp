@@ -266,40 +266,15 @@ TEST(Engine, JoblogAndResume) {
   std::remove(path.c_str());
 }
 
-TEST(Engine, BatchedJoblogRecordsEveryJobExactlyOnce) {
-  constexpr int kJobs = 32;
-  std::string joblog = ::testing::TempDir() + "engine_batched_joblog.tsv";
-  std::remove(joblog.c_str());
-  Options options;
-  options.jobs = 8;
-  options.joblog_path = joblog;
-  options.joblog_flush_bytes = 4096;
-  FunctionExecutor executor(echo_task, 8);
-  std::ostringstream out, err;
-  Engine engine(options, executor, out, err);
-  std::vector<ArgVector> inputs;
-  for (int i = 0; i < kJobs; ++i) inputs.push_back({std::to_string(i)});
-  RunSummary summary = engine.run("echo {}", std::move(inputs));
-  EXPECT_EQ(summary.succeeded, static_cast<std::size_t>(kJobs));
-  EXPECT_GE(summary.dispatch.joblog_flushes, 1u);
-  // Batching must coalesce writes: far fewer flushes than rows.
-  EXPECT_LT(summary.dispatch.joblog_flushes, static_cast<std::uint64_t>(kJobs));
-  testing::InvariantReport report;
-  testing::check_joblog(joblog, summary, report);
-  EXPECT_TRUE(report.ok()) << report.str();
-  std::remove(joblog.c_str());
-}
-
-TEST(Engine, BatchedJoblogFlushesFinishedRowsWhileJobsRun) {
-  // -j2 --joblog-flush 64k with a fast job and a 2 s job: the fast job's
-  // row must reach the file while the slow job still runs (an idle-tick
-  // flush), not only when the run ends — else kill -9 would replay it.
-  std::string joblog = ::testing::TempDir() + "engine_idle_flush.tsv";
+TEST(Engine, FinishedRowReachesJoblogWhileNeighbourRuns) {
+  // -j2 with a fast job and a 2 s job: the fast job's row must reach the
+  // file while the slow job still runs, not only when the run ends — else
+  // kill -9 would replay it on --resume.
+  std::string joblog = ::testing::TempDir() + "engine_row_while_running.tsv";
   std::remove(joblog.c_str());
   Options options;
   options.jobs = 2;
   options.joblog_path = joblog;
-  options.joblog_flush_bytes = 64 * 1024;
   std::vector<JoblogEntry> mid_run;  // the file, halfway through the slow job
   auto task = [&](const ExecRequest& request) {
     if (request.command == "slow") {

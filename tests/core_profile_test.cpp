@@ -100,7 +100,6 @@ TEST(DispatchCounters, MergeSumsEveryField) {
   a.spawns = 3;           b.spawns = 5;
   a.direct_execs = 1;     b.direct_execs = 2;
   a.clone3_spawns = 2;    b.clone3_spawns = 4;
-  a.zygote_spawns = 1;    b.zygote_spawns = 1;
   a.spawn_seconds = 0.25; b.spawn_seconds = 0.75;
   a.reaps = 3;            b.reaps = 5;
   a.reap_sweeps = 1;      b.reap_sweeps = 0;
@@ -117,12 +116,10 @@ TEST(DispatchCounters, MergeSumsEveryField) {
   a.hedges_won = 1;       b.hedges_won = 0;
   a.hedges_lost = 1;      b.hedges_lost = 1;
   a.quarantines = 0;      b.quarantines = 1;
-  a.joblog_flushes = 2;   b.joblog_flushes = 3;
   a.merge(b);
   EXPECT_EQ(a.spawns, 8u);
   EXPECT_EQ(a.direct_execs, 3u);
   EXPECT_EQ(a.clone3_spawns, 6u);
-  EXPECT_EQ(a.zygote_spawns, 2u);
   EXPECT_DOUBLE_EQ(a.spawn_seconds, 1.0);
   EXPECT_EQ(a.reaps, 8u);
   EXPECT_EQ(a.reap_sweeps, 1u);
@@ -139,14 +136,6 @@ TEST(DispatchCounters, MergeSumsEveryField) {
   EXPECT_EQ(a.hedges_won, 1u);
   EXPECT_EQ(a.hedges_lost, 2u);
   EXPECT_EQ(a.quarantines, 1u);
-  EXPECT_EQ(a.joblog_flushes, 5u);
-}
-
-TEST(DispatchCounters, RenderReportsJoblogFlushes) {
-  DispatchCounters counters;
-  EXPECT_EQ(counters.render().find("joblog flushes"), std::string::npos);
-  counters.joblog_flushes = 3;
-  EXPECT_NE(counters.render().find("joblog flushes   3\n"), std::string::npos);
 }
 
 // Property: average concurrency is bounded by peak, and utilization at peak

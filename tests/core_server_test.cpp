@@ -301,7 +301,6 @@ TEST_F(ServerCoreTest, AcceptsRunsAndLedgersExactlyOnce) {
     EXPECT_EQ(admission.intake_id, seq);
   }
   drain(core);
-  core.flush();
 
   std::vector<TenantEvent> events = core.take_events();
   ASSERT_EQ(events.size(), 3u);
@@ -522,7 +521,6 @@ TEST_F(ServerCoreTest, PartialCompletionReplaysOnlyTheRemainder) {
     executor.release_budget_ = 2;
     core.step(0.0);
     ASSERT_EQ(core.stats().completed, 2u);
-    core.flush();
   }
   std::vector<IntakeRecord> pending = ServerCore::replay_pending(dir_);
   std::set<std::uint64_t> ledgered =

@@ -125,29 +125,6 @@ TEST(LocalExecutor, HaltNowKillsRunningJobs) {
   EXPECT_EQ(summary.results[1].status, core::JobStatus::kKilled);
 }
 
-TEST(LocalExecutor, ZygoteServesSpawns) {
-  // SpawnTuning::zygote (--zygote): direct-exec-eligible commands fork from
-  // the preforked helper, and the counters record it.
-  constexpr int kJobs = 24;
-  Options options;
-  options.jobs = 4;
-  SpawnTuning tuning;
-  tuning.zygote = true;
-  LocalExecutor executor{tuning};
-  std::ostringstream out, err;
-  Engine engine(options, executor, out, err);
-  std::vector<ArgVector> inputs;
-  for (int i = 0; i < kJobs; ++i) inputs.push_back({std::to_string(i)});
-  RunSummary summary = engine.run("/bin/echo z-{}", std::move(inputs));
-  EXPECT_EQ(summary.succeeded, static_cast<std::size_t>(kJobs));
-  EXPECT_EQ(executor.counters().spawns, static_cast<std::uint64_t>(kJobs));
-  EXPECT_EQ(executor.counters().reaps, executor.counters().spawns);
-  EXPECT_GT(executor.counters().zygote_spawns, 0u);
-  for (int i = 0; i < kJobs; ++i) {
-    EXPECT_NE(out.str().find("z-" + std::to_string(i)), std::string::npos);
-  }
-}
-
 TEST(LocalExecutor, MissingBinaryReports127) {
   Options options;
   LocalExecutor executor;
@@ -474,6 +451,90 @@ TEST(LocalExecutor, PressureReportsRealHostNumbers) {
   if (pressure.mem_free_bytes >= 0.0) EXPECT_GT(pressure.mem_free_bytes, 0.0);
   if (pressure.load_avg >= 0.0) EXPECT_GE(pressure.load_avg, 0.0);
 }
+
+// The platform picks the spawn path: clone3(CLONE_PIDFD) where the kernel
+// allows it, posix_spawn + pidfd_open where it refuses. kPosixSpawn forces
+// the fallback so a clone3 host covers it too; both paths must keep the
+// same job contract.
+class SpawnPath : public ::testing::TestWithParam<SpawnTuning::Path> {};
+
+TEST_P(SpawnPath, KeepsTheJobContract) {
+  SpawnTuning tuning;
+  tuning.path = GetParam();
+  LocalExecutor executor{tuning};
+  {
+    SCOPED_TRACE("exit codes and stderr");
+    std::ostringstream out, err;
+    Engine engine(Options{}, executor, out, err);
+    RunSummary summary =
+        engine.run("echo out-{}; echo err-{} 1>&2; exit {}", values({"0", "3"}));
+    EXPECT_EQ(summary.succeeded, 1u);
+    ASSERT_EQ(summary.results.size(), 2u);
+    EXPECT_EQ(summary.results[1].exit_code, 3);
+    EXPECT_NE(out.str().find("out-3"), std::string::npos);
+    EXPECT_NE(err.str().find("err-3"), std::string::npos);
+    EXPECT_EQ(out.str().find("err-"), std::string::npos);
+  }
+  {
+    SCOPED_TRACE("stdin");
+    std::ostringstream out, err;
+    Engine engine(Options{}, executor, out, err);
+    RunSummary summary = engine.run_pipe("wc -l", {"a\nb\nc\n"});
+    EXPECT_EQ(summary.succeeded, 1u);
+    EXPECT_NE(out.str().find('3'), std::string::npos);
+  }
+  {
+    SCOPED_TRACE("signaled child");
+    std::ostringstream out, err;
+    Engine engine(Options{}, executor, out, err);
+    RunSummary summary = engine.run("kill -TERM $$", values({"x"}));
+    ASSERT_EQ(summary.results.size(), 1u);
+    EXPECT_EQ(summary.results[0].status, core::JobStatus::kSignaled);
+    EXPECT_EQ(summary.results[0].term_signal, SIGTERM);
+  }
+  {
+    // clone3 reports the missing binary as the child's exit 127;
+    // posix_spawnp fails synchronously and the engine folds that into 127.
+    SCOPED_TRACE("missing binary");
+    std::ostringstream out, err;
+    Engine engine(Options{}, executor, out, err);
+    RunSummary summary = engine.run("/definitely/not/a/binary {}", values({"x"}));
+    EXPECT_EQ(summary.failed, 1u);
+    ASSERT_EQ(summary.results.size(), 1u);
+    EXPECT_EQ(summary.results[0].exit_code, 127);
+  }
+  {
+    // The dispatcher's signal mask must not reach the child: with SIGTERM
+    // blocked in the starting thread, the TERM that --timeout, halt and
+    // --termseq send must still end the job at once, not wait for SIGKILL.
+    SCOPED_TRACE("kill under a blocked SIGTERM");
+    sigset_t term, saved;
+    sigemptyset(&term);
+    sigaddset(&term, SIGTERM);
+    ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &term, &saved), 0);
+    ExecRequest request;
+    request.job_id = 1;
+    request.command = "/bin/sleep 5";
+    request.use_shell = false;
+    request.capture_output = false;
+    executor.start(request);
+    pthread_sigmask(SIG_SETMASK, &saved, nullptr);
+    executor.kill(1, /*force=*/false);
+    auto result = executor.wait_any(2.0);
+    ASSERT_TRUE(result.has_value()) << "SIGTERM did not end the child";
+    EXPECT_EQ(result->term_signal, SIGTERM);
+  }
+  if (GetParam() == SpawnTuning::Path::kPosixSpawn) {
+    EXPECT_EQ(executor.counters().clone3_spawns, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothPaths, SpawnPath,
+    ::testing::Values(SpawnTuning::Path::kAuto, SpawnTuning::Path::kPosixSpawn),
+    [](const ::testing::TestParamInfo<SpawnTuning::Path>& info) {
+      return info.param == SpawnTuning::Path::kAuto ? "Auto" : "PosixSpawn";
+    });
 
 }  // namespace
 }  // namespace parcl::exec
