@@ -1,6 +1,7 @@
 #include "core/cli.hpp"
 
 #include <istream>
+#include <set>
 
 #include "core/pipe.hpp"
 
@@ -58,6 +59,7 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
   RunPlan plan;
   std::vector<std::string> command_tokens;
   std::vector<std::string> arg_files;
+  std::vector<std::string> option_flags;  // every option as given, values aside
 
   enum class Phase { kOptions, kCommand, kSourceValues };
   Phase phase = Phase::kOptions;
@@ -99,6 +101,7 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
     }
 
     // Phase::kOptions.
+    option_flags.push_back(arg);
     if (arg == "-j" || arg == "--jobs") {
       std::string value = take_value(argv, i, arg);
       long jobs = util::parse_long(value);
@@ -360,6 +363,18 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
           "--server cannot combine with --sshlogin, --semaphore, --pilot, "
           "--worker, or --graph");
     }
+    // Service jobs run through the engine's loop with the run options
+    // listed here; the others shape a local run's input, output or hosts,
+    // which a service job does not have.
+    static const std::set<std::string> kServerFlags = {
+        "--server", "--state-dir", "--socket", "--listen", "--token", "--max-queue",
+        "--max-queue-global", "--orphans", "--jobs", "--retries", "--retry-delay",
+        "--timeout", "--delay", "--memfree", "--load", "--joblog-fsync"};
+    for (const std::string& flag : option_flags) {
+      if (!kServerFlags.count(flag) && !util::starts_with(flag, "-j")) {
+        throw util::ConfigError("--server cannot apply " + flag + " to service jobs");
+      }
+    }
     // A TCP listener beyond loopback hands arbitrary command execution (as
     // the server user) to anyone who can reach the port: refuse it without
     // a shared secret. parse_ipv4_endpoint() also validates the spec here,
@@ -465,7 +480,10 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
   plan.read_stdin = plan.sources.empty() && !plan.options.pipe_mode &&
                     !plan.semaphore && plan.graph_file.empty() &&
                     !plan.service.server;
-  plan.options.validate();
+  // A server's --joblog-fsync covers its journal and ledger, not a --joblog.
+  Options checked = plan.options;
+  checked.joblog_fsync = checked.joblog_fsync && !plan.service.server;
+  checked.validate();
   return plan;
 }
 

@@ -13,6 +13,7 @@
 
 #include "core/cli.hpp"
 #include "core/job_source.hpp"
+#include "core/output.hpp"
 #include "core/replacement.hpp"
 #include "exec/transport.hpp"
 #include "util/error.hpp"
@@ -45,20 +46,18 @@ struct PendingJob {
   std::size_t rejects = 0;
 };
 
-/// Output of one finished job, reassembled from chunk + RESULT frames.
-struct Arrived {
-  std::string stdout_data;
-  std::string stderr_data;
-  int exit_code = 0;
-  int term_signal = 0;
-  bool done = false;
-};
-
 class ServiceClient {
  public:
   ServiceClient(const RunPlan& plan, std::istream& in, std::ostream& out,
                 std::ostream& err)
-      : plan_(plan), in_(in), out_(out), err_(err) {}
+      : plan_(plan),
+        in_(in),
+        out_(out),
+        err_(err),
+        collator_(plan.options.output_mode == OutputMode::kKeepOrder
+                      ? OutputMode::kKeepOrder
+                      : OutputMode::kGroup,
+                  /*tag=*/false, out, err) {}
 
   ~ServiceClient() {
     if (fd_ >= 0) ::close(fd_);
@@ -119,7 +118,6 @@ class ServiceClient {
         job.has_stdin = input->has_stdin;
         batch.push_back(make_spec(seq, job));
         pending_.emplace(seq, std::move(job));
-        ++total_jobs_;
         if (batch.size() >= kSubmitBatch) {
           if (!submit(batch)) return finish(kExitConnectionLost);
           batch.clear();
@@ -186,7 +184,7 @@ class ServiceClient {
       case transport::FrameType::kStdout:
       case transport::FrameType::kStderr: {
         transport::ChunkFrame chunk = transport::decode_chunk(frame);
-        Arrived& arrived = arrived_[chunk.seq];
+        JobResult& arrived = arrived_[chunk.seq];
         (frame.type == transport::FrameType::kStdout ? arrived.stdout_data
                                                      : arrived.stderr_data) +=
             chunk.data;
@@ -194,13 +192,13 @@ class ServiceClient {
       }
       case transport::FrameType::kResult: {
         transport::ResultFrame result = transport::decode_result(frame);
-        Arrived& arrived = arrived_[result.seq];
-        arrived.exit_code = result.exit_code;
-        arrived.term_signal = result.term_signal;
-        arrived.done = true;
         if (result.exit_code != 0 || result.term_signal != 0) ++failures_;
         pending_.erase(result.seq);
-        emit_ready();
+        JobResult& arrived = arrived_[result.seq];
+        arrived.seq = result.seq;
+        collator_.deliver(arrived);
+        arrived_.erase(result.seq);
+        out_.flush();
         return true;
       }
       case transport::FrameType::kDrain:
@@ -213,13 +211,13 @@ class ServiceClient {
         for (auto it = pending_.begin(); it != pending_.end();) {
           if (it->second.acked) {
             ++checkpointed_;
-            mark_gap(it->first);
+            collator_.mark_absent(it->first);
             it = pending_.erase(it);
           } else {
             ++it;
           }
         }
-        emit_ready();
+        out_.flush();
         return true;
       case transport::FrameType::kBye:
         lost_code_ = pending_.empty() ? 0 : kExitConnectionLost;
@@ -239,9 +237,9 @@ class ServiceClient {
       fatal_code_ = kExitRefused;
       fatal_message_ = reject.message;
       if (it != pending_.end()) {
-        mark_gap(reject.seq);
+        collator_.mark_absent(reject.seq);
         pending_.erase(it);
-        emit_ready();
+        out_.flush();
       }
       return true;
     }
@@ -255,48 +253,14 @@ class ServiceClient {
     ++failures_;
     err_ << "parcl: --client: job " << reject.seq << " rejected ("
          << transport::to_string(reject.code) << "): " << reject.message << "\n";
-    mark_gap(reject.seq);
+    collator_.mark_absent(reject.seq);
     pending_.erase(it);
-    emit_ready();
+    out_.flush();
     return true;
   }
 
-  /// A seq that will never produce output this session (permanently
-  /// rejected, or checkpointed by a drain) must still count as emitted, or
-  /// keep-order (-k) waits on it forever and every later job's completed
-  /// output dies buffered in arrived_.
-  void mark_gap(std::uint64_t seq) { arrived_[seq].done = true; }
-
-  /// Emits finished output. -k holds completions until every earlier seq
-  /// has been emitted (the serial-order contract); otherwise completion
-  /// order, whole jobs at a time (group mode).
-  void emit_ready() {
-    bool keep_order = plan_.options.output_mode == OutputMode::kKeepOrder;
-    if (!keep_order) {
-      for (auto it = arrived_.begin(); it != arrived_.end();) {
-        if (!it->second.done) {
-          ++it;
-          continue;
-        }
-        out_ << it->second.stdout_data;
-        err_ << it->second.stderr_data;
-        it = arrived_.erase(it);
-      }
-      out_.flush();
-      return;
-    }
-    while (true) {
-      auto it = arrived_.find(next_emit_);
-      if (it == arrived_.end() || !it->second.done) break;
-      out_ << it->second.stdout_data;
-      err_ << it->second.stderr_data;
-      arrived_.erase(it);
-      ++next_emit_;
-    }
-    out_.flush();
-  }
-
   int finish(int transport_code) {
+    collator_.finish();
     out_.flush();
     err_.flush();
     if (fatal_) {
@@ -355,8 +319,6 @@ class ServiceClient {
   int fd_ = -1;
   transport::FrameDecoder decoder_;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_emit_ = 1;
-  std::size_t total_jobs_ = 0;
   std::size_t failures_ = 0;
   std::size_t checkpointed_ = 0;
   bool inputs_done_ = false;
@@ -365,7 +327,12 @@ class ServiceClient {
   std::string fatal_message_;
   int lost_code_ = kExitConnectionLost;
   std::map<std::uint64_t, PendingJob> pending_;
-  std::map<std::uint64_t, Arrived> arrived_;
+  /// Output of running jobs, reassembled from chunk frames until RESULT.
+  std::map<std::uint64_t, JobResult> arrived_;
+  /// -k holds a finished job until every earlier seq is out; a seq that
+  /// will never produce output this session (permanently rejected, or
+  /// checkpointed by a drain) is marked absent so it cannot wedge it.
+  OutputCollator collator_;
   std::vector<std::uint64_t> retry_;
   double retry_wait_ = 0.0;
 };

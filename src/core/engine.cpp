@@ -10,6 +10,7 @@
 #include <queue>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include <filesystem>
 #include <fstream>
@@ -123,92 +124,65 @@ RunSummary Engine::run_raw(const CommandTemplate& command, std::size_t count) {
   return execute(command, source);
 }
 
-RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
+Engine::~Engine() = default;
+
+// One run of the loop: the constructor is the set-up, step() one pass of
+// the phases, finish() the end-of-run tail. The members are the run's
+// state; the *_ ones are the engine's configuration.
+struct Engine::Run {
+  Run(Engine& owner, const CommandTemplate& command, JobSource& input);
+
+  // --tagstring: each line's prefix expands the template for its job.
+  static OutputCollator::TagFn tagstring(const std::string& text) {
+    auto tag_tmpl = std::make_shared<CommandTemplate>(CommandTemplate::parse(text));
+    return [tag_tmpl](const JobResult& result) {
+      CommandTemplate::Context context{result.seq, result.slot};
+      return tag_tmpl->expand(result.args, context, /*quote=*/false);
+    };
+  }
+
+  Engine& engine;
+  const Options& options_ = engine.options_;
+  Executor& executor_ = engine.executor_;
+  std::ostream& out_ = engine.out_;
+  std::ostream& err_ = engine.err_;
+  const std::function<void(const JobResult&)>& on_result_ = engine.on_result_;
+  SignalCoordinator* const signals_ = engine.signals_;
+  const CommandTemplate tmpl;
+  JobSource& source;
+
   // Dependency-aware sources gate their own next(): jobs materialize as
   // predecessors complete, and the engine feeds completion events back.
-  DagSource* dag = dynamic_cast<DagSource*>(&source);
-  if (dag != nullptr) {
-    if (options_.shuffle) {
-      throw util::ConfigError("--shuf cannot reorder a dependency graph");
-    }
-    if (options_.halt.percent > 0.0) {
-      throw util::ConfigError(
-          "percent --halt needs the whole job list up front, which a "
-          "dependency graph never materializes");
-    }
-  }
+  DagSource* const dag = dynamic_cast<DagSource*>(&source);
+  // A live source (the job service's queue) runs dry between arrivals:
+  // the loop asks ready() instead of pulling, and never ends on it.
+  LiveSource* const live = dynamic_cast<LiveSource*>(&source);
 
   RunSummary summary;
   const bool collect = options_.collect_results;
 
-  // Pre-parse env value templates once.
   std::vector<std::pair<std::string, CommandTemplate>> env_templates;
-  env_templates.reserve(options_.env.size());
-  for (const auto& [key, value] : options_.env) {
-    env_templates.emplace_back(key, CommandTemplate::parse(value));
-  }
-
-  // --resume: fold the joblog into the skip set before opening it for
-  // append. The set is keyed on seq alone, so it needs no knowledge of the
-  // (still unknown) total job count.
-  std::set<std::uint64_t> skip;
-  if (options_.resume || options_.resume_failed) {
-    try {
-      JoblogReadStats log_stats;
-      skip = read_resume_skip_set(options_.joblog_path, options_.resume_failed,
-                                  &log_stats);
-      if (log_stats.torn_lines != 0) {
-        PARCL_WARN() << "joblog '" << options_.joblog_path
-                     << "': final line torn (crash mid-write); skipping it so "
-                        "its job re-runs";
-      }
-    } catch (const util::SystemError&) {
-      // No joblog yet: nothing to skip.
-    }
-  }
-  // DAG resume additionally needs each logged seq's outcome: a completed
-  // predecessor in the joblog is replayed as a completion event, so its
-  // successors count it as satisfied (ok) or re-propagate its failure
-  // (not ok) without re-running it.
+  std::set<std::uint64_t> skip;  // --resume: seqs the joblog already holds
   std::map<std::uint64_t, bool> resume_status;
-  if (dag != nullptr && !skip.empty()) {
-    try {
-      resume_status = read_resume_status(options_.joblog_path);
-    } catch (const util::SystemError&) {
-    }
-  }
   std::unique_ptr<JoblogWriter> joblog;
-  if (!options_.joblog_path.empty()) {
-    joblog = std::make_unique<JoblogWriter>(options_.joblog_path, options_.joblog_fsync);
-  }
-
-  OutputCollator::TagFn tag_fn;
-  if (!options_.tag_template.empty()) {
-    auto tag_tmpl = std::make_shared<CommandTemplate>(
-        CommandTemplate::parse(options_.tag_template));
-    tag_fn = [tag_tmpl](const JobResult& result) {
-      CommandTemplate::Context context{result.seq, result.slot};
-      return tag_tmpl->expand(result.args, context, /*quote=*/false);
-    };
-  } else if (options_.tag) {
-    tag_fn = [](const JobResult& result) {
-      return result.args.empty() ? std::string() : result.args.front();
-    };
-  }
-  OutputCollator collator(options_.output_mode, std::move(tag_fn), out_, err_);
+  OutputCollator collator =
+      options_.tag_template.empty()
+          ? OutputCollator(options_.output_mode, options_.tag, out_, err_)
+          : OutputCollator(options_.output_mode, tagstring(options_.tag_template),
+                           out_, err_);
 
   // Per-job command overrides (--graph node commands, --then stage
   // commands) parse once into this cache — O(stages + graph nodes)
   // distinct templates, looked up by source text on every start.
   std::unordered_map<std::string, CommandTemplate> override_templates;
-  auto template_for = [&](const std::string& text) -> const CommandTemplate& {
+  const CommandTemplate& template_for(const std::string& text) {
     if (text.empty()) return tmpl;
     auto it = override_templates.find(text);
     if (it == override_templates.end()) {
       it = override_templates.emplace(text, CommandTemplate::parse(text)).first;
     }
     return it->second;
-  };
+  }
 
   // ---- Streaming pull machinery -------------------------------------------
   // Seqs are assigned in pull order (1-based), so a streamed source and its
@@ -222,17 +196,17 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
 
   // Per-stage completion tallies for multi-stage --progress (index = stage
   // id; [0] is the flat/unstaged bucket).
-  std::vector<std::size_t> stage_done(
-      dag != nullptr ? dag->stage_count() + 1 : 1, 0);
-  auto note_stage_done = [&](std::size_t stage) {
+  std::vector<std::size_t> stage_done =
+      std::vector<std::size_t>(dag != nullptr ? dag->stage_count() + 1 : 1, 0);
+  void note_stage_done(std::size_t stage) {
     if (stage < stage_done.size()) ++stage_done[stage];
-  };
+  }
 
   // `abandoned` marks queued work the run gave up on (the end-of-run drain
   // after a halt or starved stop), as opposed to --resume skips of jobs a
   // prior run already completed. Only the abandoned tail of a *starved*
   // stop bills exit_status().
-  auto note_skip = [&](PendingJob job, bool abandoned = false) {
+  void note_skip(PendingJob job, bool abandoned = false) {
     ++summary.skipped;
     if (abandoned && summary.starved) ++summary.starved_skipped;
     note_stage_done(job.stage);
@@ -245,23 +219,23 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       result.args = std::move(job.args);
       result.status = JobStatus::kSkipped;
     }
+  }
+
+  // Per-stage dispatch gate: the scheduler's stage caps.
+  const std::function<bool(std::size_t)> stage_gate = [this](std::size_t stage) {
+    return scheduler.stage_allows(stage);
   };
 
-  // Per-stage dispatch gate; rebound to the scheduler's stage caps once it
-  // exists (the dry-run path, which has no scheduler, stays ungated).
-  std::function<bool(std::size_t)> stage_gate = [](std::size_t) {
-    return true;
-  };
-
-  auto pull_raw = [&]() -> std::optional<PendingJob> {
+  std::optional<PendingJob> pull_raw() {
     if (exhausted) return std::nullopt;
     std::optional<JobInput> item =
         dag != nullptr ? dag->next_gated(stage_gate) : source.next();
     if (!item) {
       // A DAG source is only dry when it says so: a nullopt can also mean
       // "waiting on completions" or "every ready job's stage is at its
-      // cap", and both resolve without new input.
-      if (dag == nullptr || dag->exhausted()) exhausted = true;
+      // cap", and both resolve without new input. A live source is never
+      // dry.
+      if (live == nullptr && (dag == nullptr || dag->exhausted())) exhausted = true;
       return std::nullopt;
     }
     PendingJob job;
@@ -273,14 +247,14 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     job.stage = item->stage;
     job.command = std::move(item->command);
     return job;
-  };
+  }
 
   // A dependency-skipped job gets a real joblog row (Seq/Host filled,
   // Exitval = kDepSkippedExitval) so --resume never re-runs it, and honest
   // RunSummary accounting (dep_skipped bills exit_status). A seq the
   // resume skip set already holds keeps its existing row and is accounted
   // as a plain resume skip instead — not billed twice across restarts.
-  auto record_dep_skip = [&](DepSkippedJob skipped) {
+  void record_dep_skip(DepSkippedJob skipped) {
     max_seq = std::max(max_seq, skipped.seq);
     ++summary.skipped;
     ++summary.dep_skipped;
@@ -303,9 +277,9 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       if (summary.results.size() < result.seq) summary.results.resize(result.seq);
       summary.results[result.seq - 1] = std::move(result);
     }
-  };
+  }
 
-  auto drain_dep_skips = [&] {
+  void drain_dep_skips() {
     if (dag == nullptr) return;
     for (DepSkippedJob& skipped : dag->take_dep_skips()) {
       if (!skip.empty() && skip.count(skipped.seq) != 0) {
@@ -318,34 +292,16 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
         record_dep_skip(std::move(skipped));
       }
     }
-  };
+  }
 
   // --shuf must see the whole job list to permute it, and a percent --halt
   // needs the true total before the first completion: both force the
   // buffered (O(jobs) memory) path. Everything else streams.
   const bool buffer_all = options_.shuffle || options_.halt.percent > 0.0;
   std::deque<PendingJob> buffered;
-  if (buffer_all) {
-    std::vector<PendingJob> all;
-    while (auto job = pull_raw()) {
-      if (!skip.empty() && skip.count(job->seq) != 0) {
-        note_skip(std::move(*job));
-      } else {
-        all.push_back(std::move(*job));
-      }
-    }
-    if (options_.shuffle) {
-      // Randomize execution order (seq numbers, and therefore -k output
-      // order, stay bound to the original inputs).
-      util::Rng rng(options_.shuffle_seed);
-      rng.shuffle(all);
-    }
-    buffered.assign(std::make_move_iterator(all.begin()),
-                    std::make_move_iterator(all.end()));
-  }
 
   // Next runnable job; --resume skips are recorded as they stream past.
-  auto pull_runnable = [&]() -> std::optional<PendingJob> {
+  std::optional<PendingJob> pull_runnable() {
     if (buffer_all) {
       if (buffered.empty()) return std::nullopt;
       PendingJob job = std::move(buffered.front());
@@ -371,11 +327,11 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       return job;
     }
     return std::nullopt;
-  };
+  }
 
   // --dry-run: compose and print, never execute. A DAG dry run assumes
   // every job succeeds, so it prints one valid topological schedule.
-  if (options_.dry_run) {
+  RunSummary dry_run() {
     while (auto job = pull_runnable()) {
       CommandTemplate::Context context{job->seq, 1};
       std::string cmd =
@@ -398,37 +354,27 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     }
     summary.total = dag != nullptr ? max_seq : next_seq - 1;
     if (collect) summary.results.resize(summary.total);
-    return summary;
+    return std::move(summary);
   }
 
-  Scheduler scheduler(options_, executor_);
-  if (dag != nullptr) {
-    // Per-stage concurrency caps gate both the scheduler's starts and the
-    // source's pulls (a stage at its cap must not head-of-line block the
-    // ready queue).
-    for (std::size_t s = 1; s <= dag->stage_count(); ++s) {
-      scheduler.set_stage_limit(s, dag->stage_limit(s));
-    }
-    stage_gate = [&scheduler](std::size_t stage) {
-      return scheduler.stage_allows(stage);
-    };
-  }
-  RetryLedger ledger(options_, executor_);
+  Scheduler scheduler{options_, executor_};
+  RetryLedger ledger{options_, executor_};
   std::unordered_map<std::uint64_t, ActiveAttempt> active;  // job_id -> attempt
-  active.reserve(options_.effective_jobs() * 2);
   std::uint64_t next_job_id = 1;
 
   // One-job lookahead over the source: phase 1 needs to know whether fresh
-  // work exists before committing a slot, without pulling twice.
+  // work exists before committing a slot, without pulling twice. A live
+  // source is pulled only to start a job at once.
   std::optional<PendingJob> lookahead;
-  auto have_fresh = [&]() -> bool {
+  bool have_fresh() {
     if (!lookahead) lookahead = pull_runnable();
     return lookahead.has_value();
-  };
-  auto queued_work = [&] {
-    return ledger.ready() || ledger.has_delayed() || have_fresh() ||
+  }
+  bool queued_work() {
+    return ledger.ready() || ledger.has_delayed() ||
+           (live != nullptr ? live->ready() : have_fresh()) ||
            (dag != nullptr && !dag->exhausted());
-  };
+  }
 
   // Bounded -k out-of-order window: once the collator holds `window`
   // finished jobs waiting on an earlier seq, fresh dispatch pauses. The gap
@@ -446,7 +392,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
                  ? options_.keep_order_window
                  : std::max<std::size_t>(256, 8 * options_.effective_jobs()))
           : 0;
-  auto window_open = [&] { return window == 0 || collator.held_count() < window; };
+  bool window_open() const { return window == 0 || collator.held_count() < window; }
 
   // Timeout deadlines as a lazy min-heap: one entry per pending SIGTERM or
   // SIGKILL escalation, discarded when the attempt already completed. This
@@ -455,20 +401,17 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     double time = 0.0;
     std::uint64_t job_id = 0;
     bool escalation = false;  // false: send SIGTERM; true: send SIGKILL
+    bool operator>(const DeadlineEvent& other) const { return time > other.time; }
   };
-  auto deadline_after = [](const DeadlineEvent& a, const DeadlineEvent& b) {
-    return a.time > b.time;
-  };
-  std::priority_queue<DeadlineEvent, std::vector<DeadlineEvent>,
-                      decltype(deadline_after)>
-      deadlines(deadline_after);
+  std::priority_queue<DeadlineEvent, std::vector<DeadlineEvent>, std::greater<>>
+      deadlines;
 
   // --timeout N% and --hedge share a streaming median of successful
   // runtimes, kept as two balanced multiset halves (max-half / min-half)
   // for O(log n) insert and O(1) median. Consumers arm only after
   // kAdaptiveMinSamples successes.
   std::multiset<double> runtime_lower, runtime_upper;
-  auto add_runtime_sample = [&](double v) {
+  void add_runtime_sample(double v) {
     if (runtime_lower.empty() || v <= *runtime_lower.rbegin()) {
       runtime_lower.insert(v);
     } else {
@@ -483,27 +426,27 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       runtime_lower.insert(*it);
       runtime_upper.erase(it);
     }
-  };
-  constexpr std::size_t kAdaptiveMinSamples = 3;
-  auto running_median = [&]() -> double {
+  }
+  static constexpr std::size_t kAdaptiveMinSamples = 3;
+  double running_median() const {
     std::size_t n = runtime_lower.size() + runtime_upper.size();
     if (n < kAdaptiveMinSamples) return 0.0;
     return runtime_lower.size() > runtime_upper.size()
                ? *runtime_lower.rbegin()
                : (*runtime_lower.rbegin() + *runtime_upper.begin()) / 2.0;
-  };
-  auto adaptive_limit = [&]() -> double {
+  }
+  double adaptive_limit() const {
     if (options_.timeout_percent <= 0.0) return 0.0;
     double median = running_median();
     return median * options_.timeout_percent / 100.0;
-  };
+  }
 
   // Signal drain/escalation state (set_signal_coordinator).
   const std::vector<TermStage> term_stages = parse_termseq(options_.term_seq);
   int drain_stage = 0;         // 0 normal, 1 draining, 2 escalating
   std::size_t term_index = 0;  // current --termseq stage while escalating
   double next_stage_at = 0.0;
-  constexpr double kSignalPollInterval = 0.1;
+  static constexpr double kSignalPollInterval = 0.1;
 
   double first_start = std::numeric_limits<double>::infinity();
   double last_end = -std::numeric_limits<double>::infinity();
@@ -519,17 +462,17 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
   bool starvation_reported = false;
 
   const bool capture = options_.output_mode != OutputMode::kUngroup;
-  constexpr double kTimeoutGrace = 1.0;  // SIGTERM -> SIGKILL escalation
+  static constexpr double kTimeoutGrace = 1.0;  // SIGTERM -> SIGKILL escalation
   // A host-failure completion requeues its job without charging --retries,
   // but only this many times: a job that somehow kills every host it lands
   // on must not circulate forever.
-  constexpr std::size_t kMaxReschedules = 16;
+  static constexpr std::size_t kMaxReschedules = 16;
   // Wait cap when queued work exists but every free slot is vetoed
   // (quarantined host): short executor waits keep health probes pumping so
   // reinstatement can unblock dispatch.
-  constexpr double kQuarantinePoll = 0.05;
+  static constexpr double kQuarantinePoll = 0.05;
 
-  auto print_progress = [&] {
+  void print_progress() {
     if (!options_.progress) return;
     if (dag != nullptr && dag->stage_count() > 0) {
       // One counter per stage, each making its own `N/?` -> exact-total
@@ -571,9 +514,9 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       }
     }
     err_ << ' ' << std::flush;
-  };
+  }
 
-  auto save_results_tree = [&](const JobResult& result) {
+  void save_results_tree(const JobResult& result) {
     if (options_.results_dir.empty() || result.status == JobStatus::kSkipped) return;
     namespace fs = std::filesystem;
     fs::path dir = fs::path(options_.results_dir) / std::to_string(result.seq);
@@ -590,9 +533,9 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
          << "\ncommand\t" << result.command << "\nstatus\t" << to_string(result.status)
          << "\nexitval\t" << result.exit_code << "\nsignal\t" << result.term_signal
          << "\nruntime\t" << result.runtime() << '\n';
-  };
+  }
 
-  auto record_final = [&](JobResult result) {
+  void record_final(JobResult result) {
     ++done;
     note_stage_done(result.stage);
     const std::uint64_t final_seq = result.seq;
@@ -638,28 +581,32 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       dag->note_complete(final_seq, final_ok);
       drain_dep_skips();
     }
-  };
+  }
+
+  // Kills in-flight attempts for good: job `seq`'s, or all of them (0).
+  void kill_active(bool force, std::uint64_t seq = 0) {
+    for (auto& [id, running] : active) {
+      if (seq != 0 && running.seq != seq) continue;
+      running.killed_for_good = true;
+      executor_.kill(id, force);
+    }
+  }
 
   // Halt trigger, shared by the completion path and the spawn-failure path
   // (an injected or real spawn error is a failure like any other and must
   // count toward --halt). The total passed for percent policies is exact:
   // halt.percent forces buffer_all, so the source is already exhausted.
-  auto apply_halt_policy = [&] {
+  void apply_halt_policy() {
     Scheduler::HaltAction action = scheduler.evaluate_halt(
         summary.failed, summary.succeeded, done, next_seq - 1);
     if (action == Scheduler::HaltAction::kNone) return;
     summary.halted = true;
-    if (action == Scheduler::HaltAction::kKillRunning) {
-      for (auto& [id, running] : active) {
-        running.killed_for_halt = true;
-        executor_.kill(id, /*force=*/false);
-      }
-    }
-  };
+    if (action == Scheduler::HaltAction::kKillRunning) kill_active(/*force=*/false);
+  }
 
   // A retry or a host-failure requeue goes back into pending form; the
   // args, stdin block and command template move out of `attempt`.
-  auto to_pending = [](ActiveAttempt& attempt) {
+  static PendingJob to_pending(ActiveAttempt& attempt) {
     PendingJob job;
     job.seq = attempt.seq;
     job.args = std::move(attempt.args);
@@ -670,14 +617,14 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     job.command = std::move(attempt.command_tmpl);
     job.reschedules = attempt.reschedules;
     return job;
-  };
+  }
 
   // The one attempt-launch path, for starts and hedges alike: expands
   // the command for the attempt's slot, arms the fixed or adaptive
   // --timeout from `now`, starts the attempt and moves it into `active`.
   // Returns its job id. On a spawn failure it warns, releases the slot and
   // stage, and returns 0; `attempt` then stays with the caller.
-  auto launch = [&](ActiveAttempt& attempt, double now) -> std::uint64_t {
+  std::uint64_t launch(ActiveAttempt& attempt, double now) {
     CommandTemplate::Context context{attempt.seq, attempt.slot};
     attempt.command = template_for(attempt.command_tmpl)
                           .expand(attempt.args, context, options_.quote_args);
@@ -714,9 +661,9 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     }
     active.emplace(request.job_id, std::move(attempt));
     return request.job_id;
-  };
+  }
 
-  auto start_one = [&](PendingJob job) {
+  void start_one(PendingJob job) {
     ActiveAttempt attempt;
     attempt.seq = job.seq;
     attempt.args = std::move(job.args);
@@ -751,14 +698,14 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     result.end_time = now;
     record_final(std::move(result));
     apply_halt_policy();
-  };
+  }
 
   // --hedge: launch a speculative duplicate of a straggling attempt on a
   // slot in a *different* failure domain (another host). First completion
   // to succeed wins; the loser is killed and its completion discarded, so
   // the joblog stays exactly-once. Returns false when no distinct-domain
   // slot is free — the candidate is retried on a later pass.
-  auto launch_hedge = [&](std::uint64_t primary_id) -> bool {
+  bool launch_hedge(std::uint64_t primary_id) {
     auto pit = active.find(primary_id);
     if (pit == active.end()) return false;
     ActiveAttempt& primary = pit->second;
@@ -786,9 +733,9 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     primary.hedge_partner = hedge_id;
     ++summary.dispatch.hedges_launched;
     return true;
-  };
+  }
 
-  while (true) {
+  Step step(double max_wait) {
     // Phase 0: observe termination signals and drive --termseq escalation.
     if (signals_ != nullptr) {
       signals_->poll();
@@ -919,7 +866,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     }
 
     if (active.empty()) {
-      if (scheduler.stopped() || !queued_work()) break;  // drained
+      if (scheduler.stopped() || !queued_work()) return Step::kIdle;  // drained
       if (dag != nullptr && ledger.idle() && !have_fresh()) {
         // queued_work() is true only because the DAG is not exhausted, yet
         // nothing is running, parked, or ready — the completions the
@@ -928,7 +875,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
         // drains into skip accounting below) instead of spinning.
         PARCL_WARN() << "dependency graph wedged with nothing in flight; "
                         "abandoning remaining jobs";
-        break;
+        return Step::kIdle;
       }
       // Only --delay, backoff, or a --min-hosts park can leave us idle
       // here; wait in phase 2 (the park caps its wait so the executor
@@ -1011,9 +958,10 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       cap_wait(kSignalPollInterval);
     }
     if (active.empty() && wait < 0.0) {
-      // Nothing running and nothing gating: loop back to start more.
-      continue;
+      // Nothing running and nothing gating: step again to start more.
+      return Step::kWaited;
     }
+    if (max_wait >= 0.0) cap_wait(max_wait);
 
     std::optional<ExecResult> completion = executor_.wait_any(wait);
     now = executor_.now();
@@ -1038,7 +986,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       }
     }
 
-    if (!completion) continue;
+    if (!completion) return Step::kWaited;
 
     // Phase 4: process the completed attempt.
     auto it = active.find(completion->job_id);
@@ -1049,7 +997,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     scheduler.note_stage_end(attempt.stage);
 
     JobStatus status;
-    if (attempt.killed_for_halt) {
+    if (attempt.killed_for_good) {
       status = JobStatus::kKilled;
     } else if (attempt.killed_for_timeout) {
       status = JobStatus::kTimedOut;
@@ -1064,7 +1012,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     // A hedge loser's completion was already superseded by its partner's
     // recorded result: drop it. Its slot was released above; nothing else
     // to account.
-    if (attempt.discard_on_completion) continue;
+    if (attempt.discard_on_completion) return Step::kReaped;
 
     // Hedge pair resolution: first success wins and kills the partner; a
     // member that fails while its partner still runs is dropped silently so
@@ -1087,7 +1035,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
             ++summary.dispatch.hedges_lost;
           }
         } else {
-          continue;  // survivor carries the job; discard this completion
+          return Step::kReaped;  // survivor carries the job; discard this completion
         }
       }
     }
@@ -1113,13 +1061,13 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     // when the transport also died.
     if (completion->host_failure) {
       ++summary.dispatch.host_failures;
-      if (!attempt.killed_for_timeout && !attempt.killed_for_halt &&
+      if (!attempt.killed_for_timeout && !attempt.killed_for_good &&
           !scheduler.stopped() && attempt.reschedules < kMaxReschedules) {
         PendingJob job = to_pending(attempt);
         --job.attempts;  // the attempt never counted
         ledger.reschedule(std::move(job));
         ++summary.dispatch.rescheduled;
-        continue;
+        return Step::kReaped;
       }
     }
 
@@ -1130,7 +1078,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       // the engine has always produced), or into the backoff heap when
       // --retry-delay applies.
       ledger.park(to_pending(attempt), /*front=*/true);
-      continue;
+      return Step::kReaped;
     }
 
     JobResult result;
@@ -1152,8 +1100,93 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
 
     // Phase 5: halt policy.
     apply_halt_policy();
+    return Step::kReaped;
   }
 
+  RunSummary finish();
+};
+
+Engine::Run::Run(Engine& owner, const CommandTemplate& command, JobSource& input)
+    : engine(owner), tmpl(command), source(input) {
+  if (dag != nullptr) {
+    if (options_.shuffle) {
+      throw util::ConfigError("--shuf cannot reorder a dependency graph");
+    }
+    if (options_.halt.percent > 0.0) {
+      throw util::ConfigError(
+          "percent --halt needs the whole job list up front, which a "
+          "dependency graph never materializes");
+    }
+  }
+
+  // Pre-parse env value templates once.
+  env_templates.reserve(options_.env.size());
+  for (const auto& [key, value] : options_.env) {
+    env_templates.emplace_back(key, CommandTemplate::parse(value));
+  }
+
+  // --resume: fold the joblog into the skip set before opening it for
+  // append. The set is keyed on seq alone, so it needs no knowledge of the
+  // (still unknown) total job count.
+  if (options_.resume || options_.resume_failed) {
+    try {
+      JoblogReadStats log_stats;
+      skip = read_resume_skip_set(options_.joblog_path, options_.resume_failed,
+                                  &log_stats);
+      if (log_stats.torn_lines != 0) {
+        PARCL_WARN() << "joblog '" << options_.joblog_path
+                     << "': final line torn (crash mid-write); skipping it so "
+                        "its job re-runs";
+      }
+    } catch (const util::SystemError&) {
+      // No joblog yet: nothing to skip.
+    }
+  }
+  // DAG resume additionally needs each logged seq's outcome: a completed
+  // predecessor in the joblog is replayed as a completion event, so its
+  // successors count it as satisfied (ok) or re-propagate its failure
+  // (not ok) without re-running it.
+  if (dag != nullptr && !skip.empty()) {
+    try {
+      resume_status = read_resume_status(options_.joblog_path);
+    } catch (const util::SystemError&) {
+    }
+  }
+  if (!options_.joblog_path.empty()) {
+    joblog = std::make_unique<JoblogWriter>(options_.joblog_path, options_.joblog_fsync);
+  }
+
+  if (buffer_all) {
+    std::vector<PendingJob> all;
+    while (auto job = pull_raw()) {
+      if (!skip.empty() && skip.count(job->seq) != 0) {
+        note_skip(std::move(*job));
+      } else {
+        all.push_back(std::move(*job));
+      }
+    }
+    if (options_.shuffle) {
+      // Randomize execution order (seq numbers, and therefore -k output
+      // order, stay bound to the original inputs).
+      util::Rng rng(options_.shuffle_seed);
+      rng.shuffle(all);
+    }
+    buffered.assign(std::make_move_iterator(all.begin()),
+                    std::make_move_iterator(all.end()));
+  }
+
+  if (dag != nullptr) {
+    // Per-stage concurrency caps gate both the scheduler's starts and the
+    // source's pulls (a stage at its cap must not head-of-line block the
+    // ready queue).
+    for (std::size_t s = 1; s <= dag->stage_count(); ++s) {
+      scheduler.set_stage_limit(s, dag->stage_limit(s));
+    }
+  }
+  active.reserve(options_.effective_jobs() * 2);
+}
+
+RunSummary Engine::Run::finish() {
   // Work never started (halt or drain engaged) is skipped: parked retries,
   // the lookahead job, and everything still unread in the source. Draining
   // the source here keeps skip accounting exact while staying one job at a
@@ -1192,7 +1225,38 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
   // the highest seq seen — pulled, dep-skipped, or drained — is the total.
   summary.total = dag != nullptr ? max_seq : next_seq - 1;
   if (collect) summary.results.resize(summary.total);
-  return summary;
+  return std::move(summary);
 }
+
+RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
+  if (options_.dry_run) return Run(*this, tmpl, source).dry_run();
+  begin(tmpl, source);
+  while (step(-1.0) != Step::kIdle) {
+  }
+  return finish();
+}
+
+void Engine::begin(const CommandTemplate& command, JobSource& source) {
+  util::require(!options_.dry_run, "--dry-run has no step-driven form");
+  run_ = std::make_unique<Run>(*this, command, source);
+}
+
+Engine::Step Engine::step(double max_wait) { return run_->step(max_wait); }
+
+RunSummary Engine::finish() { return std::exchange(run_, nullptr)->finish(); }
+
+std::size_t Engine::running() const {
+  if (!run_) return 0;
+  return run_->active.size() + (run_->scheduler.stopped() ? 0 : run_->ledger.size());
+}
+
+void Engine::kill(std::uint64_t seq, bool force) { run_->kill_active(force, seq); }
+
+void Engine::kill_running(bool force) {
+  run_->scheduler.stop();
+  run_->kill_active(force);
+}
+
+bool Engine::pressure_allows_start() { return run_->scheduler.pressure_allows_start(); }
 
 }  // namespace parcl::core

@@ -42,6 +42,7 @@ class Engine {
   /// Streams for collated job output (defaults: std::cout / std::cerr).
   Engine(Options options, Executor& executor);
   Engine(Options options, Executor& executor, std::ostream& out, std::ostream& err);
+  ~Engine();
 
   /// Optional per-job completion hook (runs after retries are exhausted).
   void set_result_callback(std::function<void(const JobResult&)> callback);
@@ -81,7 +82,35 @@ class Engine {
   RunSummary run_raw(const CommandTemplate& command, std::size_t count = 1);
   RunSummary run_raw(const std::string& command_template, std::size_t count = 1);
 
+  // ---- The step-driven loop under every run*() ----------------------------
+  // begin() sets a run up over `source` as is (no decorator stages), step()
+  // runs one pass, and finish() skips what never started and returns the
+  // summary: run*() step until kIdle. A LiveSource's caller (the job
+  // service) steps for as long as it serves and never finishes. --dry-run
+  // has no step-driven form.
+  enum class Step {
+    kIdle,    // nothing runs or waits and no work is ready
+    kWaited,  // the pass ended without a completion
+    kReaped,  // the pass processed one completion
+  };
+  void begin(const CommandTemplate& command, JobSource& source);
+  /// One pass: signals, hedging, filling free slots, one wait of at most
+  /// `max_wait` seconds (< 0: as long as the loop needs; none when nothing
+  /// runs or gates), due timeouts, one completion and the halt policy.
+  Step step(double max_wait);
+  RunSummary finish();
+  /// Attempts in flight, plus parked retries the run will still start.
+  std::size_t running() const;
+  /// Kills the in-flight attempts of job `seq` for good: kKilled, no retry.
+  void kill(std::uint64_t seq, bool force);
+  /// Stops starting jobs and kills every in-flight attempt for good.
+  void kill_running(bool force);
+  /// The run's --memfree/--load probe (Scheduler::pressure_allows_start).
+  bool pressure_allows_start();
+
  private:
+  struct Run;  // one run's loop state (engine.cpp)
+
   RunSummary execute(const CommandTemplate& tmpl, JobSource& source);
 
   Options options_;
@@ -90,6 +119,7 @@ class Engine {
   std::ostream& err_;
   std::function<void(const JobResult&)> on_result_;
   SignalCoordinator* signals_ = nullptr;
+  std::unique_ptr<Run> run_;
 };
 
 }  // namespace parcl::core

@@ -62,6 +62,16 @@ class JobSource {
   virtual std::optional<JobInput> next() = 0;
 };
 
+/// A source that runs dry between arrivals without ending: the job
+/// service's fair-share queue. The engine asks ready() whether work waits,
+/// pulls only to start a job at once, and never ends a run on its nullopt;
+/// the caller steps the run (Engine::step) for as long as it serves.
+class LiveSource : public JobSource {
+ public:
+  /// Whether next() would return a job now.
+  virtual bool ready() const = 0;
+};
+
 /// A pull-based stream of single input values (one ::: / :::: / -a source).
 class ValueSource {
  public:

@@ -18,22 +18,22 @@ namespace parcl::core {
 namespace {
 constexpr const char* kHeader =
     "Seq\tHost\tStarttime\tJobRuntime\tSend\tReceive\tExitval\tSignal\tCommand";
+}  // namespace
 
 // POSIX guarantees a single write() to an O_APPEND fd is atomic with
 // respect to other appenders, and a record never straddles two writes, so
 // concurrent parcl instances sharing a joblog cannot interleave fields.
-void write_all(int fd, const std::string& data) {
+void write_all(int fd, const std::string& data, const char* what) {
   std::size_t done = 0;
   while (done < data.size()) {
     ssize_t n = ::write(fd, data.data() + done, data.size() - done);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw util::SystemError("write joblog", errno);
+      throw util::SystemError(what, errno);
     }
     done += static_cast<std::size_t>(n);
   }
 }
-}  // namespace
 
 struct JoblogWriter::Impl {
   int fd = -1;
@@ -83,7 +83,7 @@ JoblogWriter::JoblogWriter(const std::string& path, bool fsync_each)
   if (::fstat(impl_->fd, &st) == 0) {
     trim_torn_tail(impl_->fd, st.st_size);
     if (::fstat(impl_->fd, &st) == 0 && st.st_size == 0) {
-      write_all(impl_->fd, std::string(kHeader) + '\n');
+      write_all(impl_->fd, std::string(kHeader) + '\n', "write joblog");
     }
   }
 }
@@ -97,7 +97,7 @@ void JoblogWriter::record(const JobResult& result, const std::string& host) {
       << util::format_double(result.runtime(), 3) << '\t' << 0 << '\t'
       << result.stdout_data.size() << '\t' << result.exit_code << '\t'
       << result.term_signal << '\t' << result.command << '\n';
-  write_all(impl_->fd, row.str());
+  write_all(impl_->fd, row.str(), "write joblog");
   if (impl_->fsync_each && ::fsync(impl_->fd) < 0) {
     throw util::SystemError("fsync joblog", errno);
   }

@@ -108,4 +108,8 @@ std::map<std::uint64_t, bool> read_resume_status(const std::string& path,
 /// discipline (the server's intake journal reuses it verbatim).
 void trim_torn_tail(int fd, off_t size);
 
+/// Writes one whole record to `fd`, retrying short writes and EINTR; throws
+/// SystemError(`what`) on failure. Shared the same way as trim_torn_tail.
+void write_all(int fd, const std::string& data, const char* what);
+
 }  // namespace parcl::core

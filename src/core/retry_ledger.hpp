@@ -64,6 +64,7 @@ class RetryLedger {
   bool ready() const noexcept { return !retries_.empty(); }
   bool has_delayed() const noexcept { return !delayed_.empty(); }
   bool idle() const noexcept { return retries_.empty() && delayed_.empty(); }
+  std::size_t size() const noexcept { return retries_.size() + delayed_.size(); }
 
   PendingJob pop_ready();
 

@@ -113,11 +113,6 @@ void Scheduler::note_stage_end(std::size_t stage) {
   --it->second.in_flight;
 }
 
-std::size_t Scheduler::stage_in_flight(std::size_t stage) const noexcept {
-  auto it = stages_by_id_.find(stage);
-  return it == stages_by_id_.end() ? 0 : it->second.in_flight;
-}
-
 Scheduler::HaltAction Scheduler::evaluate_halt(std::size_t failed, std::size_t succeeded,
                                                std::size_t done,
                                                std::size_t total_jobs) {
@@ -208,7 +203,6 @@ std::optional<FairShareQueue::Popped> FairShareQueue::pop() {
     t.credit -= 1.0;
     Popped popped{order_[cursor_], t.queue.front()};
     t.queue.pop_front();
-    ++t.served;
     --total_queued_;
     if (t.queue.empty()) {
       t.credit = 0.0;
@@ -224,12 +218,5 @@ std::size_t FairShareQueue::queued(const std::string& tenant) const {
   auto it = tenants_.find(tenant);
   return it == tenants_.end() ? 0 : it->second.queue.size();
 }
-
-std::uint64_t FairShareQueue::served(const std::string& tenant) const {
-  auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.served;
-}
-
-std::vector<std::string> FairShareQueue::tenants() const { return order_; }
 
 }  // namespace parcl::core

@@ -38,7 +38,7 @@ struct ActiveAttempt {
   bool kill_sent = false;   // timeout SIGTERM sent
   bool force_sent = false;  // timeout SIGKILL sent
   bool killed_for_timeout = false;
-  bool killed_for_halt = false;
+  bool killed_for_good = false;  // halt now or Engine::kill: final, kKilled
   /// Host-failure requeues this job has survived (never charged to --retries).
   std::size_t reschedules = 0;
   /// --hedge pairing: job id of the racing duplicate/primary (0 = unpaired).
@@ -109,8 +109,6 @@ class Scheduler {
   bool stage_allows(std::size_t stage) const noexcept;
   void note_stage_start(std::size_t stage);
   void note_stage_end(std::size_t stage);
-  /// In-flight attempts the engine has started in `stage`.
-  std::size_t stage_in_flight(std::size_t stage) const noexcept;
 
  private:
   struct StageGate {
@@ -148,7 +146,7 @@ class FairShareQueue {
   };
 
   /// Registers (or re-registers, updating the weight of) a tenant. Weight
-  /// must be > 0. Re-attach preserves queued items and the served count.
+  /// must be > 0. Re-attach preserves queued items.
   void attach(const std::string& tenant, double weight = 1.0);
 
   /// Removes a tenant, returning its still-queued ids in FIFO order (the
@@ -167,18 +165,12 @@ class FairShareQueue {
   std::size_t queued(const std::string& tenant) const;
   std::size_t total_queued() const noexcept { return total_queued_; }
 
-  /// Items popped for `tenant` so far (fairness accounting).
-  std::uint64_t served(const std::string& tenant) const;
-
-  std::vector<std::string> tenants() const;
-
  private:
   struct Tenant {
     double weight = 1.0;
     double credit = 0.0;
     bool credited_this_visit = false;
     std::deque<std::uint64_t> queue;
-    std::uint64_t served = 0;
   };
   void advance();
 

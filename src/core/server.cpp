@@ -26,18 +26,6 @@ using transport::RejectCode;
 
 namespace {
 
-void write_all_fd(int fd, const std::string& data, const char* what) {
-  std::size_t done = 0;
-  while (done < data.size()) {
-    ssize_t n = ::write(fd, data.data() + done, data.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw util::SystemError(what, errno);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
-
 /// Journal field escaping: keep arbitrary command/stdin bytes on one line.
 std::string escape_field(const std::string& raw) {
   std::string out;
@@ -87,6 +75,19 @@ std::uint64_t parse_u64_field(const std::string& field, std::size_t line_no,
   return static_cast<std::uint64_t>(value);
 }
 
+/// The loop's options: the server's run options at its slot width, with
+/// what the service fixes — no results kept (constant memory), the command
+/// run verbatim (its one argument, unquoted), and no joblog of its own
+/// (--joblog-fsync is for the server's journal and ledgers).
+Options loop_options(const ServerConfig& config) {
+  Options options = config.options;
+  options.jobs = config.slots;
+  options.collect_results = false;
+  options.quote_args = false;
+  options.joblog_fsync = false;
+  return options;
+}
+
 /// Reads a journal file with the torn-tail tolerance of the joblog reader:
 /// a final line without '\n' was cut by a crash mid-write and is dropped
 /// (by the write-before-ack ordering it was never acked).
@@ -130,16 +131,13 @@ void IntakeJournal::append_accept(const IntakeRecord& record) {
                      "\t" + (record.has_stdin ? "1" : "0") + "\t" +
                      escape_field(record.command) + "\t" +
                      escape_field(record.stdin_data) + "\n";
-  write_all_fd(fd_, line, "write intake journal");
+  write_all(fd_, line, "write intake journal");
   if (fsync_each_) ::fsync(fd_);
-  ++appends_;
 }
 
 void IntakeJournal::append_cancel(std::uint64_t intake_id) {
-  write_all_fd(fd_, "C\t" + std::to_string(intake_id) + "\n",
-               "write intake journal");
+  write_all(fd_, "C\t" + std::to_string(intake_id) + "\n", "write intake journal");
   if (fsync_each_) ::fsync(fd_);
-  ++appends_;
 }
 
 std::vector<IntakeRecord> IntakeJournal::replay(const std::string& path) {
@@ -242,9 +240,11 @@ std::vector<IntakeRecord> ServerCore::replay_pending(const std::string& state_di
 ServerCore::ServerCore(ServerConfig config, Executor& executor)
     : config_(std::move(config)),
       executor_(executor),
-      slots_(config_.slots),
-      journal_(journal_path(config_.state_dir), config_.fsync_journal),
-      ledger_(ledger_path(config_.state_dir), config_.fsync_journal) {
+      journal_(journal_path(config_.state_dir), config_.options.joblog_fsync),
+      ledger_(ledger_path(config_.state_dir), config_.options.joblog_fsync),
+      engine_(loop_options(config_), executor, discard_, discard_) {
+  engine_.set_result_callback([this](const JobResult& result) { record_result(result); });
+  engine_.begin(CommandTemplate::parse("{}"), *this);
   next_intake_id_ = IntakeJournal::max_intake_id(journal_path(config_.state_dir)) + 1;
   double now = executor_.now();
   for (IntakeRecord& record : replay_pending(config_.state_dir)) {
@@ -306,9 +306,7 @@ void ServerCore::detach_tenant(const std::string& tenant, bool orphaned) {
     ++stats_.cancelled;
   }
   for (auto& [id, pending] : pending_) {
-    if (pending.running && pending.record.tenant == tenant) {
-      executor_.kill(id, /*force=*/false);
-    }
+    if (pending.record.tenant == tenant) engine_.kill(id, /*force=*/false);
   }
 }
 
@@ -348,29 +346,6 @@ Admission ServerCore::note_reject(const std::string& tenant, Admission rejection
   return rejection;
 }
 
-bool ServerCore::pressure_allows() {
-  const ServerLimits& limits = config_.limits;
-  if (limits.memfree_bytes == 0 && limits.load_max == 0.0) return true;
-  double now = executor_.now();
-  if (pressure_checked_at_ >= 0.0 &&
-      now - pressure_checked_at_ < Scheduler::kPressureRecheck) {
-    return !pressure_blocked_;
-  }
-  pressure_checked_at_ = now;
-  ResourcePressure pressure = executor_.pressure();
-  bool blocked = false;
-  if (limits.memfree_bytes != 0 && pressure.mem_free_bytes >= 0.0 &&
-      pressure.mem_free_bytes < static_cast<double>(limits.memfree_bytes)) {
-    blocked = true;
-  }
-  if (limits.load_max > 0.0 && pressure.load_avg >= 0.0 &&
-      pressure.load_avg > limits.load_max) {
-    blocked = true;
-  }
-  pressure_blocked_ = blocked;
-  return !blocked;
-}
-
 Admission ServerCore::submit(const std::string& tenant, std::uint64_t client_seq,
                              const std::string& command,
                              const std::string& stdin_data, bool has_stdin) {
@@ -394,7 +369,7 @@ Admission ServerCore::submit(const std::string& tenant, std::uint64_t client_seq
                                                          : "command too large"));
   }
   double retry_after = config_.limits.retry_after_seconds;
-  if (!pressure_allows()) {
+  if (!engine_.pressure_allows_start()) {
     return note_reject(tenant, Admission::reject(RejectCode::kPressure, retry_after,
                                                  "resource pressure"));
   }
@@ -431,89 +406,46 @@ Admission ServerCore::submit(const std::string& tenant, std::uint64_t client_seq
   return Admission::accept(id);
 }
 
-void ServerCore::dispatch_ready() {
-  while (!draining_ && slots_.any_free() && queue_.total_queued() > 0) {
-    std::optional<FairShareQueue::Popped> popped = queue_.pop();
-    if (!popped) break;
-    auto it = pending_.find(popped->id);
-    if (it == pending_.end()) continue;
-    Pending& pending = it->second;
-    std::size_t slot = slots_.acquire();
-    pending.slot = slot;
-    pending.running = true;
-    pending.start_time = executor_.now();
-    ++running_;
-    stats_.queue_latency_seconds.push_back(pending.start_time - pending.accept_time);
-    ++stats_.served_by_tenant[popped->tenant];
+bool ServerCore::ready() const { return !draining_ && queue_.total_queued() > 0; }
 
-    ExecRequest request;
-    request.job_id = popped->id;
-    request.command = pending.record.command;
-    request.slot = slot;
-    request.use_shell = true;
-    request.capture_output = true;
-    request.stdin_data = pending.record.stdin_data;
-    request.has_stdin = pending.record.has_stdin;
-    try {
-      executor_.start(request);
-    } catch (const util::Error&) {
-      // Spawn failure is a job failure, not a server crash: synthesize the
-      // completion so the ledger and the tenant both see it exactly once.
-      ExecResult failed;
-      failed.job_id = popped->id;
-      failed.exit_code = 127;
-      failed.start_time = failed.end_time = pending.start_time;
-      record_completion(failed);
-    }
-  }
+std::optional<JobInput> ServerCore::next() {
+  if (!ready()) return std::nullopt;
+  std::optional<FairShareQueue::Popped> popped = queue_.pop();
+  Pending& pending = pending_.at(popped->id);
+  stats_.queue_latency_seconds.push_back(executor_.now() - pending.accept_time);
+  ++stats_.served_by_tenant[popped->tenant];
+  JobInput job;
+  job.seq = popped->id;
+  job.args.push_back(std::move(pending.record.command));
+  job.stdin_data = std::move(pending.record.stdin_data);
+  job.has_stdin = pending.record.has_stdin;
+  return job;
 }
 
-void ServerCore::record_completion(const ExecResult& result) {
-  auto it = pending_.find(result.job_id);
-  if (it == pending_.end()) return;
-  Pending& pending = it->second;
-  if (pending.running) {
-    slots_.release(pending.slot);
-    --running_;
+void ServerCore::record_result(const JobResult& result) {
+  auto it = pending_.find(result.seq);
+  if (it == pending_.end()) {
+    throw util::InternalError("loop finished a job the server never queued");
   }
-
-  JobResult job;
-  job.seq = pending.record.intake_id;
-  job.slot = pending.slot;
-  job.status = result.term_signal != 0
-                   ? JobStatus::kSignaled
-                   : (result.exit_code != 0 ? JobStatus::kFailed : JobStatus::kSuccess);
-  job.exit_code = result.exit_code;
-  job.term_signal = result.term_signal;
-  job.attempts = 1;
-  job.start_time = result.start_time;
-  job.end_time = result.end_time;
-  job.command = pending.record.command;
-  job.stdout_data = result.stdout_data;
-  job.stderr_data = result.stderr_data;
-
+  const IntakeRecord& record = it->second.record;
   // Ledger first (keyed by intake id, host column = tenant): this row IS
   // the exactly-once decision — replay subtracts it. The tenant joblog and
   // the RESULT frame are deliveries, written after the decision.
-  ledger_.record(job, pending.record.tenant);
-  JobResult tenant_row = job;
-  tenant_row.seq = pending.record.client_seq;
-  tenant_joblog(pending.record.tenant).record(tenant_row, ":");
+  ledger_.record(result, record.tenant);
+  JobResult tenant_row = result;
+  tenant_row.seq = record.client_seq;
+  tenant_joblog(record.tenant).record(tenant_row, ":");
   ++stats_.completed;
-  events_.push_back(TenantEvent{pending.record.tenant, std::move(tenant_row)});
+  events_.push_back(TenantEvent{record.tenant, std::move(tenant_row)});
   pending_.erase(it);
 }
 
 std::size_t ServerCore::step(double timeout_seconds) {
-  dispatch_ready();
   std::size_t completions = 0;
-  while (running_ > 0) {
-    std::optional<ExecResult> result =
-        executor_.wait_any(completions == 0 ? timeout_seconds : 0.0);
-    if (!result) break;
-    record_completion(*result);
+  double wait = engine_.running() > 0 ? timeout_seconds : 0.0;
+  while (engine_.step(wait) == Engine::Step::kReaped) {
     ++completions;
-    dispatch_ready();
+    wait = 0.0;
   }
   return completions;
 }
@@ -526,16 +458,8 @@ std::vector<TenantEvent> ServerCore::take_events() {
 
 void ServerCore::begin_drain() { draining_ = true; }
 
-void ServerCore::kill_running(bool force) {
-  for (auto& [id, pending] : pending_) {
-    if (pending.running) executor_.kill(id, force);
-  }
-}
-
-std::size_t ServerCore::running_count() const noexcept { return running_; }
-
 bool ServerCore::idle() const noexcept {
-  return running_ == 0 && queue_.total_queued() == 0;
+  return running_count() == 0 && queue_.total_queued() == 0;
 }
 
 JoblogWriter& ServerCore::tenant_joblog(const std::string& tenant) {
@@ -544,7 +468,7 @@ JoblogWriter& ServerCore::tenant_joblog(const std::string& tenant) {
     it = tenant_joblogs_
              .emplace(tenant, std::make_unique<JoblogWriter>(
                                   tenant_joblog_path(config_.state_dir, tenant),
-                                  config_.fsync_journal))
+                                  config_.options.joblog_fsync))
              .first;
   }
   return *it->second;
@@ -648,9 +572,10 @@ class ServiceLoop {
       if (!connection->outbuf.empty()) events |= POLLOUT;
       fds.push_back({connection->fd, events, 0});
     }
-    // Short timeout while jobs run (completions come from the executor, not
-    // a socket); long-poll when idle.
-    int timeout_ms = core_.running_count() > 0 ? 5 : 100;
+    // Short timeout while jobs run or wait out a --delay or pressure gate
+    // (completions and gates are the loop's, not a socket's); long-poll
+    // when idle.
+    int timeout_ms = core_.idle() ? 100 : 5;
     int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) return;
@@ -949,11 +874,9 @@ int run_server(const RunPlan& plan) {
   config.slots = plan.options.effective_jobs();
   config.limits.max_queue_per_tenant = service.max_queue;
   config.limits.max_queue_global = service.max_queue_global;
-  config.limits.memfree_bytes = plan.options.memfree_bytes;
-  config.limits.load_max = plan.options.load_max;
   config.orphans =
       service.orphan_cancel ? OrphanPolicy::kCancel : OrphanPolicy::kKeep;
-  config.fsync_journal = plan.options.joblog_fsync;
+  config.options = plan.options;
   ServerCore core(config, executor);
 
   std::string socket_path = service.socket_path.empty()

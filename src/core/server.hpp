@@ -22,6 +22,11 @@
 // tenant is throttled (and eventually evicted) without disturbing others,
 // and a well-behaved client never sees unbounded buffering.
 //
+// Dispatch is the engine's: its step-driven loop (Engine::step) takes one
+// queued job per free slot, and its result callback writes the ledger, the
+// tenant joblog and the event. Service jobs thus get --retries,
+// --retry-delay, --timeout, --delay and --memfree/--load from that loop.
+//
 // ServerCore is the socket-free heart (deterministic tests and the bench
 // drive it directly, against a FunctionExecutor); the poll()-based socket
 // front end lives in server.cpp behind run_server().
@@ -31,15 +36,16 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/executor.hpp"
 #include "core/job.hpp"
 #include "core/joblog.hpp"
 #include "core/scheduler.hpp"
-#include "core/slot_pool.hpp"
 #include "exec/transport.hpp"
 
 namespace parcl::core {
@@ -85,8 +91,6 @@ class IntakeJournal {
   /// Appends a cancel record (orphan-cancel, drain-abandon).
   void append_cancel(std::uint64_t intake_id);
 
-  std::uint64_t appends() const noexcept { return appends_; }
-
   /// Folds a journal file into accepted-minus-cancelled records, journal
   /// order preserved. Missing file = empty. Unparseable interior lines
   /// throw ParseError; a torn final line is skipped (it was never acked).
@@ -99,7 +103,6 @@ class IntakeJournal {
  private:
   int fd_ = -1;
   bool fsync_each_ = false;
-  std::uint64_t appends_ = 0;
 };
 
 /// What to do with a tenant's pending jobs when its client disconnects
@@ -119,10 +122,6 @@ struct ServerLimits {
   /// Consecutive rejected submits (no accept in between) before a tenant
   /// is evicted as a flooder. 0 disables eviction.
   std::size_t evict_after_strikes = 64;
-  /// Admission-edge pressure gate (reuses the --memfree/--load probe
-  /// semantics; 0 = that gate is off).
-  std::size_t memfree_bytes = 0;
-  double load_max = 0.0;
 };
 
 struct ServerConfig {
@@ -132,8 +131,10 @@ struct ServerConfig {
   std::size_t slots = 1;
   ServerLimits limits;
   OrphanPolicy orphans = OrphanPolicy::kKeep;
-  /// fsync journal/ledger records (power-loss durability; --joblog-fsync).
-  bool fsync_journal = false;
+  /// Run options service jobs honour: --retries, --retry-delay, --timeout,
+  /// --delay, --memfree/--load (also gating admission) and --joblog-fsync
+  /// (covering the journal and ledgers). `slots` overrides options.jobs.
+  Options options;
 };
 
 /// Outcome of one submit() (or attach): accepted-with-id, or rejected with
@@ -193,7 +194,12 @@ struct ServerStats {
 /// dispatch, completion ledgering. Single-threaded by design (the same
 /// contract as Executor — one thread calls everything); the socket front
 /// end and the tests/bench are that thread.
-class ServerCore {
+///
+/// ServerCore is its loop's job source (privately a LiveSource): a job
+/// leaves the fair-share queue only when the loop starts it, is counted
+/// served at that instant, and runs with its intake id as seq and its
+/// command as the one argument the loop's "{}" template leaves verbatim.
+class ServerCore : private LiveSource {
  public:
   /// Opens (or re-opens after a crash) the state directory: trims torn
   /// tails, replays the journal minus the ledger, and requeues the
@@ -226,10 +232,10 @@ class ServerCore {
                    const std::string& command, const std::string& stdin_data = "",
                    bool has_stdin = false);
 
-  /// One service iteration: dispatch queued jobs onto free slots in DRR
-  /// order, then reap completions for up to `timeout_seconds` (0 = poll).
-  /// Returns the number of completions processed. Never blocks when
-  /// nothing is running.
+  /// One service iteration: passes of the engine's loop, which start
+  /// queued jobs on free slots in DRR order, until a pass reaps nothing.
+  /// The first pass waits up to `timeout_seconds` (0 = poll). Returns the
+  /// number of completions reaped. Never blocks when nothing is running.
   std::size_t step(double timeout_seconds);
 
   /// Drains finished-job events accumulated by step().
@@ -241,13 +247,15 @@ class ServerCore {
   void begin_drain();
   bool draining() const noexcept { return draining_; }
 
-  /// Phase 2: kill in-flight jobs (their deaths still ledger through
-  /// step(), keeping the exactly-once record intact).
-  void kill_running(bool force);
+  /// Phase 2: kill in-flight jobs for good (no retry; their deaths still
+  /// ledger through step(), keeping the exactly-once record intact).
+  void kill_running(bool force) { engine_.kill_running(force); }
 
-  std::size_t running_count() const noexcept;
+  /// Jobs out of the queue and not yet ledgered: attempts in flight plus
+  /// retries the loop will still start.
+  std::size_t running_count() const noexcept { return engine_.running(); }
   std::size_t queued_count() const noexcept { return queue_.total_queued(); }
-  /// Nothing running; with `queued_too`, nothing queued either.
+  /// Nothing running and nothing queued.
   bool idle() const noexcept;
 
   /// Does nothing: every ledger and tenant-joblog row is written when its
@@ -256,7 +264,6 @@ class ServerCore {
   void flush() {}
 
   const ServerStats& stats() const noexcept { return stats_; }
-  const ServerConfig& config() const noexcept { return config_; }
 
   /// The unfinished set a restart would requeue: journal accepts minus
   /// cancels minus ledgered intake ids. Exposed for tests and for the
@@ -284,35 +291,30 @@ class ServerCore {
   struct Pending {
     IntakeRecord record;
     double accept_time = 0.0;
-    double start_time = 0.0;
-    std::size_t slot = 0;
-    bool running = false;
   };
 
+  bool ready() const override;
+  std::optional<JobInput> next() override;
   void ensure_tenant(const std::string& tenant, double weight, bool connected);
   Admission note_reject(const std::string& tenant, Admission rejection);
-  bool pressure_allows();
-  void dispatch_ready();
-  void record_completion(const ExecResult& result);
+  void record_result(const JobResult& result);
   JoblogWriter& tenant_joblog(const std::string& tenant);
 
   ServerConfig config_;
   Executor& executor_;
-  SlotPool slots_;
   FairShareQueue queue_;
   IntakeJournal journal_;
   JoblogWriter ledger_;
   std::map<std::string, Tenant> tenants_;
   std::set<std::string> evicted_;
-  std::map<std::uint64_t, Pending> pending_;  // queued + running, by intake id
-  std::size_t running_ = 0;
+  std::map<std::uint64_t, Pending> pending_;  // queued + in the loop, by intake id
   std::uint64_t next_intake_id_ = 1;
   std::map<std::string, std::unique_ptr<JoblogWriter>> tenant_joblogs_;
   std::vector<TenantEvent> events_;
   ServerStats stats_;
   bool draining_ = false;
-  double pressure_checked_at_ = -1.0;
-  bool pressure_blocked_ = false;
+  std::ostream discard_{nullptr};  // the loop's job output goes nowhere
+  Engine engine_;
 };
 
 /// The `parcl --server` entry point: LocalExecutor + ServerCore + the

@@ -1115,17 +1115,22 @@ TEST(ChaosSoak, DagSchedulesRespectDependenciesExactlyOnce) {
 /// controls how many completions each step may reap, so a crash can land
 /// with jobs in every state: queued, running, ledgered. It also enforces
 /// the exactly-once contract at the execution site: a job that was already
-/// in the ledger when this incarnation began must never start again.
+/// in the ledger when this incarnation began must never start again. The
+/// loop numbers attempts itself, so a started job is identified by its
+/// command (unique per tenant and client seq), mapped back to the intake
+/// id recorded at submit.
 class SoakServerExecutor final : public core::Executor {
  public:
-  explicit SoakServerExecutor(const std::set<std::uint64_t>& already_ledgered,
-                              std::vector<std::uint64_t>& double_runs)
-      : already_ledgered_(already_ledgered), double_runs_(double_runs) {}
+  SoakServerExecutor(const std::map<std::string, std::uint64_t>& intake_ids,
+                     const std::set<std::uint64_t>& already_ledgered,
+                     std::vector<std::uint64_t>& double_runs)
+      : intake_ids_(intake_ids),
+        already_ledgered_(already_ledgered),
+        double_runs_(double_runs) {}
 
   void start(const core::ExecRequest& request) override {
-    if (already_ledgered_.count(request.job_id)) {
-      double_runs_.push_back(request.job_id);
-    }
+    const std::uint64_t intake_id = intake_ids_.at(request.command);
+    if (already_ledgered_.count(intake_id)) double_runs_.push_back(intake_id);
     core::ExecResult result;
     result.job_id = request.job_id;
     result.start_time = clock_;
@@ -1147,6 +1152,7 @@ class SoakServerExecutor final : public core::Executor {
   long release_budget_ = -1;
 
  private:
+  const std::map<std::string, std::uint64_t>& intake_ids_;
   const std::set<std::uint64_t>& already_ledgered_;
   std::vector<std::uint64_t>& double_runs_;
   std::deque<core::ExecResult> done_;
@@ -1187,12 +1193,14 @@ TEST(ChaosSoak, ServerSurvivesKill9MidIntake) {
     std::set<std::uint64_t> ledgered_at_restart;  // ledger as of this incarnation
     std::vector<std::uint64_t> double_runs;
     std::set<std::uint64_t> accepted_ids;
+    std::map<std::string, std::uint64_t> intake_ids;  // command -> intake id
     // tenant -> client seq -> stdout (the client's-eye view across
     // reconnects; duplicates are exactly-once violations).
     std::map<std::string, std::map<std::uint64_t, std::string>> outputs;
 
     auto make_executor = [&] {
-      return std::make_unique<SoakServerExecutor>(ledgered_at_restart, double_runs);
+      return std::make_unique<SoakServerExecutor>(intake_ids, ledgered_at_restart,
+                                                  double_runs);
     };
     auto attach_all = [&](core::ServerCore& core) {
       for (std::size_t i = 0; i < tenant_count; ++i) {
@@ -1227,6 +1235,7 @@ TEST(ChaosSoak, ServerSurvivesKill9MidIntake) {
               tenants[i], next_seq[i], command_for(tenants[i], next_seq[i]));
           ASSERT_TRUE(admission.accepted) << "seed " << seed;
           accepted_ids.insert(admission.intake_id);
+          intake_ids[command_for(tenants[i], next_seq[i])] = admission.intake_id;
           ++next_seq[i];
           --burst;
         }

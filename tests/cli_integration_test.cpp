@@ -448,6 +448,36 @@ TEST(ParclService, RoundTripOverUnixSocket) {
       << result.output;
 }
 
+TEST(ParclService, ClientKeepOrderMatchesLocalRunByteForByte) {
+  // Jobs finish out of order, and each ends with a line that has no
+  // newline: the client collates exactly as a local -k run does.
+  const std::string jobs = " -k 'sleep 0.0{}; echo out-{}; printf tail-{}' ::: 3 1 2";
+  CommandResult result = run_command(
+      "D=$(mktemp -d); " + parcl() + " --server --state-dir \"$D\" -j3 "
+      "2>\"$D/server.log\" & S=$!; "
+      "for i in $(seq 100); do [ -S \"$D/parcl.sock\" ] && break; sleep 0.05; done; " +
+      parcl() + " --client --socket \"$D/parcl.sock\"" + jobs + " >\"$D/client.out\"; " +
+      parcl() + " -j3" + jobs + " >\"$D/local.out\"; "
+      "kill -TERM $S; wait $S; "
+      "cmp \"$D/client.out\" \"$D/local.out\" && echo same; "
+      "cat \"$D/client.out\"; rm -rf \"$D\"");
+  EXPECT_NE(result.output.find("same\nout-3\ntail-3\nout-1\ntail-1\nout-2\ntail-2\n"),
+            std::string::npos)
+      << result.output;
+}
+
+TEST(ParclService, ServerRunsClientCommandsVerbatim) {
+  // The client already expanded each command; a replacement string in an
+  // argument reaches the job untouched.
+  CommandResult result = run_command(
+      "D=$(mktemp -d); " + parcl() + " --server --state-dir \"$D\" -j2 "
+      "2>\"$D/server.log\" & S=$!; "
+      "for i in $(seq 100); do [ -S \"$D/parcl.sock\" ] && break; sleep 0.05; done; " +
+      parcl() + " --client --socket \"$D/parcl.sock\" -k echo ::: '{}' '{#}' '{%}'; "
+      "kill -TERM $S; wait $S; rm -rf \"$D\"");
+  EXPECT_NE(result.output.find("{}\n{#}\n{%}\n"), std::string::npos) << result.output;
+}
+
 TEST(ParclService, ClientExits120WhenServerAbsent) {
   CommandResult result = run_command(
       parcl() + " --client --socket /nonexistent-parcl.sock 'echo x' ::: a");

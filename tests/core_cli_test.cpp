@@ -179,6 +179,42 @@ TEST(Cli, RemovedDispatchOptionsAreRejected) {
   }
 }
 
+TEST(Cli, ServerRefusesRunOptionsItCannotApply) {
+  // Service jobs run through the engine's loop with these options...
+  RunPlan plan = parse({"--server", "--state-dir", "/tmp/s", "-j3", "--retries", "2",
+                        "--retry-delay", "0.1", "--timeout", "200%", "--delay", "0.01",
+                        "--memfree", "1M", "--load", "8", "--joblog-fsync"});
+  EXPECT_EQ(plan.options.retries, 2u);
+  EXPECT_TRUE(plan.options.joblog_fsync);
+  EXPECT_NO_THROW(parse({"--server", "--state-dir", "/tmp/s", "--timeout", "5"}));
+  // ...and refuse every other run option, naming it.
+  const std::vector<std::vector<std::string>> refused = {
+      {"-k"}, {"-u"}, {"--line-buffer"}, {"--tag"}, {"--tagstring", "{}"},
+      {"--joblog", "/tmp/j"}, {"--results", "/tmp/r"},
+      {"--resume", "--joblog", "/tmp/j"}, {"--resume-failed", "--joblog", "/tmp/j"},
+      {"--shuf"}, {"--halt", "now,fail=1"}, {"--dry-run"}, {"--progress"},
+      {"--pipe"}, {"-n", "2"}, {"-X"}, {"--colsep", ","}, {"--trim", "lr"},
+      {"--env", "A=1"}, {"--hedge", "2"}, {"--termseq", "INT,100,KILL"},
+      {"--no-shell"}, {"--no-quote"}, {"--filter-hosts", "--slf", "/tmp/hosts"},
+      {"--watch", "--slf", "/tmp/hosts"}, {"--sshlogin-file", "/tmp/hosts"},
+      {"--min-hosts", "2"},
+      {"--min-hosts-grace", "5"}, {"--drain-grace", "1"},
+      {"--quarantine-after", "1"}, {"--probe-interval", "1"},
+      {"--heartbeat-interval", "2"}, {"--reconnect", "5"}};
+  for (std::vector<std::string> argv : refused) {
+    const std::string flag = argv[0];
+    argv.insert(argv.begin(), {"--server", "--state-dir", "/tmp/s"});
+    try {
+      parse_cli(argv);
+      ADD_FAILURE() << flag << " was accepted by --server";
+    } catch (const util::ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("--server cannot apply " + flag + " "),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(Cli, HelpAndVersionShortCircuit) {
   EXPECT_TRUE(parse({"--help"}).show_help);
   EXPECT_TRUE(parse({"--version"}).show_version);

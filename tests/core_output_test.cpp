@@ -112,9 +112,9 @@ class KeepOrderPermutation : public ::testing::TestWithParam<int> {};
 TEST_P(KeepOrderPermutation, OutputSortedBySeq) {
   std::vector<std::uint64_t> order{1, 2, 3, 4, 5, 6, 7};
   // Derive a permutation from the parameter.
-  int p = GetParam();
+  std::uint64_t p = static_cast<std::uint64_t>(GetParam());  // unsigned: wraps
   for (std::size_t i = order.size(); i > 1; --i) {
-    std::size_t j = static_cast<std::size_t>(p) % i;
+    std::size_t j = static_cast<std::size_t>(p % i);
     std::swap(order[i - 1], order[j]);
     p = p * 31 + 7;
   }

@@ -25,6 +25,7 @@
 #include "core/client.hpp"
 #include "core/joblog.hpp"
 #include "core/scheduler.hpp"
+#include "exec/local_executor.hpp"
 #include "util/error.hpp"
 #include "util/net.hpp"
 
@@ -216,6 +217,7 @@ TEST_F(IntakeJournalTest, MissingFileReplaysEmpty) {
 class InlineExecutor final : public Executor {
  public:
   void start(const ExecRequest& request) override {
+    ++starts_[request.command];
     ExecResult result;
     result.job_id = request.job_id;
     result.start_time = clock_;
@@ -241,6 +243,7 @@ class InlineExecutor final : public Executor {
   std::size_t active_count() const override { return done_.size(); }
   double now() const override { return clock_; }
   ResourcePressure pressure() const override { return pressure_; }
+  void advance(double seconds) { clock_ += seconds; }
 
   ResourcePressure pressure_;
   /// While set, started jobs stay "running" (wait_any yields nothing) —
@@ -249,6 +252,7 @@ class InlineExecutor final : public Executor {
   /// Completions wait_any may still release (-1 = unlimited) — lets tests
   /// stop a run at an exact point of partial progress.
   int release_budget_ = -1;
+  std::map<std::string, int> starts_;  // attempts started, per command
 
  private:
   std::deque<ExecResult> done_;
@@ -284,6 +288,38 @@ class ServerCoreTest : public ::testing::Test {
 
   static void drain(ServerCore& core) {
     while (!core.idle()) core.step(0.0);
+  }
+
+  /// Starts one job under --retries 3, kills it with `kill`, and checks it
+  /// ran once and was ledgered once.
+  template <typename KillFn>
+  void expect_final_kill(KillFn kill) {
+    InlineExecutor executor;
+    ServerConfig cfg = config(/*slots=*/1);
+    cfg.orphans = OrphanPolicy::kCancel;
+    cfg.options.retries = 3;
+    ServerCore core(cfg, executor);
+    ASSERT_TRUE(core.attach_tenant("alice").accepted);
+    ASSERT_TRUE(core.submit("alice", 1, "sleepish").accepted);
+    executor.hold_ = true;
+    core.step(0.0);
+    ASSERT_EQ(core.running_count(), 1u);
+    kill(core);
+    executor.hold_ = false;
+    drain(core);
+    EXPECT_EQ(executor.starts_["sleepish"], 1);
+    EXPECT_EQ(core.stats().completed, 1u);
+    EXPECT_EQ(joblog_rows(ServerCore::ledger_path(dir_)), 1u);
+  }
+
+  /// Data rows in a joblog (the header excluded).
+  static std::size_t joblog_rows(const std::string& path) {
+    std::ifstream in(path);
+    std::size_t rows = 0;
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty() && line.rfind("Seq\t", 0) != 0) ++rows;
+    }
+    return rows;
   }
 
   std::string dir_;
@@ -400,7 +436,7 @@ TEST_F(ServerCoreTest, PressureGateRejectsAtAdmissionEdge) {
   InlineExecutor executor;
   executor.pressure_.mem_free_bytes = 1000.0;
   ServerConfig cfg = config();
-  cfg.limits.memfree_bytes = 1 << 20;  // needs 1 MiB free; only 1000 B free
+  cfg.options.memfree_bytes = 1 << 20;  // needs 1 MiB free; only 1000 B free
   ServerCore core(cfg, executor);
   ASSERT_TRUE(core.attach_tenant("alice").accepted);
   Admission admission = core.submit("alice", 1, "true");
@@ -409,6 +445,30 @@ TEST_F(ServerCoreTest, PressureGateRejectsAtAdmissionEdge) {
   EXPECT_GT(admission.retry_after, 0.0);
   // Pressure rejects are the server's fault — never eviction strikes.
   EXPECT_FALSE(core.tenant_evicted("alice"));
+}
+
+// The admission probe is the loop's dispatch probe: an accepted job waits
+// in the queue while pressure is high and starts once it clears.
+TEST_F(ServerCoreTest, PressureDefersQueuedJobsUntilItClears) {
+  InlineExecutor executor;
+  ServerConfig cfg = config();
+  cfg.options.memfree_bytes = 1 << 20;
+  ServerCore core(cfg, executor);
+  ASSERT_TRUE(core.attach_tenant("alice").accepted);
+  ASSERT_TRUE(core.submit("alice", 1, "echo late").accepted);
+  executor.pressure_.mem_free_bytes = 1000.0;
+  executor.advance(Scheduler::kPressureRecheck);  // past the probe's cache
+  core.step(0.0);
+  EXPECT_EQ(core.running_count(), 0u);
+  EXPECT_EQ(core.queued_count(), 1u);
+  EXPECT_TRUE(core.take_events().empty());
+
+  executor.pressure_.mem_free_bytes = -1.0;  // unknown: no longer gated
+  executor.advance(Scheduler::kPressureRecheck);
+  drain(core);
+  std::vector<TenantEvent> events = core.take_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].result.stdout_data, "out:echo late\n");
 }
 
 TEST_F(ServerCoreTest, FloodingTenantIsEvictedOthersUnaffected) {
@@ -605,6 +665,58 @@ TEST_F(ServerCoreTest, ReplayedJobsRunWithoutTheirClient) {
   EXPECT_FALSE(restarted.tenant_connected("alice"));
   drain(restarted);
   EXPECT_EQ(restarted.stats().completed, 1u);
+}
+
+// Service jobs run through the engine's loop, so its policies apply to
+// them: a failing job is retried, and only its final attempt is recorded.
+TEST_F(ServerCoreTest, RetriesRerunAFailingJobAndLedgerItOnce) {
+  InlineExecutor executor;
+  ServerConfig cfg = config();
+  cfg.options.retries = 2;
+  ServerCore core(cfg, executor);
+  ASSERT_TRUE(core.attach_tenant("alice").accepted);
+  ASSERT_TRUE(core.submit("alice", 1, "fail always").accepted);
+  drain(core);
+  EXPECT_EQ(executor.starts_["fail always"], 2);
+  std::vector<TenantEvent> events = core.take_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].result.attempts, 2u);
+  EXPECT_EQ(events[0].result.exit_code, 9);
+  EXPECT_EQ(joblog_rows(ServerCore::ledger_path(dir_)), 1u);
+  EXPECT_EQ(joblog_rows(ServerCore::tenant_joblog_path(dir_, "alice")), 1u);
+}
+
+TEST_F(ServerCoreTest, TimeoutKillsAServiceJobAndLedgersItsSignal) {
+  exec::LocalExecutor executor;
+  ServerConfig cfg = config();
+  cfg.options.timeout_seconds = 0.2;
+  ServerCore core(cfg, executor);
+  ASSERT_TRUE(core.attach_tenant("alice").accepted);
+  ASSERT_TRUE(core.submit("alice", 1, "sleep 30").accepted);
+  while (!core.idle()) core.step(0.05);
+  std::vector<TenantEvent> events = core.take_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].result.status, JobStatus::kTimedOut);
+  EXPECT_EQ(events[0].result.term_signal, SIGTERM);
+  EXPECT_LT(events[0].result.runtime(), 5.0);
+  std::vector<JoblogEntry> ledger = read_joblog(ServerCore::ledger_path(dir_));
+  ASSERT_EQ(ledger.size(), 1u);
+  EXPECT_EQ(ledger[0].signal, SIGTERM);
+}
+
+// Kills the service makes on purpose are final: --retries re-runs a job
+// that failed, never one the server killed.
+TEST_F(ServerCoreTest, OrphanCancelKillIsNeverRetried) {
+  expect_final_kill([](ServerCore& core) {
+    core.detach_tenant("alice", /*orphaned=*/true);
+  });
+}
+
+TEST_F(ServerCoreTest, DrainPhaseTwoKillIsNeverRetried) {
+  expect_final_kill([](ServerCore& core) {
+    core.begin_drain();
+    core.kill_running(/*force=*/true);
+  });
 }
 
 // ---------------------------------------------------------------------------
