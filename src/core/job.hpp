@@ -63,7 +63,7 @@ struct JobResult {
 struct DispatchCounters {
   std::uint64_t spawns = 0;        // start() calls that produced a child
   std::uint64_t direct_execs = 0;  // shell-mode spawns that skipped /bin/sh
-  std::uint64_t clone3_spawns = 0; // spawns via clone3(CLONE_PIDFD) fast path
+  std::uint64_t clone_vm_spawns = 0; // children that shared our memory until exec
   double spawn_seconds = 0.0;      // parent-side compose+spawn time
   std::uint64_t reaps = 0;         // children reaped (waitpid successes)
   std::uint64_t reap_sweeps = 0;   // fallback whole-table waitpid sweeps

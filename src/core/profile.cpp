@@ -11,7 +11,7 @@ namespace parcl::core {
 void DispatchCounters::merge(const DispatchCounters& other) noexcept {
   spawns += other.spawns;
   direct_execs += other.direct_execs;
-  clone3_spawns += other.clone3_spawns;
+  clone_vm_spawns += other.clone_vm_spawns;
   spawn_seconds += other.spawn_seconds;
   reaps += other.reaps;
   reap_sweeps += other.reap_sweeps;
@@ -43,7 +43,7 @@ double DispatchCounters::events_per_poll() const noexcept {
 std::string DispatchCounters::render() const {
   std::ostringstream out;
   out << "spawns           " << spawns << " (" << direct_execs
-      << " direct-exec, " << clone3_spawns << " clone3), mean "
+      << " direct-exec, " << clone_vm_spawns << " CLONE_VM), mean "
       << util::format_double(mean_spawn_us(), 1)
       << " us\n"
       << "reaps            " << reaps << " (" << reap_sweeps << " sweeps)\n"

@@ -23,8 +23,6 @@
 #include "util/error.hpp"
 #include "util/shell.hpp"
 
-extern char** environ;
-
 namespace parcl::exec {
 
 namespace {
@@ -106,8 +104,8 @@ bool shell_bypass_safe(const std::string& command) {
 LocalExecutor::LocalExecutor(SpawnTuning tuning)
     : tuning_(tuning), epoch_(monotonic_seconds()) {
   // A child dying while we are mid-write to a closed pipe must not kill us.
-  // Children get the default disposition back through posix_spawn's sigdefault
-  // set; our own prior disposition is restored on destruction.
+  // Children get the default disposition back before they exec; our own
+  // prior disposition is restored on destruction.
   struct sigaction ignore {};
   ignore.sa_handler = SIG_IGN;
   sigemptyset(&ignore.sa_mask);
@@ -121,6 +119,7 @@ LocalExecutor::~LocalExecutor() {
       int status = 0;
       waitpid(child.pid, &status, 0);
     }
+    stacks_.release(child.stack);
     if (child.pidfd >= 0) close(child.pidfd);
     if (child.out_fd >= 0) close(child.out_fd);
     if (child.err_fd >= 0) close(child.err_fd);
@@ -142,6 +141,15 @@ void LocalExecutor::start(const core::ExecRequest& request) {
                 "duplicate job id in LocalExecutor::start");
   double t0 = monotonic_seconds();
 
+  // Shell-mode commands with no metacharacters skip /bin/sh entirely: the
+  // shell would only exec the argv we can compose ourselves (GNU parallel
+  // applies the same optimization).
+  bool direct = !request.use_shell || shell_bypass_safe(request.command);
+  std::vector<std::string> words =
+      direct ? util::shell_split(request.command)
+             : std::vector<std::string>{"/bin/sh", "-c", request.command};
+  if (words.empty()) throw util::ConfigError("empty command");
+
   int out_pipe[2] = {-1, -1};
   int err_pipe[2] = {-1, -1};
   int in_pipe[2] = {-1, -1};
@@ -153,7 +161,7 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   // in-process pilot workers), another thread's child can exec between our
   // pipe() and spawn, and an inherited write end would keep this child's
   // stdout open past its exit (EOF never arrives). The spawn installs the
-  // child-side ends with dup2, which clears CLOEXEC on the duplicate.
+  // child-side ends with dup, which clears CLOEXEC on the duplicate.
   if (request.capture_output) {
     if (pipe2(out_pipe, O_CLOEXEC) != 0) throw util::SystemError("pipe", errno);
     if (pipe2(err_pipe, O_CLOEXEC) != 0) {
@@ -169,70 +177,45 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     }
   }
 
-  // Child environment: reuse `environ` untouched in the common case of no
-  // per-job variables, composing a copy only when needed.
-  std::vector<std::string> env_storage;
-  std::vector<char*> envp_vec;
-  char* const* envp = environ;
-  if (!request.env.empty()) {
-    for (char** e = environ; *e != nullptr; ++e) envp_vec.push_back(*e);
-    env_storage.reserve(request.env.size());
-    for (const auto& [key, value] : request.env) {
-      env_storage.push_back(key + "=" + value);
-    }
-    for (auto& kv : env_storage) envp_vec.push_back(kv.data());
-    envp_vec.push_back(nullptr);
-    envp = envp_vec.data();
-  }
-
-  // Shell-mode commands with no metacharacters skip /bin/sh entirely: the
-  // shell would only exec the argv we can compose ourselves (GNU parallel
-  // applies the same optimization).
-  bool direct = !request.use_shell || shell_bypass_safe(request.command);
-  std::vector<std::string> argv_storage;
-  std::vector<char*> argv;
-  if (direct) {
-    argv_storage = util::shell_split(request.command);
-    if (argv_storage.empty()) {
-      close_pair(out_pipe);
-      close_pair(err_pipe);
-      close_pair(in_pipe);
-      throw util::ConfigError("empty command");
-    }
-  } else {
-    argv_storage = {"/bin/sh", "-c", request.command};
-  }
-  argv.reserve(argv_storage.size() + 1);
-  for (auto& word : argv_storage) argv.push_back(word.data());
-  argv.push_back(nullptr);
+  // The record exists before the spawn: a CLONE_VM child reads its image
+  // from here until it execs, and unordered_map nodes never move.
+  Child& child = children_[request.job_id];
+  auto abandon = [&] {
+    close_pair(out_pipe);
+    close_pair(err_pipe);
+    close_pair(in_pipe);
+    stacks_.release(child.stack);
+    children_.erase(request.job_id);
+  };
+  compose_image(child.image, std::move(words), request.env);
+  ChildPlan& plan = child.image.plan;
+  plan.stdin_fd = in_pipe[0];
+  plan.stdout_fd = out_pipe[1];
+  plan.stderr_fd = err_pipe[1];
 
   pid_t pid = -1;
-  int spawned_pidfd = -1;  // from clone3: arrives with the pid
-  bool fast_spawned = false;
-  if (tuning_.path != SpawnTuning::Path::kPosixSpawn) {
-    SpawnTarget target;
-    target.argv = argv.data();
-    target.envp = envp == environ ? nullptr : envp;
-    target.stdin_fd = request.has_stdin ? in_pipe[0] : -1;
-    target.stdout_fd = request.capture_output ? out_pipe[1] : -1;
-    target.stderr_fd = request.capture_output ? err_pipe[1] : -1;
+  int pidfd = -1;
+  if (tuning_.path == SpawnTuning::Path::kAuto && kCloneVmSpawn) {
+    child.stack = stacks_.acquire();
+    // A nullopt means "no fast path here: fall through", not "job failed".
+    std::optional<SpawnedChild> spawned;
     try {
-      // A nullopt means "clone3 refused: fall through", not "job failed".
-      if (auto spawned = clone3_spawn(target)) {
-        pid = spawned->pid;
-        spawned_pidfd = spawned->pidfd;
-        fast_spawned = true;
-        ++counters_.clone3_spawns;
-      }
+      if (child.stack != nullptr) spawned = clone_vm_spawn(child.image, child.stack);
     } catch (...) {
-      close_pair(out_pipe);
-      close_pair(err_pipe);
-      close_pair(in_pipe);
+      abandon();
       throw;
+    }
+    if (spawned) {
+      pid = spawned->pid;
+      pidfd = spawned->pidfd;  // CLONE_PIDFD fds are born O_CLOEXEC
+      ++counters_.clone_vm_spawns;
+    } else {
+      stacks_.release(child.stack);
+      child.stack = nullptr;
     }
   }
 
-  if (!fast_spawned) {
+  if (pid < 0) {
     posix_spawn_file_actions_t actions;
     posix_spawn_file_actions_init(&actions);
     if (request.has_stdin) {
@@ -259,7 +242,7 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     posix_spawnattr_init(&attr);
     // New process group (kill() signals the whole pipeline), default
     // SIGPIPE in the child despite our own SIG_IGN, and an empty signal mask
-    // as on the clone3 path: an inherited blocked SIGTERM would make
+    // as on the CLONE_VM path: an inherited blocked SIGTERM would make
     // --timeout, halt and --termseq kills wait for SIGKILL.
     sigset_t defaults;
     sigemptyset(&defaults);
@@ -272,21 +255,17 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGDEF |
                                         POSIX_SPAWN_SETSIGMASK);
 
-    int rc = direct ? posix_spawnp(&pid, argv[0], &actions, &attr, argv.data(),
-                                   const_cast<char* const*>(envp))
-                    : posix_spawn(&pid, "/bin/sh", &actions, &attr, argv.data(),
-                                  const_cast<char* const*>(envp));
+    char* const* argv = child.image.argv.data();
+    int rc = posix_spawnp(&pid, argv[0], &actions, &attr, argv,
+                          child.image.envp.data());
     posix_spawn_file_actions_destroy(&actions);
     posix_spawnattr_destroy(&attr);
     if (rc != 0) {
-      close_pair(out_pipe);
-      close_pair(err_pipe);
-      close_pair(in_pipe);
+      abandon();
       throw util::SystemError("posix_spawn", rc);
     }
   }
 
-  Child child;
   child.pid = pid;
   child.start_time = now();
   if (request.capture_output) {
@@ -304,9 +283,8 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     child.in_buffer = request.stdin_data;
   }
 
-  if (fast_spawned) {
-    child.pidfd = spawned_pidfd;  // CLONE_PIDFD fds are born O_CLOEXEC
-  } else if (!pidfd_disabled().load(std::memory_order_relaxed)) {
+  child.pidfd = pidfd;
+  if (child.pidfd < 0 && !pidfd_disabled().load(std::memory_order_relaxed)) {
     child.pidfd = pidfd_open_compat(pid);
     if (child.pidfd >= 0) {
       set_cloexec(child.pidfd);  // pidfd_open sets it; belt and braces
@@ -316,25 +294,20 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   }
   if (child.pidfd < 0) enable_self_pipe();
 
-  auto [it, inserted] = children_.emplace(request.job_id, std::move(child));
-  Child& stored = it->second;
-  if (stored.pidfd >= 0) {
-    stored.pidfd_slot =
-        add_poll_fd(stored.pidfd, POLLIN, request.job_id, FdKind::kPidfd);
+  if (child.pidfd >= 0) {
+    child.pidfd_slot =
+        add_poll_fd(child.pidfd, POLLIN, request.job_id, FdKind::kPidfd);
   }
-  if (stored.out_fd >= 0) {
-    stored.out_slot =
-        add_poll_fd(stored.out_fd, POLLIN, request.job_id, FdKind::kOut);
+  if (child.out_fd >= 0) {
+    child.out_slot = add_poll_fd(child.out_fd, POLLIN, request.job_id, FdKind::kOut);
   }
-  if (stored.err_fd >= 0) {
-    stored.err_slot =
-        add_poll_fd(stored.err_fd, POLLIN, request.job_id, FdKind::kErr);
+  if (child.err_fd >= 0) {
+    child.err_slot = add_poll_fd(child.err_fd, POLLIN, request.job_id, FdKind::kErr);
   }
-  if (stored.in_fd >= 0) {
-    feed_stdin(stored);  // opportunistic first write
-    if (stored.in_fd >= 0) {
-      stored.in_slot =
-          add_poll_fd(stored.in_fd, POLLOUT, request.job_id, FdKind::kIn);
+  if (child.in_fd >= 0) {
+    feed_stdin(child);  // opportunistic first write
+    if (child.in_fd >= 0) {
+      child.in_slot = add_poll_fd(child.in_fd, POLLOUT, request.job_id, FdKind::kIn);
     }
   }
   ++counters_.spawns;
@@ -434,6 +407,8 @@ void LocalExecutor::mark_reaped(Child& child, int status) {
   child.wait_status = status;
   child.end_time = now();
   ++counters_.reaps;
+  stacks_.release(child.stack);  // the child is gone: nothing runs on it
+  child.stack = nullptr;
   if (child.pidfd >= 0) {
     close(child.pidfd);
     child.pidfd = -1;

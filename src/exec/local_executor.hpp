@@ -6,9 +6,16 @@
 // writing more than a pipe buffer never deadlock.
 //
 // The dispatch hot path is event-driven:
-//   - children are spawned with clone3(CLONE_PIDFD) where the kernel allows
-//     it, otherwise posix_spawn (vfork-class clone on glibc), and shell-mode
-//     commands free of metacharacters skip /bin/sh entirely;
+//   - children are spawned by clone_vm_spawn (exec/spawn_path.hpp): a
+//     CLONE_VM child that the dispatcher neither copies its page tables for
+//     nor waits on, and whose pidfd comes back from the clone. Everything it
+//     reads before exec lives in its Child record until harvest, and its
+//     stack comes from a pool and goes back at reap;
+//   - posix_spawn (a vfork-class clone on glibc) is the fallback: on other
+//     targets, in ASan/TSan builds, when the kernel refuses the clone, and
+//     under SpawnTuning::Path::kPosixSpawn;
+//   - shell-mode commands free of metacharacters skip /bin/sh entirely;
+//   - a job's --env variables replace inherited ones of the same name;
 //   - each child's exit is observed through a pidfd in the poll set (Linux
 //     pidfd_open), falling back to a SIGCHLD self-pipe where pidfds are
 //     unavailable, so a completion wakes wait_any() immediately and reaping
@@ -37,7 +44,7 @@ namespace parcl::exec {
 /// How LocalExecutor creates children.
 struct SpawnTuning {
   enum class Path {
-    kAuto,        // clone3(CLONE_PIDFD) when the kernel has it, else posix_spawn
+    kAuto,        // clone_vm_spawn where the build and kernel have it, else posix_spawn
     kPosixSpawn,  // force the portable path (tests, benchmarks, debugging)
   };
   Path path = Path::kAuto;
@@ -90,6 +97,10 @@ class LocalExecutor final : public core::Executor {
     bool reaped = false;
     bool ready_queued = false;   // already pushed onto ready_
     int wait_status = 0;
+    // What the child reads before exec, from before the spawn until harvest,
+    // and its CLONE_VM stack until reap (nullptr after posix_spawn).
+    SpawnImage image;
+    void* stack = nullptr;
   };
 
   enum class FdKind : unsigned char { kOut, kErr, kIn, kPidfd, kSelfPipe };
@@ -106,7 +117,7 @@ class LocalExecutor final : public core::Executor {
   /// Writes pending stdin bytes; closes the pipe when drained or broken.
   void feed_stdin(Child& child);
   /// Records the child's exit status and completion time; closes its pidfd
-  /// and any still-open stdin pipe.
+  /// and any still-open stdin pipe, and returns its stack to the pool.
   void mark_reaped(Child& child, int status);
   /// Fallback reaper: WNOHANG-waits every unreaped child (self-pipe mode).
   void sweep_unreaped();
@@ -138,6 +149,7 @@ class LocalExecutor final : public core::Executor {
   bool sigpipe_saved_ = false;
 
   SpawnTuning tuning_;
+  StackPool stacks_;
 
   double epoch_ = 0.0;
   core::DispatchCounters counters_;

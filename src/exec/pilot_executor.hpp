@@ -104,8 +104,8 @@ class ThreadWorkerTransport final : public WorkerTransport {
   /// and attempts beyond the script resume normally.
   void script_attach(std::vector<Attach> script);
 
-  /// Agent introspection for tests. Only meaningful while the pilot is
-  /// quiescent (not mid-wait on another thread).
+  /// Agent introspection for tests. The agent publishes both counts, so
+  /// they may be read while its thread serves.
   std::uint64_t agent_total_starts() const;
   std::size_t agent_journal_size() const;
 

@@ -119,6 +119,11 @@ void WorkerAgent::journal_completion(core::ExecResult&& result) {
   entry.result.stdout_chunks = entry.out_chunks.size();
   entry.result.stderr_chunks = entry.err_chunks.size();
   journal_[entry.result.seq] = std::move(entry);
+  publish_journal_size();
+}
+
+void WorkerAgent::publish_journal_size() noexcept {
+  journal_size_.store(journal_.size());
 }
 
 void WorkerAgent::pump_inner() {
@@ -172,6 +177,7 @@ void WorkerAgent::handle_kill(const transport::Frame& frame) {
 void WorkerAgent::handle_ack(const transport::Frame& frame) {
   transport::AckFrame ack = transport::decode_ack(frame);
   for (std::uint64_t seq : ack.seqs) journal_.erase(seq);
+  publish_journal_size();
 }
 
 void WorkerAgent::crash_now() {
@@ -181,6 +187,7 @@ void WorkerAgent::crash_now() {
   inner_ = config_.make_inner();
   running_.clear();
   journal_.clear();
+  publish_journal_size();
   config_.faults.crash_after_starts = 0;  // one-shot
 }
 

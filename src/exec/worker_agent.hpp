@@ -17,6 +17,7 @@
 // nothing, and the pilot reschedules everything unacked, uncharged.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -77,9 +78,10 @@ class WorkerAgent {
   ServeOutcome serve(int read_fd, int write_fd);
 
   /// Jobs started over the agent's lifetime (fault-threshold bookkeeping
-  /// and test assertions).
-  std::uint64_t total_starts() const noexcept { return total_starts_; }
-  std::size_t journal_size() const noexcept { return journal_.size(); }
+  /// and test assertions). This and journal_size() are published for
+  /// readers on other threads while serve() runs.
+  std::uint64_t total_starts() const noexcept { return total_starts_.load(); }
+  std::size_t journal_size() const noexcept { return journal_size_.load(); }
   std::size_t running_count() const noexcept { return running_.size(); }
 
  private:
@@ -100,6 +102,8 @@ class WorkerAgent {
   /// Drains inner completions into the journal.
   void pump_inner();
   void journal_completion(core::ExecResult&& result);
+  /// Publishes journal_.size() after every change to journal_.
+  void publish_journal_size() noexcept;
   void crash_now();
   double now() const;
 
@@ -107,7 +111,8 @@ class WorkerAgent {
   std::unique_ptr<core::Executor> inner_;
   std::set<std::uint64_t> running_;
   std::map<std::uint64_t, JournalEntry> journal_;  // completed, unacked
-  std::uint64_t total_starts_ = 0;
+  std::atomic<std::size_t> journal_size_{0};
+  std::atomic<std::uint64_t> total_starts_{0};
   std::uint64_t beat_ = 0;
   bool draining_ = false;
   bool broken_pipe_ = false;

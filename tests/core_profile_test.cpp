@@ -99,7 +99,7 @@ TEST(DispatchCounters, MergeSumsEveryField) {
   DispatchCounters a, b;
   a.spawns = 3;           b.spawns = 5;
   a.direct_execs = 1;     b.direct_execs = 2;
-  a.clone3_spawns = 2;    b.clone3_spawns = 4;
+  a.clone_vm_spawns = 2;  b.clone_vm_spawns = 4;
   a.spawn_seconds = 0.25; b.spawn_seconds = 0.75;
   a.reaps = 3;            b.reaps = 5;
   a.reap_sweeps = 1;      b.reap_sweeps = 0;
@@ -119,7 +119,7 @@ TEST(DispatchCounters, MergeSumsEveryField) {
   a.merge(b);
   EXPECT_EQ(a.spawns, 8u);
   EXPECT_EQ(a.direct_execs, 3u);
-  EXPECT_EQ(a.clone3_spawns, 6u);
+  EXPECT_EQ(a.clone_vm_spawns, 6u);
   EXPECT_DOUBLE_EQ(a.spawn_seconds, 1.0);
   EXPECT_EQ(a.reaps, 8u);
   EXPECT_EQ(a.reap_sweeps, 1u);

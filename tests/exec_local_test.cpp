@@ -4,15 +4,25 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
 #include <signal.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 
 #include "core/engine.hpp"
+#include "core/signal_coordinator.hpp"
 #include "exec/host_probe.hpp"
+#include "util/error.hpp"
 
 namespace parcl::exec {
 namespace {
@@ -452,16 +462,71 @@ TEST(LocalExecutor, PressureReportsRealHostNumbers) {
   if (pressure.load_avg >= 0.0) EXPECT_GE(pressure.load_avg, 0.0);
 }
 
-// The platform picks the spawn path: clone3(CLONE_PIDFD) where the kernel
-// allows it, posix_spawn + pidfd_open where it refuses. kPosixSpawn forces
-// the fallback so a clone3 host covers it too; both paths must keep the
-// same job contract.
+// The platform picks the spawn path: a CLONE_VM child (exec/spawn_path.hpp)
+// where the build and kernel allow it, posix_spawn + pidfd_open otherwise.
+// kPosixSpawn forces the fallback so a CLONE_VM host covers it too; both
+// paths must keep the same job contract. The CLONE_VM child runs in the
+// test's memory while the test runs on, so several cases pin the test
+// thread (and so its children) to one CPU: the parent then runs ahead of
+// each child, and a child that read memory the parent had reused, wrote
+// the parent's errno or ran the parent's signal handler would show it.
 class SpawnPath : public ::testing::TestWithParam<SpawnTuning::Path> {};
+
+/// Pins the calling thread to the first CPU of its current mask for the
+/// scope.
+class PinnedToOneCpu {
+ public:
+  PinnedToOneCpu() {
+    if (pthread_getaffinity_np(pthread_self(), sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+  }
+  ~PinnedToOneCpu() {
+    if (pinned_) pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+  }
+  PinnedToOneCpu(const PinnedToOneCpu&) = delete;
+  PinnedToOneCpu& operator=(const PinnedToOneCpu&) = delete;
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
+
+/// Sets an environment variable for the scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* key, const std::string& value) : key_(key) {
+    if (const char* old = std::getenv(key)) saved_ = old;
+    setenv(key, value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      setenv(key_, saved_->c_str(), 1);
+    } else {
+      unsetenv(key_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* key_;
+  std::optional<std::string> saved_;
+};
 
 TEST_P(SpawnPath, KeepsTheJobContract) {
   SpawnTuning tuning;
   tuning.path = GetParam();
   LocalExecutor executor{tuning};
+  std::uint64_t next_id = 1;
   {
     SCOPED_TRACE("exit codes and stderr");
     std::ostringstream out, err;
@@ -493,7 +558,7 @@ TEST_P(SpawnPath, KeepsTheJobContract) {
     EXPECT_EQ(summary.results[0].term_signal, SIGTERM);
   }
   {
-    // clone3 reports the missing binary as the child's exit 127;
+    // The CLONE_VM child reports the missing binary as its exit 127;
     // posix_spawnp fails synchronously and the engine folds that into 127.
     SCOPED_TRACE("missing binary");
     std::ostringstream out, err;
@@ -513,19 +578,154 @@ TEST_P(SpawnPath, KeepsTheJobContract) {
     sigaddset(&term, SIGTERM);
     ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &term, &saved), 0);
     ExecRequest request;
-    request.job_id = 1;
+    request.job_id = next_id++;
     request.command = "/bin/sleep 5";
     request.use_shell = false;
     request.capture_output = false;
     executor.start(request);
     pthread_sigmask(SIG_SETMASK, &saved, nullptr);
-    executor.kill(1, /*force=*/false);
+    executor.kill(request.job_id, /*force=*/false);
     auto result = executor.wait_any(2.0);
     ASSERT_TRUE(result.has_value()) << "SIGTERM did not end the child";
     EXPECT_EQ(result->term_signal, SIGTERM);
   }
-  if (GetParam() == SpawnTuning::Path::kPosixSpawn) {
-    EXPECT_EQ(executor.counters().clone3_spawns, 0u);
+  {
+    // A job's --env value replaces an inherited variable of the same name,
+    // so C getenv() in the child sees the job's value, not the launcher's.
+    SCOPED_TRACE("--env overrides an inherited variable");
+    ScopedEnv inherited("PARCL_SPAWN_OVERRIDE", "inherited");
+    ExecRequest request;
+    request.job_id = next_id++;
+    request.command = "/usr/bin/env";
+    request.use_shell = false;
+    request.env["PARCL_SPAWN_OVERRIDE"] = "from-job";
+    executor.start(request);
+    auto result = executor.wait_any(5.0);
+    ASSERT_TRUE(result.has_value());
+    std::istringstream lines(result->stdout_data);
+    std::vector<std::string> entries;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("PARCL_SPAWN_OVERRIDE=", 0) == 0) entries.push_back(line);
+    }
+    EXPECT_EQ(entries, std::vector<std::string>{"PARCL_SPAWN_OVERRIDE=from-job"});
+  }
+  {
+    // Each child must exec its own target, though the parent has started
+    // 31 more jobs, and reused the memory of the calls that started them,
+    // before the pinned child gets the CPU.
+    SCOPED_TRACE("5,000 pinned spawns at width 32 each run their own command");
+    PinnedToOneCpu pin;
+    EXPECT_TRUE(pin.pinned());
+    constexpr int kJobs = 5000;
+    constexpr int kWidth = 32;
+    std::map<std::uint64_t, std::string> expected;
+    int started = 0;
+    int mismatches = 0;
+    auto launch = [&] {
+      ExecRequest request;
+      request.job_id = next_id++;
+      std::string token = "job-" + std::to_string(started++);
+      request.command = "/bin/echo " + token;
+      request.use_shell = false;
+      request.has_stdin = true;
+      request.stdin_data = "stdin-" + token + "\n";
+      request.env["PARCL_SPAWN_TOKEN"] = token;
+      executor.start(request);
+      expected[request.job_id] = token + "\n";
+    };
+    while (started < kWidth) launch();
+    for (int done = 0; done < kJobs; ++done) {
+      auto result = executor.wait_any(-1.0);
+      ASSERT_TRUE(result.has_value());
+      auto it = expected.find(result->job_id);
+      ASSERT_NE(it, expected.end());
+      if (result->exit_code != 0 || result->stdout_data != it->second) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "job " << result->job_id << " printed '"
+                        << result->stdout_data << "' (exit " << result->exit_code
+                        << "), expected '" << it->second << "'";
+        }
+      }
+      expected.erase(it);
+      if (started < kJobs) launch();
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+  {
+    // A failed exec candidate must not reach the parent's errno: a child
+    // sharing the parent's memory and TCB would write it through libc.
+    SCOPED_TRACE("a failed exec leaves the parent's errno alone");
+    std::string path = "/no/such/parcl/dir";
+    if (const char* inherited = std::getenv("PATH")) path += std::string(":") + inherited;
+    ScopedEnv search("PATH", path);
+    constexpr int kSentinel = 4242;
+    for (const char* command : {"true", "/definitely/not/a/binary"}) {
+      ExecRequest request;
+      request.job_id = next_id++;
+      request.command = command;
+      request.use_shell = false;
+      request.capture_output = false;
+      try {
+        executor.start(request);
+      } catch (const util::SystemError&) {
+        continue;  // posix_spawnp reports the missing binary at once
+      }
+      errno = kSentinel;
+      auto result = executor.wait_any(-1.0);
+      int seen = errno;
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(seen, kSentinel) << command;
+    }
+  }
+  {
+    // SignalCoordinator's handler writes the dispatcher's self-pipe. A
+    // child that unblocked SIGTERM before resetting the handler would run
+    // it, tell the dispatcher it was signaled, and exec on past the TERM.
+    SCOPED_TRACE("a TERM sent at once kills the child, not the handler");
+    PinnedToOneCpu pin;
+    EXPECT_TRUE(pin.pinned());
+    core::SignalCoordinator coordinator;
+    coordinator.install();
+    ExecRequest request;
+    request.job_id = next_id++;
+    request.command = "/bin/sleep 5";
+    request.use_shell = false;
+    request.capture_output = false;
+    executor.start(request);
+    executor.kill(request.job_id, /*force=*/false);
+    auto result = executor.wait_any(2.0);
+    ASSERT_TRUE(result.has_value()) << "SIGTERM did not end the child";
+    EXPECT_EQ(result->term_signal, SIGTERM);
+    EXPECT_EQ(coordinator.poll(), 0) << "the dispatcher's handler ran";
+  }
+  if (GetParam() == SpawnTuning::Path::kAuto && kCloneVmSpawn) {
+    // execvpe runs an executable without a #! line through /bin/sh; the
+    // CLONE_VM child does the same. (posix_spawn does not.)
+    SCOPED_TRACE("a script without #! runs through /bin/sh");
+    char dir_template[] = "/tmp/parcl_spawn_XXXXXX";
+    ASSERT_NE(mkdtemp(dir_template), nullptr);
+    std::string script = std::string(dir_template) + "/noshebang";
+    {
+      std::ofstream file(script);
+      file << "echo ran-as-script \"$1\"\n";
+    }
+    ASSERT_EQ(chmod(script.c_str(), 0755), 0);
+    ExecRequest request;
+    request.job_id = next_id++;
+    request.command = script + " arg";
+    request.use_shell = false;
+    executor.start(request);
+    auto result = executor.wait_any(5.0);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->exit_code, 0);
+    EXPECT_EQ(result->stdout_data, "ran-as-script arg\n");
+    std::remove(script.c_str());
+    rmdir(dir_template);
+  }
+  if (GetParam() == SpawnTuning::Path::kPosixSpawn || !kCloneVmSpawn) {
+    EXPECT_EQ(executor.counters().clone_vm_spawns, 0u);
+  } else {
+    EXPECT_EQ(executor.counters().clone_vm_spawns, executor.counters().spawns);
   }
 }
 
