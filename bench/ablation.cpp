@@ -11,10 +11,9 @@
 
 #include "bench_common.hpp"
 #include "cluster/node.hpp"
-#include "cluster/parallel_instance.hpp"
 #include "core/engine.hpp"
 #include "exec/function_executor.hpp"
-#include "exec/sim_executor.hpp"
+#include "exec/sim_driver.hpp"
 #include "slurm/driver.hpp"
 #include "storage/pipeline.hpp"
 #include "util/stopwatch.hpp"
@@ -159,16 +158,28 @@ void ablation_gpu_jobs() {
   auto run_with_jobs = [](std::size_t jobs) {
     sim::Simulation sim;
     cluster::Node node(sim, cluster::NodeSpec::frontier(), 0);
-    sim::FixedDuration duration(600.0);
-    cluster::InstanceConfig config;
-    config.jobs = jobs;
-    config.task_count = 64;
-    config.dispatch_cost = 1.0 / 470.0;
-    config.duration = &duration;
-    config.task_resource = &node.gpu();
-    cluster::ParallelInstance instance(sim, config, util::Rng(9));
-    instance.run(0.0, [](const cluster::InstanceStats&) {});
-    sim.run();
+    core::Options options;
+    options.jobs = jobs;
+    exec::SimDriver driver(sim, options);
+    // Each task holds one GPU for its whole 10 minutes.
+    driver.add(0.0, 64, [&sim, &node] {
+      return std::make_unique<exec::SimExecutor>(
+          sim,
+          [&sim, &node](const core::ExecRequest&) {
+            exec::SimOutcome outcome;
+            outcome.body = [&sim, &node](std::function<void()> finish) {
+              node.gpu().acquire([&sim, &node, finish = std::move(finish)] {
+                sim.schedule(600.0, [&node, finish] {
+                  node.gpu().release();
+                  finish();
+                });
+              });
+            };
+            return outcome;
+          },
+          1.0 / 470.0);
+    });
+    driver.run();
     return sim.now();
   };
   util::Table table({"-j", "makespan_min", "note"});

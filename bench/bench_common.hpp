@@ -31,19 +31,24 @@ class CheckTable {
 
   void add(const std::string& quantity, const std::string& paper, double measured,
            int precision, bool ok) {
-    table_.add_row({quantity, paper, util::format_double(measured, precision),
-                    ok ? "OK" : "DIVERGES"});
+    add_text(quantity, paper, util::format_double(measured, precision), ok);
   }
 
   void add_text(const std::string& quantity, const std::string& paper,
                 const std::string& measured, bool ok) {
     table_.add_row({quantity, paper, measured, ok ? "OK" : "DIVERGES"});
+    diverged_ = diverged_ || !ok;
   }
 
   void print() const { std::cout << "reproduction check:\n" << table_.render() << '\n'; }
 
+  /// The bench's exit status: 1 when any row diverges from the paper, so a
+  /// CI step running it fails.
+  int exit_status() const noexcept { return diverged_ ? 1 : 0; }
+
  private:
   util::Table table_;
+  bool diverged_ = false;
 };
 
 /// Machine-readable benchmark output: a two-level JSON object

@@ -91,5 +91,5 @@ int main() {
   std::cout << "note: vs the central-WMS baseline's 5,000 s orchestration overhead\n"
                "for 100k tasks [7], the full 1.152M-task run completes in "
             << parcl::util::format_duration(max_at_9000) << ".\n";
-  return 0;
+  return check.exit_status();
 }

@@ -67,5 +67,5 @@ int main() {
             std::abs(mean_100 / mean_10 - 1.0) < 0.05);
   check.add_text("processes per node", "8 (one per GPU)", "8", true);
   check.print();
-  return 0;
+  return check.exit_status();
 }

@@ -15,17 +15,15 @@
 
 #include <algorithm>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/parallel_instance.hpp"
 #include "container/runtime.hpp"
 #include "core/engine.hpp"
 #include "exec/local_executor.hpp"
-#include "sim/duration_model.hpp"
+#include "exec/sim_driver.hpp"
 
 namespace {
 
@@ -84,23 +82,18 @@ double measure_sim_rate(std::size_t instances, std::size_t tasks_each) {
   using namespace parcl;
   sim::Simulation sim;
   container::ContainerHost host(sim, container::RuntimeProfile::bare_metal());
-  sim::FixedDuration duration(0.0);
-  std::vector<std::unique_ptr<cluster::ParallelInstance>> pool;
+  core::Options options;
+  options.jobs = 256 / instances > 0 ? 256 / instances : 1;
+  exec::SimDriver driver(sim, options);
+  // The paper's 470/s is the observed single-instance rate, i.e. the
+  // instance's own serial path plus its share of the node fork path.
+  double dispatch_cost = 1.0 / 470.0 - host.profile().node_gate_hold;
   for (std::size_t i = 0; i < instances; ++i) {
-    cluster::InstanceConfig config;
-    config.jobs = 256 / instances > 0 ? 256 / instances : 1;
-    config.task_count = tasks_each;
-    config.duration = &duration;
-    host.configure(config);
-    config.launch_overhead = nullptr;
-    // The paper's 470/s is the observed single-instance rate, i.e. the
-    // instance's own serial path plus its share of the node fork path.
-    config.dispatch_cost = 1.0 / 470.0 - config.launch_gate_hold;
-    pool.push_back(std::make_unique<cluster::ParallelInstance>(
-        sim, config, parcl::util::Rng(41 + i)));
-    pool.back()->run(0.0, [](const cluster::InstanceStats&) {});
+    driver.add(0.0, tasks_each, [&host, dispatch_cost, i] {
+      return host.executor(dispatch_cost, 0.0, util::Rng(41 + i));
+    });
   }
-  sim.run();
+  driver.run();
   return static_cast<double>(instances * tasks_each) / sim.now();
 }
 
@@ -197,5 +190,5 @@ int main() {
   bench::stamp_provenance(json);
   json.write();
   std::cout << "wrote BENCH_dispatch.json\n";
-  return 0;
+  return check.exit_status();
 }

@@ -5,13 +5,10 @@
 // startup overhead of only ~19% relative to bare-metal process launches.
 #include <algorithm>
 #include <iostream>
-#include <memory>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/parallel_instance.hpp"
 #include "container/runtime.hpp"
-#include "sim/duration_model.hpp"
+#include "exec/sim_driver.hpp"
 
 namespace {
 
@@ -21,21 +18,16 @@ double measure_rate(const parcl::container::RuntimeProfile& profile,
   using namespace parcl;
   sim::Simulation sim;
   container::ContainerHost host(sim, profile);
-  sim::FixedDuration duration(task_seconds);
-  std::vector<std::unique_ptr<cluster::ParallelInstance>> pool;
+  core::Options options;
+  options.jobs = 256 / instances > 0 ? 256 / instances : 1;
+  exec::SimDriver driver(sim, options);
+  double dispatch_cost = std::max(0.0, 1.0 / 470.0 - profile.node_gate_hold);
   for (std::size_t i = 0; i < instances; ++i) {
-    cluster::InstanceConfig config;
-    config.jobs = 256 / instances > 0 ? 256 / instances : 1;
-    config.task_count = tasks_each;
-    config.duration = &duration;
-    host.configure(config);
-    config.dispatch_cost = 1.0 / 470.0 - config.launch_gate_hold;
-    if (config.dispatch_cost < 0.0) config.dispatch_cost = 0.0;
-    pool.push_back(std::make_unique<cluster::ParallelInstance>(
-        sim, config, util::Rng(137 + i)));
-    pool.back()->run(0.0, [](const cluster::InstanceStats&) {});
+    driver.add(0.0, tasks_each, [&host, dispatch_cost, task_seconds, i] {
+      return host.executor(dispatch_cost, task_seconds, util::Rng(137 + i));
+    });
   }
-  sim.run();
+  driver.run();
   return static_cast<double>(instances * tasks_each) / sim.now();
 }
 
@@ -66,5 +58,5 @@ int main() {
   check.add("startup overhead vs bare metal (%)", "19", overhead, 1,
             overhead > 12.0 && overhead < 25.0);
   check.print();
-  return 0;
+  return check.exit_status();
 }

@@ -6,13 +6,10 @@
 // namespaces, database locking, setgid, task tmp directories).
 #include <algorithm>
 #include <iostream>
-#include <memory>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/parallel_instance.hpp"
 #include "container/runtime.hpp"
-#include "sim/duration_model.hpp"
+#include "exec/sim_driver.hpp"
 
 namespace {
 
@@ -25,23 +22,17 @@ PodmanRun measure(std::size_t jobs, std::size_t instances, std::size_t tasks_eac
   using namespace parcl;
   sim::Simulation sim;
   container::ContainerHost host(sim, container::RuntimeProfile::podman_hpc());
-  sim::FixedDuration duration(0.0);
-  std::vector<std::unique_ptr<cluster::ParallelInstance>> pool;
+  core::Options options;
+  options.jobs = jobs;
+  exec::SimDriver driver(sim, options);
   std::size_t failed = 0;
   for (std::size_t i = 0; i < instances; ++i) {
-    cluster::InstanceConfig config;
-    config.jobs = jobs;
-    config.task_count = tasks_each;
-    config.dispatch_cost = 1.0 / 470.0;
-    config.duration = &duration;
-    host.configure(config);
-    pool.push_back(std::make_unique<cluster::ParallelInstance>(
-        sim, config, util::Rng(977 + i)));
-    pool.back()->run(0.0, [&failed](const cluster::InstanceStats& stats) {
-      failed += stats.failed;
-    });
+    driver.add(
+        0.0, tasks_each,
+        [&host, i] { return host.executor(1.0 / 470.0, 0.0, util::Rng(977 + i)); },
+        [&failed](const core::RunSummary& summary) { failed += summary.failed; });
   }
-  sim.run();
+  driver.run();
   PodmanRun run;
   run.rate = static_cast<double>(instances * tasks_each) / sim.now();
   run.failure_percent = 100.0 * static_cast<double>(failed) /
@@ -81,5 +72,5 @@ int main() {
                      util::format_double(failures_wide, 2) + "% @ -j256",
                  failures_wide > failures_narrow);
   check.print();
-  return 0;
+  return check.exit_status();
 }

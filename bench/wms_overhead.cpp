@@ -9,8 +9,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cluster/parallel_instance.hpp"
-#include "sim/duration_model.hpp"
 #include "wms/central_wms.hpp"
 
 namespace {
@@ -61,5 +59,5 @@ int main() {
             parcl_dispatch_overhead(1152000, 9000), 2,
             parcl_dispatch_overhead(1152000, 9000) < 1.0);
   check.print();
-  return 0;
+  return check.exit_status();
 }

@@ -38,7 +38,7 @@ RuntimeProfile RuntimeProfile::podman_hpc() {
 }
 
 ContainerHost::ContainerHost(sim::Simulation& sim, RuntimeProfile profile)
-    : profile_(std::move(profile)) {
+    : sim_(sim), profile_(std::move(profile)) {
   if (profile_.node_gate_hold < 0.0) {
     throw util::ConfigError("gate hold must be >= 0");
   }
@@ -51,12 +51,27 @@ ContainerHost::ContainerHost(sim::Simulation& sim, RuntimeProfile profile)
   }
 }
 
-void ContainerHost::configure(cluster::InstanceConfig& config) {
-  config.launch_gate = gate_.get();
-  config.launch_gate_hold = profile_.node_gate_hold;
-  config.launch_overhead = startup_.get();
-  config.failure_probability = profile_.failure_base;
-  config.failure_per_inflight = profile_.failure_per_inflight;
+std::unique_ptr<exec::SimExecutor> ContainerHost::executor(double dispatch_cost,
+                                                           double payload_seconds,
+                                                           util::Rng rng) {
+  auto running = std::make_shared<std::size_t>(0);  // containers this instance runs
+  exec::TaskModel model = [this, running, rng,
+                           payload_seconds](const core::ExecRequest&) mutable {
+    bool fails = rng.bernoulli(profile_.failure_base + profile_.failure_per_inflight *
+                                                           static_cast<double>(*running));
+    exec::SimOutcome outcome;
+    outcome.duration = startup_ != nullptr ? startup_->sample(rng) : 0.0;
+    if (!fails) outcome.duration += payload_seconds;
+    outcome.exit_code = fails ? 125 : 0;
+    ++*running;
+    outcome.body = [running = running.get()](std::function<void()> finish) {
+      --*running;
+      finish();
+    };
+    return outcome;
+  };
+  return std::make_unique<exec::SimExecutor>(sim_, std::move(model), dispatch_cost,
+                                             gate_.get(), profile_.node_gate_hold);
 }
 
 double ContainerHost::launch_rate_ceiling() const noexcept {

@@ -10,18 +10,20 @@
 //               worsen with concurrency (user namespaces, setgid, tmp dirs).
 //
 // A ContainerHost owns the node-wide launch gate and the startup-overhead
-// distribution, and configures a cluster::InstanceConfig so ParallelInstance
-// runs "inside" the runtime.
+// distribution, and makes the SimExecutor under each `parallel` instance
+// that runs "inside" the runtime; the launch overhead and the launch
+// failures are that executor's task model.
 #pragma once
 
 #include <cmath>
 #include <memory>
 #include <string>
 
-#include "cluster/parallel_instance.hpp"
+#include "exec/sim_executor.hpp"
 #include "sim/duration_model.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
+#include "util/rng.hpp"
 
 namespace parcl::container {
 
@@ -45,18 +47,26 @@ struct RuntimeProfile {
 class ContainerHost {
  public:
   ContainerHost(sim::Simulation& sim, RuntimeProfile profile);
+  ContainerHost(const ContainerHost&) = delete;  // its executors hold its address
+  ContainerHost& operator=(const ContainerHost&) = delete;
 
   const RuntimeProfile& profile() const noexcept { return profile_; }
 
-  /// Fills the runtime-related fields of an instance config (gate, startup
-  /// overhead, failure model). Leaves jobs/task_count/duration to the
-  /// caller. The host must outlive any instance configured from it.
-  void configure(cluster::InstanceConfig& config);
+  /// The executor for one `parallel` instance inside this runtime. Each
+  /// launch costs `dispatch_cost`, then passes the node gate. Each task
+  /// pays the runtime's startup and then runs `payload_seconds`, unless
+  /// its launch fails (exit 125, startup paid, no payload) with the
+  /// profile's probability: the base plus `failure_per_inflight` per
+  /// container the instance already runs. `rng` draws both, in that
+  /// order. The host must outlive the executor.
+  std::unique_ptr<exec::SimExecutor> executor(double dispatch_cost,
+                                              double payload_seconds, util::Rng rng);
 
   /// Aggregate launch ceiling in launches/second (infinite when ungated).
   double launch_rate_ceiling() const noexcept;
 
  private:
+  sim::Simulation& sim_;
   RuntimeProfile profile_;
   std::unique_ptr<sim::Resource> gate_;
   std::unique_ptr<sim::DurationModel> startup_;

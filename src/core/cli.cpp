@@ -115,8 +115,6 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
       plan.options.output_mode = OutputMode::kKeepOrder;
     } else if (arg == "-u" || arg == "--ungroup") {
       plan.options.output_mode = OutputMode::kUngroup;
-    } else if (arg == "--line-buffer" || arg == "--lb") {
-      plan.options.output_mode = OutputMode::kLineBuffer;
     } else if (arg == "--group") {
       plan.options.output_mode = OutputMode::kGroup;
     } else if (arg == "--tag") {
@@ -553,7 +551,6 @@ options:
   -j, --jobs N        run N jobs in parallel (0 = one per hardware thread)
   -k, --keep-order    emit output in input order
   -u, --ungroup       do not capture job output
-      --line-buffer   line-oriented grouping
       --tag           prefix output lines with the input value
       --tagstring S   prefix output lines with template S ({} {#} {%} ok)
   -n, --max-args N    pack N inputs per job

@@ -6,7 +6,7 @@
 //   -j/--jobs N        --retries N         --joblog PATH
 //   -k/--keep-order    --halt SPEC         --resume / --resume-failed
 //   -u/--ungroup       --timeout SECS      --env KEY=VALUE (repeatable)
-//   --line-buffer      --delay SECS        --link  (also ':::+' separator)
+//   --group            --delay SECS        --link  (also ':::+' separator)
 //   --tag              --dry-run           -0/--null
 //   -n/--max-args N    -X                  --max-chars N
 //   -a/--arg-file F    --no-quote          --no-shell

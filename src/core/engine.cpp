@@ -270,7 +270,7 @@ struct Engine::Run {
     result.command = template_for(skipped.command)
                          .expand(result.args, context, options_.quote_args);
     if (joblog && !options_.dry_run) {
-      joblog->record(result, options_.host_label);
+      joblog->record(result, kLocalHost);
     }
     if (on_result_) on_result_(result);
     if (collect) {
@@ -561,8 +561,7 @@ struct Engine::Run {
       // rescheduled or hedged job logs the host that produced its final
       // result, not the static label.
       if (joblog) {
-        joblog->record(result,
-                       result.host.empty() ? options_.host_label : result.host);
+        joblog->record(result, result.host.empty() ? kLocalHost : result.host);
       }
     } else {
       collator.mark_absent(result.seq);

@@ -40,7 +40,7 @@ struct ExecResult {
   double start_time = 0.0;  // executor clock
   double end_time = 0.0;
   /// Host that actually ran the attempt ("" = backend has no host notion;
-  /// the joblog then falls back to Options::host_label).
+  /// the joblog then records ":", this machine).
   std::string host;
   /// The attempt died with the *host*, not the job: spawn/transport errors,
   /// wrapper exit 255, or an in-flight loss to quarantine. The engine

@@ -38,6 +38,10 @@ struct JoblogEntry {
   std::string command;
 };
 
+/// The joblog Host column of a job run on this machine, as GNU Parallel
+/// writes it.
+inline const std::string kLocalHost = ":";
+
 class JoblogWriter {
  public:
   /// Appends to `path`; writes the header only when the file is new/empty.

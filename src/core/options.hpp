@@ -15,7 +15,6 @@ namespace parcl::core {
 enum class OutputMode {
   kGroup,       // default: buffer per job, emit when the job finishes
   kKeepOrder,   // -k: emit in input order (implies grouping)
-  kLineBuffer,  // --line-buffer: emit whole lines as they arrive
   kUngroup,     // -u: no capture; children inherit our stdout/stderr
 };
 
@@ -209,9 +208,6 @@ struct Options {
   /// Extra environment for every job. Values may contain replacement
   /// strings, e.g. {"HIP_VISIBLE_DEVICES", "{%}"} for GPU isolation.
   std::map<std::string, std::string> env;
-
-  /// Label recorded in the joblog Host column.
-  std::string host_label = ":";
 
   /// Throws ConfigError on contradictory settings.
   void validate() const;

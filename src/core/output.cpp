@@ -18,7 +18,7 @@ OutputCollator::OutputCollator(OutputMode mode, TagFn tag, std::ostream& out,
     : mode_(mode), tag_(std::move(tag)), out_(out), err_(err) {}
 
 void OutputCollator::emit(const JobResult& result) {
-  auto write_stream = [&](std::ostream& stream, const std::string& data, bool count) {
+  auto write_stream = [&](std::ostream& stream, const std::string& data) {
     if (data.empty()) return;
     std::string prefix;
     if (tag_) {
@@ -27,11 +27,10 @@ void OutputCollator::emit(const JobResult& result) {
     }
     for (const auto& line : util::split_lines(data)) {
       stream << prefix << line << '\n';
-      if (count) ++lines_emitted_;
     }
   };
-  write_stream(out_, result.stdout_data, true);
-  write_stream(err_, result.stderr_data, false);
+  write_stream(out_, result.stdout_data);
+  write_stream(err_, result.stderr_data);
 }
 
 void OutputCollator::advance() {

@@ -35,9 +35,6 @@ class OutputCollator {
   /// Flushes anything still buffered (call at end of run).
   void finish();
 
-  /// Lines written to the stdout stream so far.
-  std::size_t lines_emitted() const noexcept { return lines_emitted_; }
-
   /// Finished jobs buffered out-of-order under -k (the collation window
   /// the engine bounds via Options::keep_order_window).
   std::size_t held_count() const noexcept { return held_.size(); }
@@ -53,7 +50,6 @@ class OutputCollator {
   std::uint64_t next_seq_ = 1;
   std::map<std::uint64_t, JobResult> held_;  // -k: finished but not yet due
   std::map<std::uint64_t, bool> absent_;
-  std::size_t lines_emitted_ = 0;
 };
 
 }  // namespace parcl::core

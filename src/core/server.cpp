@@ -434,7 +434,7 @@ void ServerCore::record_result(const JobResult& result) {
   ledger_.record(result, record.tenant);
   JobResult tenant_row = result;
   tenant_row.seq = record.client_seq;
-  tenant_joblog(record.tenant).record(tenant_row, ":");
+  tenant_joblog(record.tenant).record(tenant_row, kLocalHost);
   ++stats_.completed;
   events_.push_back(TenantEvent{record.tenant, std::move(tenant_row)});
   pending_.erase(it);

@@ -188,6 +188,7 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     children_.erase(request.job_id);
   };
   compose_image(child.image, std::move(words), request.env);
+  lay_out_candidates(child.image);
   ChildPlan& plan = child.image.plan;
   plan.stdin_fd = in_pipe[0];
   plan.stdout_fd = out_pipe[1];
@@ -255,14 +256,34 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGDEF |
                                         POSIX_SPAWN_SETSIGMASK);
 
-    char* const* argv = child.image.argv.data();
-    int rc = posix_spawnp(&pid, argv[0], &actions, &attr, argv,
-                          child.image.envp.data());
+    // The candidates, and the /bin/sh retry on ENOEXEC, in the order the
+    // CLONE_VM child tries them.
+    int rc = ENOENT;
+    for (std::size_t i = 0; plan.candidates[i] != nullptr; ++i) {
+      rc = posix_spawn(&pid, plan.candidates[i], &actions, &attr, plan.argv, plan.envp);
+      if (rc == ENOEXEC) {
+        char* const* script = plan.script_argvs + i * plan.script_stride;
+        rc = posix_spawn(&pid, script[0], &actions, &attr, script, plan.envp);
+      }
+      if (rc == 0 || !try_next_candidate(rc)) break;
+    }
     posix_spawn_file_actions_destroy(&actions);
     posix_spawnattr_destroy(&attr);
-    if (rc != 0) {
-      abandon();
+    if (rc == EAGAIN || rc == ENOMEM) {
+      abandon();  // no process could be made, as when clone() fails
       throw util::SystemError("posix_spawn", rc);
+    }
+    if (rc != 0) {
+      // Nothing to exec: the job ends at once with exit 127, as the
+      // CLONE_VM child's does and a shell's "command not found".
+      close_pair(out_pipe);
+      close_pair(err_pipe);
+      close_pair(in_pipe);
+      child.start_time = child.end_time = now();
+      child.reaped = true;
+      child.wait_status = W_EXITCODE(127, 0);
+      maybe_finish(request.job_id, child);
+      return;
     }
   }
 

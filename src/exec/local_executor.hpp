@@ -13,7 +13,9 @@
 //     stack comes from a pool and goes back at reap;
 //   - posix_spawn (a vfork-class clone on glibc) is the fallback: on other
 //     targets, in ASan/TSan builds, when the kernel refuses the clone, and
-//     under SpawnTuning::Path::kPosixSpawn;
+//     under SpawnTuning::Path::kPosixSpawn. It tries the same exec
+//     candidates, runs a script without #! through /bin/sh, and ends a job
+//     nothing can exec with exit 127, as the CLONE_VM child does;
 //   - shell-mode commands free of metacharacters skip /bin/sh entirely;
 //   - a job's --env variables replace inherited ones of the same name;
 //   - each child's exit is observed through a pidfd in the poll set (Linux

@@ -1,61 +1,151 @@
 #include "exec/sim_executor.hpp"
 
+#include <algorithm>
 #include <csignal>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace parcl::exec {
 
-SimExecutor::SimExecutor(sim::Simulation& sim, TaskModel model, double dispatch_cost)
-    : sim_(sim), model_(std::move(model)), dispatch_cost_(dispatch_cost) {
+SimExecutor::SimExecutor(sim::Simulation& sim, TaskModel model, double dispatch_cost,
+                         sim::Resource* gate, double gate_hold)
+    : sim_(sim),
+      model_(std::move(model)),
+      dispatch_cost_(dispatch_cost),
+      gate_(gate),
+      gate_hold_(gate_hold) {
+  if (!model_) throw util::ConfigError("sim executor needs a task model");
   if (dispatch_cost < 0.0) throw util::ConfigError("dispatch cost must be >= 0");
+  if (gate_hold < 0.0) throw util::ConfigError("gate hold must be >= 0");
+  if (gate_hold > 0.0 && gate == nullptr) {
+    throw util::ConfigError("gate hold set without a launch gate");
+  }
 }
 
-void SimExecutor::start(const core::ExecRequest& request) {
-  util::require(active_.find(request.job_id) == active_.end(),
-                "duplicate job id in SimExecutor::start");
-  // start() consumes dispatcher time synchronously, like a real fork+exec.
-  if (dispatch_cost_ > 0.0) sim_.run_until(sim_.now() + dispatch_cost_);
+SimExecutor::~SimExecutor() { sim_.cancel(wake_); }
 
+void SimExecutor::start(const core::ExecRequest& request) {
+  ++active_;
+  launches_.push_back(request);
+  if (launches_.size() == 1) dispatch_next();  // the dispatcher was idle
+  // Solo, start() blocks like a real fork+exec until the job has begun.
+  while (!notify_ && !launches_.empty() && sim_.step()) {
+  }
+}
+
+void SimExecutor::dispatch_next() {
+  if (launches_.empty()) return;
+  if (dispatch_cost_ > 0.0) {
+    sim_.schedule(dispatch_cost_, [this] { pass_gate(); });
+  } else {
+    pass_gate();
+  }
+}
+
+void SimExecutor::pass_gate() {
+  auto launch = [this] {
+    begin(launches_.front());
+    launches_.pop_front();
+    dispatch_next();
+  };
+  if (gate_ == nullptr) {
+    launch();
+    return;
+  }
+  // The dispatcher blocks in the launch while another launch holds the gate.
+  gate_->acquire([this, launch] {
+    sim_.schedule(gate_hold_, [this, launch] {
+      gate_->release();
+      launch();
+    });
+  });
+}
+
+void SimExecutor::begin(const core::ExecRequest& request) {
+  const std::uint64_t id = request.job_id;
+  auto [it, fresh] = jobs_.try_emplace(id);
+  Job& job = it->second;
+  job.result.job_id = id;
+  job.result.start_time = sim_.now();
+  if (!fresh) {
+    // Only a kill while its launch was under way makes the record early;
+    // the job then never begins.
+    util::require(job.kill_signal != 0 && !job.ready,
+                  "duplicate job id in SimExecutor::start");
+    end(job);
+    return;
+  }
   SimOutcome outcome = model_(request);
   util::require(outcome.duration >= 0.0, "task model produced negative duration");
-
-  ActiveJob job;
-  job.result.job_id = request.job_id;
-  job.result.exit_code = outcome.exit_code;
-  job.result.term_signal = outcome.term_signal;
-  if (outcome.term_signal != 0) job.result.exit_code = 128 + outcome.term_signal;
-  job.result.stdout_data = std::move(outcome.stdout_data);
-  job.result.host = std::move(outcome.host);
-  job.result.host_failure = outcome.host_failure;
-  job.result.start_time = sim_.now();
-  std::uint64_t id = request.job_id;
-  job.completion = sim_.schedule(outcome.duration, [this, id] {
-    auto it = active_.find(id);
-    util::require(it != active_.end(), "sim completion for unknown job");
-    it->second.result.end_time = sim_.now();
-    ready_.emplace(id, std::move(it->second.result));
-    active_.erase(it);
+  core::ExecResult& result = job.result;
+  result.exit_code = outcome.exit_code;
+  result.term_signal = outcome.term_signal;
+  if (outcome.term_signal != 0) result.exit_code = 128 + outcome.term_signal;
+  result.stdout_data = std::move(outcome.stdout_data);
+  result.host = std::move(outcome.host);
+  result.host_failure = outcome.host_failure;
+  job.body = std::move(outcome.body);
+  // A kill within the duration cancels the timer, so `job` outlives it.
+  job.timer = sim_.schedule(outcome.duration, [this, &job] {
+    job.timer = {};
+    if (auto body = std::exchange(job.body, nullptr)) {
+      body([this, id = job.result.job_id] {
+        auto it = jobs_.find(id);
+        if (it != jobs_.end()) end(it->second);
+      });
+    } else {
+      end(job);
+    }
   });
-  active_.emplace(id, std::move(job));
+}
+
+void SimExecutor::end(Job& job) {
+  if (job.ready) return;  // finished twice
+  job.ready = true;
+  job.result.end_time = sim_.now();
+  if (job.kill_signal != 0) {
+    job.result.term_signal = job.kill_signal;
+    job.result.exit_code = 128 + job.kill_signal;
+  }
+  --active_;
+  ready_.push_back(job.result.job_id);
+  std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
+  if (notify_) notify_();
+}
+
+std::optional<core::ExecResult> SimExecutor::take_ready() {
+  if (ready_.empty()) return std::nullopt;
+  std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
+  auto it = jobs_.find(ready_.back());
+  ready_.pop_back();
+  core::ExecResult result = std::move(it->second.result);
+  jobs_.erase(it);
+  return result;
 }
 
 std::optional<core::ExecResult> SimExecutor::wait_any(double timeout_seconds) {
-  auto take_ready = [this]() -> std::optional<core::ExecResult> {
-    if (ready_.empty()) return std::nullopt;
-    auto it = ready_.begin();
-    core::ExecResult result = std::move(it->second);
-    ready_.erase(it);
-    return result;
-  };
+  if (notify_) {
+    // The driver owns the clock: the latest wait replaces any armed wake.
+    sim_.cancel(wake_);
+    wake_ = {};
+    if (auto result = take_ready()) return result;
+    if (timeout_seconds >= 0.0) {
+      wake_ = sim_.schedule(timeout_seconds, [this] {
+        wake_ = {};
+        notify_();
+      });
+    }
+    return std::nullopt;
+  }
 
   if (auto result = take_ready()) return result;
 
   // Contract: a negative timeout with nothing in flight returns nullopt
   // immediately. Without this guard a shared simulation holding unrelated
-  // events (node churn, monitors) would have its timeline burned down here
+  // events (node churn, other instances) would have its timeline burned down here
   // even though no completion can ever arrive.
-  if (timeout_seconds < 0.0 && active_.empty()) return std::nullopt;
+  if (timeout_seconds < 0.0 && active_ == 0) return std::nullopt;
 
   double deadline = timeout_seconds < 0.0 ? -1.0 : sim_.now() + timeout_seconds;
   while (ready_.empty()) {
@@ -81,15 +171,30 @@ void SimExecutor::kill(std::uint64_t job_id, bool force) {
 }
 
 void SimExecutor::kill_signal(std::uint64_t job_id, int sig) {
-  auto it = active_.find(job_id);
-  if (it == active_.end()) return;
-  sim_.cancel(it->second.completion);
-  core::ExecResult result = std::move(it->second.result);
-  active_.erase(it);
-  result.end_time = sim_.now();
-  result.term_signal = sig;
-  result.exit_code = 128 + sig;
-  ready_.emplace(job_id, std::move(result));
+  auto queued =
+      std::find_if(launches_.begin(), launches_.end(),
+                   [job_id](const core::ExecRequest& r) { return r.job_id == job_id; });
+  auto it = jobs_.find(job_id);
+  if (queued != launches_.end()) {
+    it = jobs_.try_emplace(job_id).first;
+  } else if (it == jobs_.end() || it->second.ready) {
+    return;
+  }
+  Job& job = it->second;
+  if (job.kill_signal != 0) return;  // already dying by an earlier signal
+  job.kill_signal = sig;
+  if (queued != launches_.end() && queued != launches_.begin()) {
+    launches_.erase(queued);  // never launched; the front ends as its launch does
+    job.result.job_id = job_id;
+    job.result.start_time = sim_.now();
+    end(job);
+  } else if (job.timer.valid()) {
+    // Within its duration it dies now, and its body never runs; a body
+    // already running runs on, and the job ends with it.
+    sim_.cancel(job.timer);
+    job.body = nullptr;
+    end(job);
+  }
 }
 
 core::ResourcePressure SimExecutor::pressure() const {

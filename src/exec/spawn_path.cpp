@@ -21,6 +21,10 @@ extern char** environ;
 
 namespace parcl::exec {
 
+namespace {
+char g_shell[] = "/bin/sh";
+}  // namespace
+
 void compose_image(SpawnImage& image, std::vector<std::string> words,
                    const std::map<std::string, std::string>& env) {
   image.words = std::move(words);
@@ -46,6 +50,46 @@ void compose_image(SpawnImage& image, std::vector<std::string> words,
   }
   for (std::string& entry : image.job_env) image.envp.push_back(entry.data());
   image.envp.push_back(nullptr);
+}
+
+void lay_out_candidates(SpawnImage& image) {
+  char* file = image.argv[0];
+  if (std::strchr(file, '/') != nullptr) {
+    image.candidates.push_back(file);
+  } else if (*file != '\0') {
+    const char* search = std::getenv("PATH");
+    if (search == nullptr) search = "/bin:/usr/bin";
+    std::string& paths = image.paths;
+    std::vector<std::size_t> starts;
+    const char* entry = search;  // an empty entry is the working directory
+    while (true) {
+      const char* end = ::strchrnul(entry, ':');
+      starts.push_back(paths.size());
+      paths.append(entry, end);
+      if (end != entry) paths.push_back('/');
+      paths.append(file).push_back('\0');
+      if (*end == '\0') break;
+      entry = end + 1;
+    }
+    for (std::size_t start : starts) image.candidates.push_back(paths.data() + start);
+  }
+  std::size_t count = image.candidates.size();
+  image.candidates.push_back(nullptr);
+
+  std::size_t argc = image.argv.size() - 1;
+  std::size_t stride = argc + 2;
+  image.script_argvs.assign(count * stride, nullptr);
+  for (std::size_t i = 0; i < count; ++i) {
+    char** script = image.script_argvs.data() + i * stride;
+    script[0] = g_shell;
+    script[1] = image.candidates[i];
+    for (std::size_t k = 1; k < argc; ++k) script[k + 1] = image.argv[k];
+  }
+  image.plan.argv = image.argv.data();
+  image.plan.envp = image.envp.data();
+  image.plan.candidates = image.candidates.data();
+  image.plan.script_argvs = image.script_argvs.data();
+  image.plan.script_stride = stride;
 }
 
 namespace {
@@ -136,14 +180,6 @@ struct KernelSigaction {
 };
 constexpr long kSigsetBytes = 8;
 
-char g_shell[] = "/bin/sh";
-
-// Errors after which execvpe tries the next PATH candidate.
-bool try_next_candidate(long err) noexcept {
-  return err == EACCES || err == ENOENT || err == ESTALE || err == ENOTDIR ||
-         err == ENODEV || err == ETIMEDOUT;
-}
-
 // dup3, not dup2: aarch64 has no dup2. dup3 refuses fd == target, where
 // the fd only needs to lose its O_CLOEXEC.
 [[gnu::always_inline]] inline void install_fd(long fd, long target) noexcept {
@@ -194,53 +230,9 @@ bool try_next_candidate(long err) noexcept {
   __builtin_unreachable();
 }
 
-// Lays out argv[0]'s exec candidates as execvpe searches them: argv[0]
-// itself if it has a slash, else each entry of the dispatcher's PATH joined
-// with it (an empty entry is the working directory).
-void lay_out_candidates(SpawnImage& image) {
-  char* file = image.argv[0];
-  if (std::strchr(file, '/') != nullptr) {
-    image.candidates.push_back(file);
-  } else if (*file != '\0') {
-    const char* search = std::getenv("PATH");
-    if (search == nullptr) search = "/bin:/usr/bin";
-    std::string& paths = image.paths;
-    std::vector<std::size_t> starts;
-    const char* entry = search;
-    while (true) {
-      const char* end = ::strchrnul(entry, ':');
-      starts.push_back(paths.size());
-      paths.append(entry, end);
-      if (end != entry) paths.push_back('/');
-      paths.append(file).push_back('\0');
-      if (*end == '\0') break;
-      entry = end + 1;
-    }
-    for (std::size_t start : starts) image.candidates.push_back(paths.data() + start);
-  }
-  std::size_t count = image.candidates.size();
-  image.candidates.push_back(nullptr);
-
-  std::size_t argc = image.argv.size() - 1;
-  std::size_t stride = argc + 2;
-  image.script_argvs.assign(count * stride, nullptr);
-  for (std::size_t i = 0; i < count; ++i) {
-    char** script = image.script_argvs.data() + i * stride;
-    script[0] = g_shell;
-    script[1] = image.candidates[i];
-    for (std::size_t k = 1; k < argc; ++k) script[k + 1] = image.argv[k];
-  }
-  image.plan.argv = image.argv.data();
-  image.plan.envp = image.envp.data();
-  image.plan.candidates = image.candidates.data();
-  image.plan.script_argvs = image.script_argvs.data();
-  image.plan.script_stride = stride;
-}
-
 }  // namespace
 
 std::optional<SpawnedChild> clone_vm_spawn(SpawnImage& image, void* stack_top) {
-  lay_out_candidates(image);
   // Every signal stays blocked in the child until it has reset the caught
   // handlers. Raw, so glibc's internal signals are blocked too.
   unsigned long all = ~0UL;

@@ -31,6 +31,7 @@
 
 #include <sys/types.h>
 
+#include <cerrno>
 #include <cstddef>
 #include <map>
 #include <optional>
@@ -84,7 +85,7 @@ struct SpawnImage {
   /// Null-terminated: the inherited entries whose key the job does not set,
   /// then job_env.
   std::vector<char*> envp;
-  // Laid out by clone_vm_spawn():
+  // Laid out by lay_out_candidates():
   std::string paths;                // PATH candidates, NUL-separated
   /// Null-terminated paths to exec, in execvpe order: argv[0] if it has a
   /// slash, else into `paths`.
@@ -100,6 +101,18 @@ struct SpawnImage {
 /// in the child sees the job's value.
 void compose_image(SpawnImage& image, std::vector<std::string> words,
                    const std::map<std::string, std::string>& env);
+
+/// Lays out argv[0]'s exec candidates as execvpe searches them (argv[0]
+/// itself if it has a slash, else each entry of the dispatcher's PATH), the
+/// /bin/sh argv for each, and the plan's pointers. Both spawn paths try the
+/// candidates in this order.
+void lay_out_candidates(SpawnImage& image);
+
+/// Errors after which execvpe tries the next PATH candidate.
+constexpr bool try_next_candidate(long err) noexcept {
+  return err == EACCES || err == ENOENT || err == ESTALE || err == ENOTDIR ||
+         err == ENODEV || err == ETIMEDOUT;
+}
 
 /// Child stacks: mmap'd on first need, each above a PROT_NONE guard page,
 /// and reused last-in first-out. Nothing here touches a stack, so one costs
@@ -125,13 +138,13 @@ struct SpawnedChild {
   int pidfd = -1;  // CLONE_PIDFD result (O_CLOEXEC); -1 if the kernel gave none
 };
 
-/// Starts `image` in a CLONE_VM child running on `stack_top`, after laying
-/// out its exec candidates from argv[0] and the dispatcher's PATH. `image`
-/// and the stack must stay untouched until the child is reaped. Returns
-/// nullopt when this build has no fast path or the kernel refuses the clone
-/// (ENOSYS, EPERM, EINVAL), so the caller falls back to posix_spawn; throws
-/// SystemError on any other failure. An exec failure in the child is its
-/// exit 127, as from a shell's "command not found".
+/// Starts `image`, its candidates laid out, in a CLONE_VM child running on
+/// `stack_top`. `image` and the stack must stay untouched until the child
+/// is reaped. Returns nullopt when this build has no fast path or the
+/// kernel refuses the clone (ENOSYS, EPERM, EINVAL), so the caller falls
+/// back to posix_spawn; throws SystemError on any other failure. An exec
+/// failure in the child is its exit 127, as from a shell's "command not
+/// found".
 std::optional<SpawnedChild> clone_vm_spawn(SpawnImage& image, void* stack_top);
 
 }  // namespace parcl::exec

@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "cluster/machine.hpp"
-#include "cluster/parallel_instance.hpp"
+#include "exec/sim_driver.hpp"
 #include "sim/duration_model.hpp"
 #include "util/error.hpp"
 
@@ -30,52 +30,52 @@ WeakScalingResult run_weak_scaling(const WeakScalingConfig& config) {
 
   std::vector<double> alloc_delays = slurm.sample_allocation_delays(config.nodes);
 
-  // Keep per-node models alive for the whole run.
-  struct NodeRun {
-    std::unique_ptr<sim::LognormalDuration> payload;
-    std::unique_ptr<cluster::ParallelInstance> instance;
-  };
-  std::vector<NodeRun> runs(config.nodes);
+  core::Options options;
+  options.jobs = config.jobs;
+  exec::SimDriver driver(sim, options);
 
   std::size_t nodes_done = 0;
   for (std::size_t n = 0; n < config.nodes; ++n) {
     util::Rng node_rng = rng.fork();
-    NodeRun& run = runs[n];
-    run.payload = std::make_unique<sim::LognormalDuration>(config.payload_median,
-                                                           config.payload_sigma);
+    util::Rng task_rng = node_rng.fork();
 
-    cluster::InstanceConfig instance_config;
-    instance_config.jobs = config.jobs;
-    instance_config.task_count = config.tasks_per_node;
-    instance_config.dispatch_cost = config.dispatch_cost;
-    instance_config.duration = run.payload.get();
-    if (config.stdout_bytes > 0.0) {
-      instance_config.stdout_bytes = config.stdout_bytes;
-      instance_config.stdout_channel = &machine.node(n).nvme();
-    }
-
-    run.instance = std::make_unique<cluster::ParallelInstance>(sim, instance_config,
-                                                               node_rng.fork());
+    // Each task runs the payload, then writes its stdout to the node's
+    // NVMe; it ends when the write does.
+    auto build = [&sim, &config, nvme = &machine.node(n).nvme(), task_rng] {
+      sim::LognormalDuration payload(config.payload_median, config.payload_sigma);
+      double bytes = config.stdout_bytes;
+      exec::TaskModel model = [payload, rng = task_rng, nvme,
+                               bytes](const core::ExecRequest&) mutable {
+        exec::SimOutcome outcome;
+        outcome.duration = payload.sample(rng);
+        if (bytes > 0.0) {
+          outcome.body = [nvme, bytes](auto finish) { nvme->transfer(bytes, finish); };
+        }
+        return outcome;
+      };
+      return std::make_unique<exec::SimExecutor>(sim, model, config.dispatch_cost);
+    };
 
     // Node timeline: allocation wave -> setup -> instance -> Lustre copy.
     double setup = node_rng.lognormal(std::log(config.node_setup_median),
                                       config.node_setup_sigma);
     double start_delay = alloc_delays[n] + setup;
-    run.instance->run(start_delay, [&sim, &machine, &result, &nodes_done, copy_bytes,
-                                    n](const cluster::InstanceStats&) {
-      if (copy_bytes > 0.0) {
-        machine.lustre_io(copy_bytes, [&sim, &result, &nodes_done, n] {
-          result.node_spans[n] = sim.now();
-          ++nodes_done;
-        });
-      } else {
-        result.node_spans[n] = sim.now();
-        ++nodes_done;
-      }
-    });
+    driver.add(start_delay, config.tasks_per_node, std::move(build),
+               [&sim, &machine, &result, &nodes_done, copy_bytes,
+                n](const core::RunSummary&) {
+                 if (copy_bytes > 0.0) {
+                   machine.lustre_io(copy_bytes, [&sim, &result, &nodes_done, n] {
+                     result.node_spans[n] = sim.now();
+                     ++nodes_done;
+                   });
+                 } else {
+                   result.node_spans[n] = sim.now();
+                   ++nodes_done;
+                 }
+               });
   }
 
-  sim.run();
+  driver.run();
   util::require(nodes_done == config.nodes, "weak scaling run did not drain");
 
   double latest = 0.0;

@@ -134,6 +134,7 @@ TEST(ParclCli, HelpAndVersion) {
 
 TEST(ParclCli, BadUsageExits255) {
   EXPECT_EQ(run_command(parcl() + " --bogus").exit_code, 255);
+  EXPECT_EQ(run_command(parcl() + " --line-buffer echo ::: a").exit_code, 255);
   EXPECT_EQ(run_command(parcl() + " --halt wat,x=1 echo ::: a").exit_code, 255);
 }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <vector>
+
 #include "cluster/machine.hpp"
-#include "cluster/parallel_instance.hpp"
-#include "sim/duration_model.hpp"
+#include "exec/sim_driver.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace parcl::cluster {
 namespace {
@@ -52,195 +56,248 @@ TEST(Machine, LustreIoChargesMetadataAndData) {
   EXPECT_NEAR(sim.now(), 1.001, 1e-9);
 }
 
-TEST(ParallelInstance, FixedTasksPackExactly) {
+// ---- Simulated `parallel` instances: real engines on one sim clock ------
+
+core::Options jobs_option(std::size_t jobs) {
+  core::Options options;
+  options.jobs = jobs;
+  return options;
+}
+
+/// An executor whose every task runs `seconds`.
+exec::SimDriver::Build fixed_tasks(sim::Simulation& sim, double seconds,
+                                   double dispatch_cost = 0.0) {
+  return [&sim, seconds, dispatch_cost] {
+    return std::make_unique<exec::SimExecutor>(
+        sim,
+        [seconds](const core::ExecRequest&) { return exec::SimOutcome{seconds, 0, ""}; },
+        dispatch_cost);
+  };
+}
+
+/// An executor whose every task holds one of `resource`'s tokens for
+/// `seconds` (a GPU per task, as in Fig 2).
+exec::SimDriver::Build resource_tasks(sim::Simulation& sim, sim::Resource& resource,
+                                      double seconds) {
+  return [&sim, &resource, seconds] {
+    return std::make_unique<exec::SimExecutor>(
+        sim, [&sim, &resource, seconds](const core::ExecRequest&) {
+          exec::SimOutcome outcome;
+          outcome.body = [&sim, &resource, seconds](std::function<void()> finish) {
+            resource.acquire([&sim, &resource, seconds, finish = std::move(finish)] {
+              sim.schedule(seconds, [&resource, finish] {
+                resource.release();
+                finish();
+              });
+            });
+          };
+          return outcome;
+        });
+  };
+}
+
+TEST(SimDriver, FixedTasksPackExactly) {
   sim::Simulation sim;
-  sim::FixedDuration duration(10.0);
-  InstanceConfig config;
-  config.jobs = 4;
-  config.task_count = 16;
-  config.dispatch_cost = 0.0;
-  config.duration = &duration;
-  ParallelInstance instance(sim, config, util::Rng(1));
+  exec::SimDriver driver(sim, jobs_option(4));
   bool finished = false;
-  instance.run(0.0, [&](const InstanceStats& stats) {
+  driver.add(0.0, 16, fixed_tasks(sim, 10.0), [&](const core::RunSummary& summary) {
     finished = true;
-    EXPECT_EQ(stats.launched, 16u);
-    EXPECT_DOUBLE_EQ(stats.makespan(), 40.0);
+    EXPECT_EQ(summary.succeeded, 16u);
+    EXPECT_DOUBLE_EQ(summary.makespan, 40.0);
+    EXPECT_DOUBLE_EQ(sim.now(), 40.0);
   });
-  sim.run();
+  driver.run();
   EXPECT_TRUE(finished);
 }
 
-TEST(ParallelInstance, MatchesEngineOverSimExecutor) {
-  // Cross-validation: the sim-time model and the real engine agree on the
-  // schedule for deterministic workloads (same jobs, durations, no
-  // dispatch cost).
+TEST(SimDriver, EnginesOnOneClockEndAtTheirSoloMakespan) {
+  // Sharing the clock must not couple instances: each engine, with its own
+  // dispatcher, ends at exactly the makespan it has when run alone.
+  struct Shape {
+    std::size_t tasks;
+    double seconds;
+    double start;
+  };
+  const std::vector<Shape> shapes = {{1, 5.0, 0.0}, {7, 5.0, 0.0},  {24, 5.0, 1.5},
+                                     {24, 0.3, 0.0}, {13, 2.5, 4.0}, {0, 1.0, 2.0}};
+  const double dispatch_cost = 1.0 / 470.0;
   for (std::size_t jobs : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-    for (std::size_t tasks : {std::size_t{1}, std::size_t{7}, std::size_t{24}}) {
+    std::vector<double> solo;
+    for (const Shape& shape : shapes) {
       sim::Simulation sim;
-      sim::FixedDuration duration(5.0);
-      InstanceConfig config;
-      config.jobs = jobs;
-      config.task_count = tasks;
-      config.dispatch_cost = 0.0;
-      config.duration = &duration;
-      ParallelInstance instance(sim, config, util::Rng(1));
-      double model_makespan = -1.0;
-      instance.run(0.0, [&](const InstanceStats& stats) { model_makespan = stats.makespan(); });
-      sim.run();
-      // Engine equivalent: ceil(tasks/jobs) * 5s.
-      double engine_makespan =
-          5.0 * static_cast<double>((tasks + jobs - 1) / jobs);
-      EXPECT_DOUBLE_EQ(model_makespan, engine_makespan)
-          << "jobs=" << jobs << " tasks=" << tasks;
+      exec::SimExecutor executor(
+          sim,
+          [&](const core::ExecRequest&) {
+            return exec::SimOutcome{shape.seconds, 0, ""};
+          },
+          dispatch_cost);
+      std::ostringstream out, err;
+      core::Engine engine(jobs_option(jobs), executor, out, err);
+      engine.run_raw("task {#}", shape.tasks);
+      solo.push_back(sim.now());
     }
+
+    sim::Simulation sim;
+    exec::SimDriver driver(sim, jobs_option(jobs));
+    std::vector<double> shared(shapes.size(), -1.0);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      driver.add(shapes[i].start, shapes[i].tasks,
+                 fixed_tasks(sim, shapes[i].seconds, dispatch_cost),
+                 [&, i](const core::RunSummary& summary) {
+                   EXPECT_EQ(summary.succeeded, shapes[i].tasks);
+                   shared[i] = sim.now() - shapes[i].start;
+                 });
+    }
+    driver.run();
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      if (shapes[i].start == 0.0) {
+        EXPECT_DOUBLE_EQ(shared[i], solo[i]) << "jobs=" << jobs << " shape=" << i;
+      } else {  // an offset start rounds its sums differently
+        EXPECT_NEAR(shared[i], solo[i], 1e-9) << "jobs=" << jobs << " shape=" << i;
+      }
+    }
+    // Without a dispatch cost a fixed shape is exactly ceil(tasks/jobs)
+    // waves of its duration.
+    sim::Simulation plain;
+    exec::SimDriver waves(plain, jobs_option(jobs));
+    double makespan = -1.0;
+    waves.add(0.0, 24, fixed_tasks(plain, 5.0),
+              [&](const core::RunSummary&) { makespan = plain.now(); });
+    waves.run();
+    EXPECT_DOUBLE_EQ(makespan, 5.0 * static_cast<double>((24 + jobs - 1) / jobs));
   }
 }
 
-TEST(ParallelInstance, DispatchRateCeiling) {
-  // With zero-duration tasks the launch rate equals 1/dispatch_cost.
+TEST(SimDriver, DispatchRateCeiling) {
+  // With zero-duration tasks each engine launches at 1/dispatch_cost: four
+  // engines with no shared gate each reach 470/s.
   sim::Simulation sim;
-  sim::FixedDuration duration(0.0);
-  InstanceConfig config;
-  config.jobs = 128;
-  config.task_count = 940;
-  config.dispatch_cost = 1.0 / 470.0;
-  config.duration = &duration;
-  ParallelInstance instance(sim, config, util::Rng(1));
-  instance.run(0.0, [](const InstanceStats&) {});
-  sim.run();
-  EXPECT_NEAR(sim.now(), 2.0, 0.01);  // 940 launches at 470/s
+  exec::SimDriver driver(sim, jobs_option(128));
+  std::vector<double> ends;
+  for (int i = 0; i < 4; ++i) {
+    driver.add(0.0, 940, fixed_tasks(sim, 0.0, 1.0 / 470.0),
+               [&](const core::RunSummary& summary) {
+                 EXPECT_EQ(summary.succeeded, 940u);
+                 ends.push_back(sim.now());
+               });
+  }
+  driver.run();
+  ASSERT_EQ(ends.size(), 4u);
+  for (double end : ends) EXPECT_NEAR(940.0 / end, 470.0, 0.5);
 }
 
-TEST(ParallelInstance, LaunchGateCapsAggregateRate) {
+TEST(SimDriver, LaunchGateCapsAggregateRate) {
   // 4 instances, each capable of 470/s alone, share a 100/s node gate.
   sim::Simulation sim;
   sim::Resource gate(sim, "gate", 1);
-  sim::FixedDuration duration(0.0);
-  std::vector<std::unique_ptr<ParallelInstance>> instances;
+  exec::SimDriver driver(sim, jobs_option(16));
   int done_count = 0;
   for (int i = 0; i < 4; ++i) {
-    InstanceConfig config;
-    config.jobs = 16;
-    config.task_count = 100;
-    config.dispatch_cost = 1.0 / 470.0;
-    config.duration = &duration;
-    config.launch_gate = &gate;
-    config.launch_gate_hold = 1.0 / 100.0;
-    instances.push_back(
-        std::make_unique<ParallelInstance>(sim, config, util::Rng(7 + i)));
-    instances.back()->run(0.0, [&](const InstanceStats&) { ++done_count; });
+    driver.add(
+        0.0, 100,
+        [&] {
+          return std::make_unique<exec::SimExecutor>(
+              sim, [](const core::ExecRequest&) { return exec::SimOutcome{}; },
+              1.0 / 470.0, &gate, 1.0 / 100.0);
+        },
+        [&](const core::RunSummary&) { ++done_count; });
   }
-  sim.run();
+  driver.run();
   EXPECT_EQ(done_count, 4);
   // 400 launches through a 100/s gate: no faster than 4 s.
   EXPECT_GE(sim.now(), 4.0);
   EXPECT_LE(sim.now(), 4.5);
 }
 
-TEST(ParallelInstance, FailureInjectionCountsFailures) {
+TEST(SimDriver, FailureInjectionCountsFailures) {
   sim::Simulation sim;
-  sim::FixedDuration duration(1.0);
-  InstanceConfig config;
-  config.jobs = 8;
-  config.task_count = 1000;
-  config.dispatch_cost = 0.0;
-  config.duration = &duration;
-  config.failure_probability = 0.2;
-  ParallelInstance instance(sim, config, util::Rng(3));
+  exec::SimDriver driver(sim, jobs_option(8));
   std::size_t failed = 0;
-  instance.run(0.0, [&](const InstanceStats& stats) { failed = stats.failed; });
-  sim.run();
+  driver.add(
+      0.0, 1000,
+      [&sim] {
+        return std::make_unique<exec::SimExecutor>(
+            sim, [rng = util::Rng(3)](const core::ExecRequest&) mutable {
+              return exec::SimOutcome{1.0, rng.bernoulli(0.2) ? 1 : 0, ""};
+            });
+      },
+      [&](const core::RunSummary& summary) { failed = summary.failed; });
+  driver.run();
   EXPECT_GT(failed, 150u);
   EXPECT_LT(failed, 250u);
 }
 
-TEST(ParallelInstance, StdoutBytesFlowThroughChannel) {
+TEST(SimDriver, StdoutBytesFlowThroughChannel) {
   sim::Simulation sim;
   sim::SharedBandwidth nvme(sim, "nvme", 100.0);
-  sim::FixedDuration duration(0.0);
-  InstanceConfig config;
-  config.jobs = 1;
-  config.task_count = 5;
-  config.dispatch_cost = 0.0;
-  config.duration = &duration;
-  config.stdout_bytes = 100.0;
-  config.stdout_channel = &nvme;
-  ParallelInstance instance(sim, config, util::Rng(1));
-  instance.run(0.0, [](const InstanceStats&) {});
-  sim.run();
+  exec::SimDriver driver(sim, jobs_option(1));
+  driver.add(0.0, 5, [&] {
+    return std::make_unique<exec::SimExecutor>(sim, [&](const core::ExecRequest&) {
+      exec::SimOutcome outcome;
+      outcome.body = [&](std::function<void()> finish) {
+        nvme.transfer(100.0, std::move(finish));
+      };
+      return outcome;
+    });
+  });
+  driver.run();
   EXPECT_DOUBLE_EQ(nvme.bytes_delivered(), 500.0);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);  // serialized: 5 x 1s writes
 }
 
-TEST(ParallelInstance, ConfigValidation) {
-  sim::Simulation sim;
-  InstanceConfig config;  // no duration model
-  EXPECT_THROW(ParallelInstance(sim, config, util::Rng(1)), util::ConfigError);
-  sim::FixedDuration d(1.0);
-  config.duration = &d;
-  config.jobs = 0;
-  EXPECT_THROW(ParallelInstance(sim, config, util::Rng(1)), util::ConfigError);
-  config.jobs = 1;
-  config.stdout_bytes = 10.0;  // no channel
-  EXPECT_THROW(ParallelInstance(sim, config, util::Rng(1)), util::ConfigError);
-}
-
-TEST(ParallelInstance, TaskResourceLimitsEffectiveParallelism) {
+TEST(SimDriver, TaskResourceLimitsEffectiveParallelism) {
   // -j16 over 8 GPUs: service is GPU-bound, so 32 x 10s tasks take
   // 32/8 * 10 = 40s regardless of the wider slot pool.
   sim::Simulation sim;
   Node node(sim, NodeSpec::frontier(), 0);
-  sim::FixedDuration duration(10.0);
-  InstanceConfig config;
-  config.jobs = 16;  // oversubscribed
-  config.task_count = 32;
-  config.dispatch_cost = 0.0;
-  config.duration = &duration;
-  config.task_resource = &node.gpu();
-  ParallelInstance instance(sim, config, util::Rng(2));
-  instance.run(0.0, [](const InstanceStats&) {});
-  sim.run();
+  exec::SimDriver driver(sim, jobs_option(16));  // oversubscribed
+  driver.add(0.0, 32, resource_tasks(sim, node.gpu(), 10.0));
+  driver.run();
   EXPECT_DOUBLE_EQ(sim.now(), 40.0);
   EXPECT_EQ(node.gpu().in_use(), 0u);  // everything released
 }
 
-TEST(ParallelInstance, MatchedJobsToGpusIsNotSlower) {
+TEST(SimDriver, MatchedJobsToGpusIsNotSlower) {
   // The paper's 1-1 process-GPU mapping: -j8 on 8 GPUs equals the
   // oversubscribed makespan for uniform tasks (queueing buys nothing).
   auto run_with_jobs = [](std::size_t jobs) {
     sim::Simulation sim;
     Node node(sim, NodeSpec::frontier(), 0);
-    sim::FixedDuration duration(10.0);
-    InstanceConfig config;
-    config.jobs = jobs;
-    config.task_count = 32;
-    config.dispatch_cost = 0.0;
-    config.duration = &duration;
-    config.task_resource = &node.gpu();
-    ParallelInstance instance(sim, config, util::Rng(2));
-    instance.run(0.0, [](const InstanceStats&) {});
-    sim.run();
+    exec::SimDriver driver(sim, jobs_option(jobs));
+    driver.add(0.0, 32, resource_tasks(sim, node.gpu(), 10.0));
+    driver.run();
     return sim.now();
   };
   EXPECT_DOUBLE_EQ(run_with_jobs(8), run_with_jobs(32));
 }
 
-TEST(ParallelInstance, ZeroTasksCompletesImmediately) {
+TEST(SimDriver, ZeroTasksCompletesImmediately) {
   sim::Simulation sim;
-  sim::FixedDuration duration(1.0);
-  InstanceConfig config;
-  config.task_count = 0;
-  config.duration = &duration;
-  ParallelInstance instance(sim, config, util::Rng(1));
+  exec::SimDriver driver(sim, jobs_option(128));
   bool done = false;
-  instance.run(2.5, [&](const InstanceStats& stats) {
+  driver.add(2.5, 0, fixed_tasks(sim, 1.0), [&](const core::RunSummary& summary) {
     done = true;
-    EXPECT_DOUBLE_EQ(stats.makespan(), 0.0);
+    EXPECT_EQ(summary.total, 0u);
+    EXPECT_DOUBLE_EQ(summary.makespan, 0.0);
   });
-  sim.run();
+  driver.run();
   EXPECT_TRUE(done);
   EXPECT_DOUBLE_EQ(sim.now(), 2.5);
+}
+
+TEST(SimDriver, EnginesLiveOnlyWhileTheirInstanceRuns) {
+  // Staggered instances that never overlap: one engine at a time, however
+  // many instances the run holds.
+  sim::Simulation sim;
+  exec::SimDriver driver(sim, jobs_option(4));
+  std::size_t done = 0;
+  for (int i = 0; i < 50; ++i) {
+    driver.add(10.0 * i, 8, fixed_tasks(sim, 1.0),
+               [&](const core::RunSummary&) { ++done; });
+  }
+  driver.run();
+  EXPECT_EQ(done, 50u);
+  EXPECT_EQ(driver.peak_live(), 1u);
 }
 
 }  // namespace

@@ -1,38 +1,34 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include "container/runtime.hpp"
-#include "sim/duration_model.hpp"
+#include "exec/sim_driver.hpp"
 #include "util/error.hpp"
 
 namespace parcl::container {
 namespace {
 
+core::Options jobs_option(std::size_t jobs) {
+  core::Options options;
+  options.jobs = jobs;
+  return options;
+}
+
 /// Launches `tasks` zero-duration tasks through `instances` parallel
 /// instances under a runtime and returns the aggregate launch rate.
-double measure_launch_rate(const RuntimeProfile& profile, std::size_t instances,
+double measure_launch_rate(RuntimeProfile profile, std::size_t instances,
                            std::size_t tasks_per_instance) {
+  // Zero-duration validation: strip the startup model so only the gate
+  // and dispatch cost matter.
+  profile.startup_median = 0.0;
   sim::Simulation sim;
   ContainerHost host(sim, profile);
-  sim::FixedDuration duration(0.0);
-  std::vector<std::unique_ptr<cluster::ParallelInstance>> pool;
+  exec::SimDriver driver(sim, jobs_option(64));
   for (std::size_t i = 0; i < instances; ++i) {
-    cluster::InstanceConfig config;
-    config.jobs = 64;
-    config.task_count = tasks_per_instance;
-    config.dispatch_cost = 1.0 / 470.0;
-    config.duration = &duration;
-    host.configure(config);
-    // Zero-duration validation: strip the startup model so only the gate
-    // and dispatch cost matter.
-    config.launch_overhead = nullptr;
-    pool.push_back(std::make_unique<cluster::ParallelInstance>(sim, config,
-                                                               util::Rng(13 + i)));
-    pool.back()->run(0.0, [](const cluster::InstanceStats&) {});
+    driver.add(0.0, tasks_per_instance, [&host, i] {
+      return host.executor(1.0 / 470.0, 0.0, util::Rng(13 + i));
+    });
   }
-  sim.run();
+  driver.run();
   return static_cast<double>(instances * tasks_per_instance) / sim.now();
 }
 
@@ -83,20 +79,16 @@ TEST(Podman, TwoOrdersOfMagnitudeSlower) {
 
 TEST(Podman, FailuresWorsenWithConcurrency) {
   auto run_failures = [](std::size_t jobs) {
+    RuntimeProfile profile = RuntimeProfile::podman_hpc();
+    profile.node_gate_hold = 0.0;  // isolate the failure model
     sim::Simulation sim;
-    ContainerHost host(sim, RuntimeProfile::podman_hpc());
-    sim::FixedDuration duration(5.0);
-    cluster::InstanceConfig config;
-    config.jobs = jobs;
-    config.task_count = 2000;
-    config.dispatch_cost = 0.0;
-    config.duration = &duration;
-    host.configure(config);
-    config.launch_gate = nullptr;  // isolate the failure model
-    cluster::ParallelInstance instance(sim, config, util::Rng(17));
+    ContainerHost host(sim, profile);
+    exec::SimDriver driver(sim, jobs_option(jobs));
     std::size_t failed = 0;
-    instance.run(0.0, [&](const cluster::InstanceStats& stats) { failed = stats.failed; });
-    sim.run();
+    driver.add(
+        0.0, 2000, [&host] { return host.executor(0.0, 5.0, util::Rng(17)); },
+        [&](const core::RunSummary& summary) { failed = summary.failed; });
+    driver.run();
     return failed;
   };
   std::size_t narrow = run_failures(4);
@@ -112,16 +104,9 @@ TEST(Host, StartupOverheadBilledToSlot) {
   profile.startup_median = 2.0;
   profile.startup_sigma = 0.01;
   ContainerHost host(sim, profile);
-  sim::FixedDuration duration(0.0);
-  cluster::InstanceConfig config;
-  config.jobs = 64;
-  config.task_count = 64;
-  config.dispatch_cost = 0.0;
-  config.duration = &duration;
-  host.configure(config);
-  cluster::ParallelInstance instance(sim, config, util::Rng(3));
-  instance.run(0.0, [](const cluster::InstanceStats&) {});
-  sim.run();
+  exec::SimDriver driver(sim, jobs_option(64));
+  driver.add(0.0, 64, [&host] { return host.executor(0.0, 0.0, util::Rng(3)); });
+  driver.run();
   // 64 tasks in 64 slots: makespan ~ one startup (2 s), not 64 x 2 s.
   EXPECT_GT(sim.now(), 1.8);
   EXPECT_LT(sim.now(), 3.0);

@@ -179,6 +179,21 @@ TEST(Cli, RemovedDispatchOptionsAreRejected) {
   }
 }
 
+TEST(Cli, LineBufferIsAnUnknownOption) {
+  // --line-buffer was parsed and then acted as --group; it is gone until it
+  // can stream whole lines as GNU Parallel's does.
+  for (const std::string flag : {"--line-buffer", "--lb"}) {
+    try {
+      parse_cli({flag, "cmd", ":::", "x"});
+      FAIL() << flag << " was accepted";
+    } catch (const util::ParseError& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown option '" + flag + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(Cli, ServerRefusesRunOptionsItCannotApply) {
   // Service jobs run through the engine's loop with these options...
   RunPlan plan = parse({"--server", "--state-dir", "/tmp/s", "-j3", "--retries", "2",
@@ -189,7 +204,7 @@ TEST(Cli, ServerRefusesRunOptionsItCannotApply) {
   EXPECT_NO_THROW(parse({"--server", "--state-dir", "/tmp/s", "--timeout", "5"}));
   // ...and refuse every other run option, naming it.
   const std::vector<std::vector<std::string>> refused = {
-      {"-k"}, {"-u"}, {"--line-buffer"}, {"--tag"}, {"--tagstring", "{}"},
+      {"-k"}, {"-u"}, {"--tag"}, {"--tagstring", "{}"},
       {"--joblog", "/tmp/j"}, {"--results", "/tmp/r"},
       {"--resume", "--joblog", "/tmp/j"}, {"--resume-failed", "--joblog", "/tmp/j"},
       {"--shuf"}, {"--halt", "now,fail=1"}, {"--dry-run"}, {"--progress"},

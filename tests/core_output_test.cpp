@@ -88,14 +88,6 @@ TEST(Ungroup, EmitsNothing) {
   collator.deliver(result_with(1, "ignored\n"));
   collator.finish();
   EXPECT_EQ(out.str(), "");
-  EXPECT_EQ(collator.lines_emitted(), 0u);
-}
-
-TEST(LineCount, CountsStdoutLines) {
-  std::ostringstream out, err;
-  OutputCollator collator(OutputMode::kGroup, false, out, err);
-  collator.deliver(result_with(1, "a\nb\nc\n", "e\n"));
-  EXPECT_EQ(collator.lines_emitted(), 3u);  // stderr not counted
 }
 
 TEST(MissingTrailingNewline, StillEmitsWholeLine) {

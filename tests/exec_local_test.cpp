@@ -665,16 +665,14 @@ TEST_P(SpawnPath, KeepsTheJobContract) {
       request.command = command;
       request.use_shell = false;
       request.capture_output = false;
-      try {
-        executor.start(request);
-      } catch (const util::SystemError&) {
-        continue;  // posix_spawnp reports the missing binary at once
-      }
+      executor.start(request);
       errno = kSentinel;
       auto result = executor.wait_any(-1.0);
       int seen = errno;
       ASSERT_TRUE(result.has_value());
       EXPECT_EQ(seen, kSentinel) << command;
+      // A binary that is nowhere is "command not found" on both paths.
+      EXPECT_EQ(result->exit_code, command[0] == '/' ? 127 : 0) << command;
     }
   }
   {
@@ -698,9 +696,9 @@ TEST_P(SpawnPath, KeepsTheJobContract) {
     EXPECT_EQ(result->term_signal, SIGTERM);
     EXPECT_EQ(coordinator.poll(), 0) << "the dispatcher's handler ran";
   }
-  if (GetParam() == SpawnTuning::Path::kAuto && kCloneVmSpawn) {
-    // execvpe runs an executable without a #! line through /bin/sh; the
-    // CLONE_VM child does the same. (posix_spawn does not.)
+  {
+    // execvpe runs an executable without a #! line through /bin/sh, and so
+    // do both spawn paths.
     SCOPED_TRACE("a script without #! runs through /bin/sh");
     char dir_template[] = "/tmp/parcl_spawn_XXXXXX";
     ASSERT_NE(mkdtemp(dir_template), nullptr);

@@ -11,6 +11,7 @@
 
 #include "core/engine.hpp"
 #include "core/signal_coordinator.hpp"
+#include "exec/sim_driver.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -544,6 +545,222 @@ TEST(SimExecutor, UnknownPressureLeavesGuardsInert) {
   EXPECT_EQ(summary.succeeded, 3u);
   EXPECT_EQ(summary.dispatch.deferred, 0u);
   for (double start : summary.start_times) EXPECT_DOUBLE_EQ(start, 0.0);
+}
+
+// --- The shared-clock contract: launches queue behind the dispatcher ------
+
+ExecRequest job(std::uint64_t id) {
+  ExecRequest request;
+  request.job_id = id;
+  request.command = "task " + std::to_string(id);
+  return request;
+}
+
+/// Drains every ready completion, lowest job id first.
+std::vector<core::ExecResult> drain(SimExecutor& executor) {
+  std::vector<core::ExecResult> results;
+  while (auto result = executor.wait_any(0.0)) results.push_back(std::move(*result));
+  return results;
+}
+
+TEST(SimExecutor, RejectsBadConfig) {
+  sim::Simulation simulation;
+  auto model = [](const ExecRequest&) { return SimOutcome{}; };
+  sim::Resource gate(simulation, "gate", 1);
+  EXPECT_THROW(SimExecutor(simulation, TaskModel{}), util::ConfigError);
+  EXPECT_THROW(SimExecutor(simulation, model, 0.0, &gate, -1.0), util::ConfigError);
+  EXPECT_THROW(SimExecutor(simulation, model, 0.0, nullptr, 0.5), util::ConfigError);
+  EXPECT_NO_THROW(SimExecutor(simulation, model, 0.1, &gate, 0.5));
+}
+
+TEST(SimExecutor, StartNeverAdvancesTheClockUnderADriver) {
+  sim::Simulation simulation;
+  SimExecutor executor(
+      simulation, [](const ExecRequest&) { return SimOutcome{1.0, 0, ""}; },
+      /*dispatch_cost=*/0.5);
+  executor.attach([] {});
+  for (std::uint64_t id = 1; id <= 3; ++id) executor.start(job(id));
+  EXPECT_DOUBLE_EQ(simulation.now(), 0.0);
+  EXPECT_EQ(simulation.fired_events(), 0u);
+  EXPECT_EQ(executor.active_count(), 3u);
+}
+
+TEST(SimExecutor, SoloStartRunsTheClockToItsLaunch) {
+  // Without a driver start() blocks like a real fork+exec, so the engine
+  // stamps each dispatch at its launch.
+  sim::Simulation simulation;
+  SimExecutor executor(
+      simulation, [](const ExecRequest&) { return SimOutcome{1.0, 0, ""}; },
+      /*dispatch_cost=*/0.5);
+  executor.start(job(1));
+  EXPECT_DOUBLE_EQ(simulation.now(), 0.5);
+  executor.start(job(2));
+  EXPECT_DOUBLE_EQ(simulation.now(), 1.0);
+}
+
+TEST(SimExecutor, LaunchesBeginOneAtATimeDispatchCostApart) {
+  sim::Simulation simulation;
+  std::vector<double> begun;
+  SimExecutor executor(simulation,
+                       [&](const ExecRequest&) {
+                         begun.push_back(simulation.now());
+                         return SimOutcome{2.0, 0, ""};
+                       },
+                       /*dispatch_cost=*/0.5);
+  executor.attach([] {});
+  for (std::uint64_t id = 1; id <= 3; ++id) executor.start(job(id));
+  simulation.run();
+  EXPECT_EQ(begun, (std::vector<double>{0.5, 1.0, 1.5}));
+  std::vector<core::ExecResult> results = drain(executor);
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    // ExecResult::start_time is when the job began, not when it was asked.
+    EXPECT_DOUBLE_EQ(results[i].start_time, begun[i]);
+    EXPECT_DOUBLE_EQ(results[i].end_time, begun[i] + 2.0);
+  }
+}
+
+TEST(SimExecutor, GateWaitAndHoldAddToTheLaunchGap) {
+  sim::Simulation simulation;
+  sim::Resource gate(simulation, "gate", 1);
+  // Someone else holds the gate until t = 1.
+  gate.acquire([] {});
+  simulation.schedule(1.0, [&] { gate.release(); });
+  std::vector<double> begun;
+  SimExecutor executor(simulation,
+                       [&](const ExecRequest&) {
+                         begun.push_back(simulation.now());
+                         return SimOutcome{};
+                       },
+                       /*dispatch_cost=*/0.5, &gate, /*gate_hold=*/0.25);
+  executor.attach([] {});
+  for (std::uint64_t id = 1; id <= 3; ++id) executor.start(job(id));
+  simulation.run();
+  // Launch 1 waits out the gate (0.5 -> 1.0) and holds it 0.25; each later
+  // launch pays the dispatch cost and the hold: 0.75 apart.
+  EXPECT_EQ(begun, (std::vector<double>{1.25, 2.0, 2.75}));
+  EXPECT_EQ(drain(executor).size(), 3u);
+  EXPECT_EQ(gate.in_use(), 0u);
+}
+
+TEST(SimExecutor, JobKilledBeforeItBeginsNeverBegins) {
+  sim::Simulation simulation;
+  std::vector<std::string> begun;
+  SimExecutor executor(simulation,
+                       [&](const ExecRequest& request) {
+                         begun.push_back(request.command);
+                         return SimOutcome{5.0, 0, ""};
+                       },
+                       /*dispatch_cost=*/1.0);
+  executor.attach([] {});
+  for (std::uint64_t id = 1; id <= 3; ++id) executor.start(job(id));
+  executor.kill(3, /*force=*/false);  // still queued: ends now
+  executor.kill(1, /*force=*/true);   // under way: ends as its launch does
+  std::vector<core::ExecResult> now = drain(executor);
+  ASSERT_EQ(now.size(), 1u);
+  EXPECT_EQ(now[0].job_id, 3u);
+  EXPECT_EQ(now[0].term_signal, SIGTERM);
+  EXPECT_DOUBLE_EQ(now[0].start_time, 0.0);
+  EXPECT_DOUBLE_EQ(now[0].end_time, 0.0);
+
+  simulation.run();
+  std::vector<core::ExecResult> later = drain(executor);
+  ASSERT_EQ(later.size(), 2u);
+  EXPECT_EQ(later[0].job_id, 1u);
+  EXPECT_EQ(later[0].term_signal, SIGKILL);
+  EXPECT_DOUBLE_EQ(later[0].end_time, 1.0);
+  EXPECT_EQ(later[1].job_id, 2u);
+  EXPECT_DOUBLE_EQ(later[1].start_time, 2.0);  // the dispatcher moved on at 1
+  EXPECT_EQ(begun, std::vector<std::string>{"task 2"});
+  EXPECT_EQ(executor.active_count(), 0u);
+}
+
+TEST(SimExecutor, WaitAnyUnderADriverFiresNoEvent) {
+  for (double timeout : {-1.0, 0.0, 0.5, 2.0, 100.0}) {
+    sim::Simulation simulation;
+    int notified = 0;
+    SimExecutor executor(simulation,
+                         [](const ExecRequest&) { return SimOutcome{5.0, 0, ""}; });
+    executor.attach([&] { ++notified; });
+    executor.start(job(1));
+    EXPECT_FALSE(executor.wait_any(timeout).has_value());
+    EXPECT_DOUBLE_EQ(simulation.now(), 0.0) << timeout;
+    EXPECT_EQ(simulation.fired_events(), 0u) << timeout;
+    // The armed wake, if any, fires at the timeout; the completion at 5.
+    std::vector<double> notices;
+    while (simulation.step()) {
+      if (notified > static_cast<int>(notices.size())) {
+        notices.push_back(simulation.now());
+      }
+    }
+    if (timeout >= 0.0 && timeout < 5.0) {
+      EXPECT_EQ(notices, (std::vector<double>{timeout, 5.0})) << timeout;
+    } else if (timeout < 0.0) {
+      EXPECT_EQ(notices, std::vector<double>{5.0});
+    }
+    ASSERT_TRUE(executor.wait_any(-1.0).has_value());
+  }
+}
+
+TEST(SimExecutor, KillDuringABodyEndsTheJobWhenTheBodyFinishes) {
+  sim::Simulation simulation;
+  SimExecutor executor(simulation, [&](const ExecRequest&) {
+    SimOutcome outcome;
+    outcome.duration = 1.0;
+    outcome.body = [&](std::function<void()> finish) {
+      simulation.schedule(3.0, std::move(finish));
+    };
+    return outcome;
+  });
+  executor.attach([] {});
+  executor.start(job(1));
+  executor.start(job(2));
+  simulation.run_until(2.0);
+  executor.kill(1, /*force=*/false);  // within its body: runs on
+  EXPECT_TRUE(drain(executor).empty());
+  simulation.run();
+  std::vector<core::ExecResult> results = drain(executor);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].term_signal, SIGTERM);
+  EXPECT_DOUBLE_EQ(results[0].end_time, 4.0);
+  EXPECT_EQ(results[1].term_signal, 0);
+  EXPECT_DOUBLE_EQ(results[1].end_time, 4.0);
+}
+
+TEST(SimDriver, TimeoutKillsTheOverdueJobAtTheRightSimTime) {
+  // Two instances share the clock; only the hung one's jobs hit --timeout,
+  // and each dies the moment its deadline passes.
+  sim::Simulation simulation;
+  Options options;
+  options.jobs = 2;
+  options.timeout_seconds = 5.0;
+  SimDriver driver(simulation, options);
+  auto instance = [&](double seconds) {
+    return [&simulation, seconds] {
+      return std::make_unique<SimExecutor>(
+          simulation,
+          [seconds](const ExecRequest&) { return SimOutcome{seconds, 0, ""}; },
+          /*dispatch_cost=*/0.25);
+    };
+  };
+  RunSummary hung, healthy;
+  double hung_end = -1.0, healthy_end = -1.0;
+  driver.add(1.0, 2, instance(1000.0), [&](const RunSummary& summary) {
+    hung = summary;
+    hung_end = simulation.now();
+  });
+  driver.add(0.0, 4, instance(3.0), [&](const RunSummary& summary) {
+    healthy = summary;
+    healthy_end = simulation.now();
+  });
+  driver.run();
+  EXPECT_EQ(hung.failed, 2u);
+  // Both launches were asked at t = 1, so both deadlines fall at t = 6.
+  EXPECT_DOUBLE_EQ(hung_end, 6.0);
+  EXPECT_EQ(healthy.succeeded, 4u);
+  // Job 2 begins at 0.5 and ends at 3.5; job 4, asked then, waits for the
+  // dispatcher to finish job 3's launch, begins at 3.75 and ends last.
+  EXPECT_DOUBLE_EQ(healthy_end, 3.75 + 3.0);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include "core/engine.hpp"
 #include "core/profile.hpp"
 #include "exec/function_executor.hpp"
-#include "exec/sim_executor.hpp"
+#include "exec/sim_driver.hpp"
 #include "storage/pipeline.hpp"
 #include "wms/central_wms.hpp"
 #include "wms/weak_scaling.hpp"
@@ -116,18 +116,15 @@ TEST(Scenario, DarshanPipelineAndAnalyzerAgree) {
 // node sweep stays under the runtime's ceiling.
 TEST(Scenario, ContaineredInstanceRespectsRuntimeCeiling) {
   sim::Simulation sim;
-  container::ContainerHost host(sim, container::RuntimeProfile::shifter());
-  sim::FixedDuration duration(0.0);
-  cluster::InstanceConfig config;
-  config.jobs = 64;
-  config.task_count = 2600;
-  config.dispatch_cost = 0.0;  // isolate the gate
-  config.duration = &duration;
-  host.configure(config);
-  config.launch_overhead = nullptr;
-  cluster::ParallelInstance instance(sim, config, util::Rng(5));
-  instance.run(0.0, [](const cluster::InstanceStats&) {});
-  sim.run();
+  container::RuntimeProfile profile = container::RuntimeProfile::shifter();
+  profile.startup_median = 0.0;
+  container::ContainerHost host(sim, profile);
+  core::Options options;
+  options.jobs = 64;
+  exec::SimDriver driver(sim, options);
+  // No dispatch cost: isolate the gate.
+  driver.add(0.0, 2600, [&host] { return host.executor(0.0, 0.0, util::Rng(5)); });
+  driver.run();
   double rate = 2600.0 / sim.now();
   EXPECT_LE(rate, host.launch_rate_ceiling() + 1.0);
   EXPECT_GT(rate, host.launch_rate_ceiling() * 0.95);

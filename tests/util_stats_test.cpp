@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -72,29 +71,6 @@ TEST(BoxStats, UniformSampleHasNoOutliers) {
 }
 
 TEST(BoxStats, RejectsEmpty) { EXPECT_THROW(box_stats({}), ConfigError); }
-
-TEST(Histogram, BinsAndClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);    // bin 0
-  h.add(1.99);   // bin 0
-  h.add(2.0);    // bin 1
-  h.add(9.99);   // bin 4
-  h.add(-5.0);   // clamped to bin 0
-  h.add(100.0);  // clamped to bin 4
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.count_at(0), 3u);
-  EXPECT_EQ(h.count_at(1), 1u);
-  EXPECT_EQ(h.count_at(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-  EXPECT_FALSE(h.render().empty());
-}
-
-TEST(Histogram, RejectsBadConfig) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ConfigError);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ConfigError);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), ConfigError);
-}
 
 TEST(Table, RendersAlignedColumns) {
   Table table({"nodes", "tasks"});
