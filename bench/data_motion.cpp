@@ -48,5 +48,5 @@ int main() {
   check.add_text("transfer width", "256 rsync processes",
                  std::to_string(parallel.total_streams), parallel.total_streams == 256);
   check.print();
-  return 0;
+  return check.exit_status();
 }

@@ -59,9 +59,7 @@ int main() {
   }
 
   storage::PipelineRunner runner(sim, lustre, nvme, config);
-  storage::PipelineReport pipeline_report;
-  runner.run([&](const storage::PipelineReport& r) { pipeline_report = r; });
-  sim.run();
+  storage::PipelineReport pipeline_report = runner.run();
 
   // Same pipeline with file-level overlap: stage k starts the moment its
   // input files land on NVMe instead of at the stage-k-1 barrier. With the
@@ -78,10 +76,7 @@ int main() {
   overlap_config.overlap = true;
   storage::PipelineRunner overlap_runner(overlap_sim, overlap_lustre,
                                          overlap_nvme, overlap_config);
-  storage::PipelineReport overlap_report;
-  overlap_runner.run(
-      [&](const storage::PipelineReport& r) { overlap_report = r; });
-  overlap_sim.run();
+  storage::PipelineReport overlap_report = overlap_runner.run();
 
   util::Table table({"stage", "source", "process_min", "prefetch_min", "stage_min"});
   for (const auto& stage : pipeline_report.stages) {
@@ -131,5 +126,5 @@ int main() {
   bench::stamp_provenance(json);
   json.write();
   std::cout << "wrote BENCH_dag.json\n";
-  return 0;
+  return check.exit_status();
 }

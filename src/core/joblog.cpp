@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -72,6 +73,8 @@ void trim_torn_tail(int fd, off_t size) {
   }
 }
 
+double round_to_ms(double seconds) { return std::round(seconds * 1000.0) / 1000.0; }
+
 JoblogWriter::JoblogWriter(const std::string& path, bool fsync_each)
     : impl_(std::make_unique<Impl>()) {
   impl_->fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
@@ -91,10 +94,10 @@ JoblogWriter::JoblogWriter(const std::string& path, bool fsync_each)
 JoblogWriter::~JoblogWriter() = default;
 
 void JoblogWriter::record(const JobResult& result, const std::string& host) {
+  const double start = round_to_ms(result.start_time);
   std::ostringstream row;
-  row << result.seq << '\t' << host << '\t'
-      << util::format_double(result.start_time, 3) << '\t'
-      << util::format_double(result.runtime(), 3) << '\t' << 0 << '\t'
+  row << result.seq << '\t' << host << '\t' << util::format_double(start, 3) << '\t'
+      << util::format_double(round_to_ms(result.end_time) - start, 3) << '\t' << 0 << '\t'
       << result.stdout_data.size() << '\t' << result.exit_code << '\t'
       << result.term_signal << '\t' << result.command << '\n';
   write_all(impl_->fd, row.str(), "write joblog");

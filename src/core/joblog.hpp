@@ -42,6 +42,9 @@ struct JoblogEntry {
 /// writes it.
 inline const std::string kLocalHost = ":";
 
+/// `seconds` rounded to the millisecond grid the joblog's time columns use.
+double round_to_ms(double seconds);
+
 class JoblogWriter {
  public:
   /// Appends to `path`; writes the header only when the file is new/empty.
@@ -56,6 +59,9 @@ class JoblogWriter {
 
   /// Appends one row with one write() to the O_APPEND fd, so a crash can
   /// tear at most the final line, which the torn-tail repair removes.
+  /// JobRuntime is the rounded end minus the rounded start (it may differ
+  /// from the rounded runtime by 0.001 s), so Starttime + JobRuntime keeps
+  /// the real order of one job's end and another's start.
   void record(const JobResult& result, const std::string& host);
 
  private:

@@ -155,7 +155,10 @@ ParallelProfile profile_joblog(const std::vector<JoblogEntry>& entries) {
   std::vector<Interval> intervals;
   intervals.reserve(entries.size());
   for (const JoblogEntry& entry : entries) {
-    intervals.push_back({entry.start_time, entry.start_time + entry.runtime});
+    // On the joblog's millisecond grid, one job's end and the next one's
+    // start printed as the same decimal compare equal.
+    intervals.push_back(
+        {round_to_ms(entry.start_time), round_to_ms(entry.start_time + entry.runtime)});
   }
   return profile_intervals(std::move(intervals));
 }

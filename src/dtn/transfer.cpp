@@ -1,61 +1,10 @@
 #include "dtn/transfer.hpp"
 
-#include <algorithm>
-
+#include "exec/sim_driver.hpp"
+#include "storage/staging.hpp"
 #include "util/error.hpp"
 
 namespace parcl::dtn {
-
-namespace {
-
-/// Per-node worker pool pulling files off a shard queue.
-class NodeWorker {
- public:
-  NodeWorker(sim::Simulation& sim, std::vector<storage::FileEntry> shard,
-             std::size_t streams, double per_file_overhead,
-             sim::SharedBandwidth& nic, sim::SharedBandwidth& src,
-             sim::SharedBandwidth& dst, std::function<void()> all_done)
-      : sim_(sim), shard_(std::move(shard)), per_file_overhead_(per_file_overhead),
-        nic_(nic), src_(src), dst_(dst), all_done_(std::move(all_done)) {
-    if (shard_.empty()) {
-      all_done_();
-      return;
-    }
-    std::size_t width = std::min(streams, shard_.size());
-    active_ = width;
-    for (std::size_t s = 0; s < width; ++s) pump();
-  }
-
- private:
-  void pump() {
-    if (next_ >= shard_.size()) {
-      if (--active_ == 0) all_done_();
-      return;
-    }
-    double bytes = shard_[next_++].bytes;
-    sim_.schedule(per_file_overhead_, [this, bytes] {
-      auto remaining = std::make_shared<int>(3);
-      auto arm = [this, remaining] {
-        if (--*remaining == 0) pump();
-      };
-      nic_.transfer(bytes, arm);
-      src_.transfer(bytes, arm);
-      dst_.transfer(bytes, arm);
-    });
-  }
-
-  sim::Simulation& sim_;
-  std::vector<storage::FileEntry> shard_;
-  double per_file_overhead_;
-  sim::SharedBandwidth& nic_;
-  sim::SharedBandwidth& src_;
-  sim::SharedBandwidth& dst_;
-  std::function<void()> all_done_;
-  std::size_t next_ = 0;
-  std::size_t active_ = 0;
-};
-
-}  // namespace
 
 DtnTransfer::DtnTransfer(DtnSpec spec) : spec_(spec) {
   if (spec_.nodes == 0) throw util::ConfigError("dtn needs at least one node");
@@ -78,16 +27,24 @@ TransferReport DtnTransfer::run_config(const storage::Dataset& dataset,
         spec_.per_stream_cap));
   }
 
+  // Listing 1 over the DTNs: each node runs one `parallel -j<streams>
+  // rsync` instance over its stripe of the file list.
+  core::Options options;
+  options.jobs = streams_per_node;
+  exec::SimDriver driver(sim, options);
   auto shards = storage::stripe_files(dataset, nodes);
   std::size_t nodes_done = 0;
-  std::vector<std::unique_ptr<NodeWorker>> workers;
-  workers.reserve(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
-    workers.push_back(std::make_unique<NodeWorker>(
-        sim, std::move(shards[n]), streams_per_node, per_file_overhead, *nics[n], src,
-        dst, [&nodes_done] { ++nodes_done; }));
+    std::size_t files = shards[n].size();
+    auto build = [&sim, &src, &dst, nic = nics[n].get(), shard = std::move(shards[n]),
+                  per_file_overhead]() mutable {
+      return storage::rsync_executor(sim, std::move(shard), per_file_overhead,
+                                     {nic, &src, &dst});
+    };
+    driver.add(0.0, files, std::move(build),
+               [&nodes_done](const core::RunSummary&) { ++nodes_done; });
   }
-  sim.run();
+  driver.run();
   util::require(nodes_done == nodes, "dtn transfer did not drain");
 
   TransferReport report;

@@ -8,9 +8,11 @@
 // sustained per node, ~200x over a sequential transfer, and >10x over the
 // per-file transfer protocols of traditional workflow systems.
 //
-// Each file copy occupies three channels at once — the source filesystem,
-// the node NIC, and the destination filesystem — and completes when the
-// slowest drains (fluid streaming approximation).
+// Each node's `parallel -j32 rsync` is one storage::rsync_executor instance
+// on a shared exec::SimDriver, so the copies run on real engines. Each copy
+// occupies three channels at once (the node NIC, the source filesystem and
+// the destination filesystem) and completes when the slowest drains (fluid
+// streaming approximation).
 #pragma once
 
 #include <functional>

@@ -1,15 +1,28 @@
 #include "storage/pipeline.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/error.hpp"
 
 namespace parcl::storage {
 
+namespace {
+
+core::Options fanout_options(std::size_t streams) {
+  core::Options options;
+  options.jobs = streams;
+  return options;
+}
+
+}  // namespace
+
 PipelineRunner::PipelineRunner(sim::Simulation& sim, SimFilesystem& lustre,
                                SimFilesystem& nvme, PipelineConfig config)
-    : sim_(sim), lustre_(lustre), nvme_(nvme), config_(std::move(config)) {
+    : sim_(sim),
+      lustre_(lustre),
+      nvme_(nvme),
+      config_(std::move(config)),
+      driver_(sim, fanout_options(config_.staging.parallel_streams)) {
   if (config_.datasets.empty()) throw util::ConfigError("pipeline needs datasets");
   if (config_.prefetch_depth == 0) {
     throw util::ConfigError("prefetch depth must be >= 1 (0 = use the lustre-only baseline)");
@@ -17,11 +30,12 @@ PipelineRunner::PipelineRunner(sim::Simulation& sim, SimFilesystem& lustre,
   if (config_.process_from_lustre <= 0.0 || config_.process_from_nvme <= 0.0) {
     throw util::ConfigError("processing times must be positive");
   }
-  std::set<std::string> names;
-  for (const Dataset& dataset : config_.datasets) {
-    if (!names.insert(dataset.name).second) {
-      throw util::ConfigError("duplicate dataset name: " + dataset.name);
-    }
+  // -j0 would mean one stream per CPU of the host running the simulation.
+  if (config_.staging.parallel_streams == 0) {
+    throw util::ConfigError("staging needs at least one stream");
+  }
+  if (config_.staging.per_file_overhead < 0.0) {
+    throw util::ConfigError("per-file overhead must be >= 0");
   }
   build_graph();
 }
@@ -58,13 +72,12 @@ void PipelineRunner::build_graph() {
   // Overlap edges: each node depends only on what it actually consumes.
   for (std::size_t s = 0; s < total; ++s) {
     std::vector<std::uint64_t> deps;
-    std::vector<std::string> tokens;
     if (s > 0) {
-      // The compute resource is reused serially; the data must have landed.
-      deps.push_back(process_id(s - 1));
-      tokens.push_back("nvme:" + config_.datasets[s].name);
+      // The compute resource is reused serially; the data must have landed,
+      // and copy s ends the instant its last file does.
+      deps = {process_id(s - 1), copy_id(s)};
     }
-    tracker_.add_node(process_id(s), std::move(deps), std::move(tokens));
+    tracker_.add_node(process_id(s), std::move(deps));
   }
   for (std::size_t k = 1; k < total; ++k) {
     std::vector<std::uint64_t> deps;
@@ -85,10 +98,7 @@ void PipelineRunner::build_graph() {
   tracker_.seal();
 }
 
-void PipelineRunner::run(std::function<void(const PipelineReport&)> done) {
-  util::require(!started_, "PipelineRunner::run called twice");
-  started_ = true;
-  done_ = std::move(done);
+PipelineReport PipelineRunner::run() {
   const std::size_t total = config_.datasets.size();
   report_.lustre_only_estimate =
       config_.process_from_lustre * static_cast<double>(total);
@@ -102,15 +112,14 @@ void PipelineRunner::run(std::function<void(const PipelineReport&)> done) {
         s == 0 ? config_.process_from_lustre : config_.process_from_nvme;
   }
   pump();
+  driver_.run();
+  util::require(tracker_.pending() == 0, "pipeline did not drain");
+  return report_;
 }
 
 void PipelineRunner::pump() {
   while (auto id = tracker_.pop_ready()) start_node(*id);
-  if (tracker_.pending() == 0 && !finished_) {
-    finished_ = true;
-    report_.makespan = sim_.now();
-    if (done_) done_(report_);
-  }
+  if (tracker_.pending() == 0) report_.makespan = sim_.now();
 }
 
 void PipelineRunner::start_node(std::uint64_t id) {
@@ -150,29 +159,25 @@ void PipelineRunner::start_process(std::size_t s) {
 }
 
 void PipelineRunner::start_copy(std::size_t k) {
-  auto job = std::make_unique<StagingJob>(
-      sim_, lustre_, nvme_,
-      std::vector<FileEntry>(config_.datasets[k].files), config_.staging);
-  StagingJob* raw = job.get();
-  staging_jobs_.push_back(std::move(job));
-  if (config_.overlap) {
-    // Dataflow hook: count landings and release the processing node the
-    // moment the dataset's last byte is on NVMe — no stage barrier between
-    // the copy finishing and the compute starting.
-    auto landed = std::make_shared<std::size_t>(0);
-    std::size_t expect = config_.datasets[k].files.size();
-    std::string token = "nvme:" + config_.datasets[k].name;
-    raw->on_file_landed([this, landed, expect, token](const FileEntry&) {
-      if (++*landed == expect) tracker_.satisfy(token);
-    });
-    if (expect == 0) tracker_.satisfy(token);
-  }
+  const std::vector<FileEntry>& files = config_.datasets[k].files;
+  auto build = [this, &files] {
+    return rsync_executor(sim_, files, config_.staging.per_file_overhead,
+                          {&lustre_.data(), &nvme_.data()}, [this](const FileEntry& file) {
+                            // rsync stats the source and creates the
+                            // destination: the latency is in the per-file
+                            // overhead, but the pressure counters see both.
+                            lustre_.note_metadata_op();
+                            nvme_.note_metadata_op();
+                            nvme_.account_store(file.bytes);
+                          });
+  };
   std::size_t report_to = launch_stage(k);
-  raw->run([this, k, report_to](const StagingStats& stats) {
-    report_.stages[report_to].copy_seconds =
-        std::max(report_.stages[report_to].copy_seconds, stats.duration());
-    node_done(copy_id(k));
-  });
+  driver_.add(0.0, files.size(), build,
+              [this, k, report_to](const core::RunSummary& summary) {
+                double& copy_seconds = report_.stages[report_to].copy_seconds;
+                copy_seconds = std::max(copy_seconds, summary.makespan);
+                node_done(copy_id(k));
+              });
 }
 
 void PipelineRunner::start_evict(std::size_t k) {

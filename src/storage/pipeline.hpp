@@ -13,20 +13,22 @@
 //     node, reproducing the paper's workflow-sync semantics and its exact
 //     arithmetic;
 //   - overlap (PipelineConfig::overlap): each node depends only on its real
-//     inputs — processing k waits for processing k-1 and for dataset k to
-//     land on NVMe (a tracker token satisfied from StagingJob's per-file
-//     landing callback); prefetches chain ahead of stage boundaries,
-//     bounded by eviction so the NVMe footprint stays within
-//     prefetch_depth + 1 datasets.
+//     inputs — processing k waits for processing k-1 and for copy k, whose
+//     fan-out ends the instant dataset k's last file lands on NVMe;
+//     prefetches chain ahead of stage boundaries, bounded by eviction so
+//     the NVMe footprint stays within prefetch_depth + 1 datasets.
+//
+// Each prefetch is an rsync fan-out (storage/staging.hpp): one instance on
+// the runner's exec::SimDriver, so the copies run on real engines.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/dag.hpp"
+#include "exec/sim_driver.hpp"
 #include "storage/dataset.hpp"
 #include "storage/filesystem.hpp"
 #include "storage/staging.hpp"
@@ -39,8 +41,7 @@ struct PipelineConfig {
   double process_from_nvme = 68.0 * 60.0;
   /// Prefetch configuration (rsync fan-out).
   StagingConfig staging;
-  /// Datasets to run, in order (names must be unique — they key the
-  /// "nvme:<name>" landing tokens in overlap mode).
+  /// Datasets to run, in order.
   std::vector<Dataset> datasets;
   /// Pipeline depth: how many datasets may be prefetched ahead (>= 1).
   std::size_t prefetch_depth = 1;
@@ -77,9 +78,9 @@ class PipelineRunner {
   PipelineRunner(sim::Simulation& sim, SimFilesystem& lustre, SimFilesystem& nvme,
                  PipelineConfig config);
 
-  /// Starts the pipeline; `done` fires with the report. Call once; keep the
-  /// runner alive until then.
-  void run(std::function<void(const PipelineReport&)> done);
+  /// Runs the pipeline to its end on the simulation and returns the report.
+  /// Call once.
+  PipelineReport run();
 
  private:
   // Node ids, three per stage: kind = (id - 1) % 3.
@@ -108,14 +109,11 @@ class PipelineRunner {
   SimFilesystem& lustre_;
   SimFilesystem& nvme_;
   PipelineConfig config_;
+  exec::SimDriver driver_;  // runs the prefetch fan-outs
   PipelineReport report_;
-  std::function<void(const PipelineReport&)> done_;
-  std::vector<std::unique_ptr<StagingJob>> staging_jobs_;
   core::DependencyTracker tracker_;
   /// Barrier-mode stage membership: node id -> the stage it runs in.
   std::map<std::uint64_t, std::size_t> stage_of_;
-  bool started_ = false;
-  bool finished_ = false;
 };
 
 }  // namespace parcl::storage

@@ -1,77 +1,35 @@
 #include "storage/staging.hpp"
 
 #include <memory>
-
-#include "util/error.hpp"
+#include <string>
 
 namespace parcl::storage {
 
-StagingJob::StagingJob(sim::Simulation& sim, SimFilesystem& src, SimFilesystem& dst,
-                       std::vector<FileEntry> files, StagingConfig config)
-    : sim_(sim), src_(src), dst_(dst), queue_(std::move(files)), config_(config) {
-  if (config_.parallel_streams == 0) {
-    throw util::ConfigError("staging needs at least one stream");
-  }
-  if (config_.per_file_overhead < 0.0) {
-    throw util::ConfigError("per-file overhead must be >= 0");
-  }
-}
-
-void StagingJob::run(std::function<void(const StagingStats&)> done) {
-  util::require(!started_, "StagingJob::run called twice");
-  started_ = true;
-  done_ = std::move(done);
-  stats_.start_time = sim_.now();
-  if (queue_.empty()) {
-    stats_.end_time = sim_.now();
-    if (done_) done_(stats_);
-    return;
-  }
-  std::size_t streams = std::min(config_.parallel_streams, queue_.size());
-  for (std::size_t s = 0; s < streams; ++s) {
-    ++active_streams_;
-    pump_stream();
-  }
-}
-
-void StagingJob::pump_stream() {
-  if (next_file_ >= queue_.size()) {
-    --active_streams_;
-    if (active_streams_ == 0) {
-      stats_.end_time = sim_.now();
-      if (done_) done_(stats_);
-    }
-    return;
-  }
-  FileEntry file = queue_[next_file_++];
-  copy_one(std::move(file));
-}
-
-void StagingJob::copy_one(FileEntry file) {
-  // rsync stats the source and creates the destination; latency is part of
-  // per_file_overhead but the pressure counters must see both ops.
-  src_.note_metadata_op();
-  dst_.note_metadata_op();
-  auto pending = std::make_shared<FileEntry>(std::move(file));
-  sim_.schedule(config_.per_file_overhead, [this, pending] {
-    // Simultaneous src-read + dst-write flows; the copy completes when the
-    // slower side drains. (Per-file metadata cost is folded into
-    // per_file_overhead, which is what rsync's real per-file cost is.)
-    auto remaining = std::make_shared<int>(2);
-    auto arm_done = [this, remaining, pending] {
-      if (--*remaining == 0) file_done(*pending);
+std::unique_ptr<exec::SimExecutor> rsync_executor(
+    sim::Simulation& sim, std::vector<FileEntry> files, double per_file_overhead,
+    std::vector<sim::SharedBandwidth*> channels,
+    std::function<void(const FileEntry&)> landed) {
+  // The model lives in the executor, which outlives every job and so every
+  // body and transfer callback below: they may hold references into it.
+  exec::TaskModel model = [files = std::move(files), per_file_overhead,
+                           channels = std::move(channels),
+                           landed = std::move(landed)](const core::ExecRequest& request) {
+    const std::string& command = request.command;  // "task {#}"
+    const FileEntry& file = files.at(std::stoul(command.substr(command.rfind(' ') + 1)) - 1);
+    exec::SimOutcome outcome;
+    outcome.duration = per_file_overhead;
+    outcome.body = [&file, &channels, &landed](std::function<void()> finish) {
+      auto remaining = std::make_shared<std::size_t>(channels.size());
+      auto drained = [&file, &landed, remaining, finish = std::move(finish)] {
+        if (--*remaining > 0) return;
+        if (landed) landed(file);
+        finish();
+      };
+      for (sim::SharedBandwidth* channel : channels) channel->transfer(file.bytes, drained);
     };
-    src_.data().transfer(pending->bytes, arm_done);
-    dst_.data().transfer(pending->bytes, arm_done);
-  });
-}
-
-void StagingJob::file_done(const FileEntry& file) {
-  ++stats_.files_copied;
-  stats_.bytes_copied += file.bytes;
-  dst_.account_store(file.bytes);
-  if (landed_) landed_(file);
-  pump_stream();
+    return outcome;
+  };
+  return std::make_unique<exec::SimExecutor>(sim, std::move(model));
 }
 
 void delete_files(SimFilesystem& fs, const std::vector<FileEntry>& files,

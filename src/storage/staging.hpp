@@ -1,17 +1,20 @@
 // Staging: rsync-style parallel file copies between filesystems.
 //
 // Models `parallel -jN rsync` (the Fig 7 prefetch step and Sec IV-E's data
-// motion): N worker streams pull files from a queue; each file costs a
-// per-file rsync overhead (process spawn + delta scan + metadata on both
-// ends) plus the data transfer. A transfer occupies both the source and
-// destination channels simultaneously and completes when the slower side
-// finishes — the fluid approximation of a streaming copy.
+// motion) the way GNU Parallel runs it: one exec::SimDriver instance at -jN,
+// a real core::Engine, whose job i copies file i. Each copy costs a per-file
+// rsync overhead (process spawn + delta scan + metadata on both ends), then
+// moves the file's bytes through every channel it crosses at once (source
+// filesystem, node NIC, destination filesystem) and completes when the
+// slowest drains: the fluid approximation of a streaming copy.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "exec/sim_executor.hpp"
+#include "sim/shared_bandwidth.hpp"
 #include "storage/dataset.hpp"
 #include "storage/filesystem.hpp"
 
@@ -22,57 +25,15 @@ struct StagingConfig {
   double per_file_overhead = 0.05;    // rsync spawn + handshake, seconds
 };
 
-struct StagingStats {
-  double start_time = 0.0;
-  double end_time = 0.0;
-  std::size_t files_copied = 0;
-  double bytes_copied = 0.0;
-  double duration() const noexcept { return end_time - start_time; }
-  /// Average achieved throughput in bytes/second.
-  double throughput() const noexcept {
-    double d = duration();
-    return d > 0.0 ? bytes_copied / d : 0.0;
-  }
-};
-
-/// Copies `files` from `src` to `dst` with the configured fan-out; `done`
-/// fires once with the final stats. One-shot object: keep it alive until
-/// `done` runs.
-class StagingJob {
- public:
-  StagingJob(sim::Simulation& sim, SimFilesystem& src, SimFilesystem& dst,
-             std::vector<FileEntry> files, StagingConfig config);
-
-  /// Per-file landing notification: fires the moment each file finishes on
-  /// `dst`, before `done`. This is the dataflow hook — a pipeline can start
-  /// downstream work (satisfy a DependencyTracker token) as soon as the
-  /// bytes it needs are on NVMe, instead of waiting for the whole staging
-  /// job. Set before run().
-  void on_file_landed(std::function<void(const FileEntry&)> landed) {
-    landed_ = std::move(landed);
-  }
-
-  void run(std::function<void(const StagingStats&)> done);
-
-  const StagingStats& stats() const noexcept { return stats_; }
-
- private:
-  void pump_stream();
-  void copy_one(FileEntry file);
-  void file_done(const FileEntry& file);
-
-  sim::Simulation& sim_;
-  SimFilesystem& src_;
-  SimFilesystem& dst_;
-  std::vector<FileEntry> queue_;
-  StagingConfig config_;
-  StagingStats stats_;
-  std::function<void(const FileEntry&)> landed_;
-  std::function<void(const StagingStats&)> done_;
-  std::size_t next_file_ = 0;
-  std::size_t active_streams_ = 0;
-  bool started_ = false;
-};
+/// The executor for one rsync fan-out over `files`: run it as one SimDriver
+/// instance of files.size() tasks. Job i (its `{#}`) copies files[i-1]. It
+/// takes `per_file_overhead`, then moves the file's bytes through all of
+/// `channels` at once and ends when the slowest drains. `landed`, when set,
+/// runs as each file lands, just before its job ends.
+std::unique_ptr<exec::SimExecutor> rsync_executor(
+    sim::Simulation& sim, std::vector<FileEntry> files, double per_file_overhead,
+    std::vector<sim::SharedBandwidth*> channels,
+    std::function<void(const FileEntry&)> landed = {});
 
 /// Deletes `files` from `fs` (the pipeline's evict step), releasing their
 /// space; `done` fires when all unlinks finish.

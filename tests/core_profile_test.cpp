@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -86,6 +88,29 @@ TEST(Profile, FromJoblogEntries) {
   ParallelProfile profile = profile_joblog(entries);
   EXPECT_DOUBLE_EQ(profile.span, 15.0);
   EXPECT_EQ(profile.peak_concurrency, 2u);
+}
+
+TEST(Profile, JoblogRoundingKeepsBackToBackJobsApart) {
+  // The second job starts 0.2 ms after the first ends. Rounded apart, the
+  // first one's Starttime + JobRuntime would read 1.001 and overlap it.
+  std::string path = ::testing::TempDir() + "parcl_profile_rounding.tsv";
+  std::remove(path.c_str());
+  {
+    JoblogWriter writer(path);
+    JobResult first;
+    first.seq = 1;
+    first.start_time = 0.4996;
+    first.end_time = 1.0002;
+    JobResult second;
+    second.seq = 2;
+    second.start_time = 1.0004;
+    second.end_time = 1.5;
+    writer.record(first, kLocalHost);
+    writer.record(second, kLocalHost);
+  }
+  ParallelProfile profile = profile_joblog(read_joblog(path));
+  EXPECT_EQ(profile.peak_concurrency, 1u);
+  std::remove(path.c_str());
 }
 
 TEST(Profile, RenderShowsBars) {

@@ -25,6 +25,20 @@ TEST(DtnTransfer, ParallelBeatsSequentialByOrders) {
   EXPECT_LT(speedup, 400.0);
 }
 
+TEST(DtnTransfer, DurationsMatchPinnedValues) {
+  // Values from the hand-written per-node stream pools the engine fan-outs
+  // replaced; the port must not move them.
+  DtnSpec spec;
+  DtnTransfer dtn(spec);
+  storage::Dataset dataset = small_archive();
+  auto expect_pinned = [](double actual, double expected) {
+    EXPECT_NEAR(actual, expected, 1e-9 * expected);
+  };
+  expect_pinned(dtn.run_parallel(dataset).duration, 821.66561450566201);
+  expect_pinned(dtn.run_sequential(dataset).duration, 167177.21530913198);
+  expect_pinned(dtn.run_wms_protocol(dataset).duration, 23272.936563979503);
+}
+
 TEST(DtnTransfer, ParallelBeatsWmsProtocolByTenX) {
   DtnSpec spec;
   DtnTransfer dtn(spec);

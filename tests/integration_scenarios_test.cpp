@@ -105,9 +105,7 @@ TEST(Scenario, DarshanPipelineAndAnalyzerAgree) {
     config.datasets.push_back(storage::Dataset::uniform("d" + std::to_string(d), 50, 1e6));
   }
   storage::PipelineRunner runner(sim, lustre, nvme, config);
-  storage::PipelineReport pipeline;
-  runner.run([&](const storage::PipelineReport& r) { pipeline = r; });
-  sim.run();
+  storage::PipelineReport pipeline = runner.run();
   EXPECT_NEAR(pipeline.makespan, 100.0 + 2 * 60.0, 1.0);
   EXPECT_GT(pipeline.improvement_percent(), 20.0);
 }

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "exec/sim_driver.hpp"
 #include "storage/dataset.hpp"
 #include "storage/filesystem.hpp"
 #include "storage/pipeline.hpp"
@@ -75,6 +81,31 @@ TEST(Dataset, StripingCoversEveryFileExactlyOnce) {
   EXPECT_LE(hi - lo, 1u);
 }
 
+core::Options jobs_option(std::size_t jobs) {
+  core::Options options;
+  options.jobs = jobs;
+  return options;
+}
+
+/// Runs one rsync fan-out at -j`streams` from `src` to `dst` and returns
+/// its makespan.
+double run_fanout(sim::Simulation& sim, SimFilesystem& src, SimFilesystem& dst,
+                  const std::vector<FileEntry>& files, std::size_t streams,
+                  double per_file_overhead,
+                  std::function<void(const FileEntry&)> landed = {}) {
+  exec::SimDriver driver(sim, jobs_option(streams));
+  double makespan = -1.0;
+  driver.add(
+      0.0, files.size(),
+      [&] {
+        return rsync_executor(sim, files, per_file_overhead, {&src.data(), &dst.data()},
+                              landed);
+      },
+      [&](const core::RunSummary& summary) { makespan = summary.makespan; });
+  driver.run();
+  return makespan;
+}
+
 TEST(Staging, CopiesEverythingAndReportsThroughput) {
   sim::Simulation sim;
   FilesystemSpec fast;
@@ -82,16 +113,19 @@ TEST(Staging, CopiesEverythingAndReportsThroughput) {
   SimFilesystem src(sim, fast);
   SimFilesystem dst(sim, fast);
   Dataset dataset = Dataset::uniform("d", 64, 1e6);
-  StagingConfig config;
-  config.parallel_streams = 8;
-  config.per_file_overhead = 0.01;
-  StagingJob job(sim, src, dst, dataset.files, config);
-  StagingStats final_stats;
-  job.run([&](const StagingStats& stats) { final_stats = stats; });
-  sim.run();
-  EXPECT_EQ(final_stats.files_copied, 64u);
-  EXPECT_DOUBLE_EQ(final_stats.bytes_copied, 64e6);
-  EXPECT_GT(final_stats.throughput(), 0.0);
+  std::size_t landed = 0;
+  double landed_bytes = 0.0;
+  double makespan = run_fanout(sim, src, dst, dataset.files, 8, 0.01,
+                               [&](const FileEntry& file) {
+                                 ++landed;
+                                 landed_bytes += file.bytes;
+                               });
+  EXPECT_EQ(landed, 64u);
+  EXPECT_DOUBLE_EQ(landed_bytes, 64e6);
+  EXPECT_DOUBLE_EQ(dst.bytes_moved(), 64e6);
+  EXPECT_DOUBLE_EQ(src.bytes_moved(), 64e6);
+  EXPECT_DOUBLE_EQ(makespan, sim.now());
+  EXPECT_GT(dst.bytes_moved() / makespan, 0.0);
 }
 
 TEST(Staging, MoreStreamsFinishFasterOnOverheadBoundWork) {
@@ -102,13 +136,7 @@ TEST(Staging, MoreStreamsFinishFasterOnOverheadBoundWork) {
     SimFilesystem src(sim, fast);
     SimFilesystem dst(sim, fast);
     Dataset dataset = Dataset::uniform("d", 320, 1e3);  // tiny files
-    StagingConfig config;
-    config.parallel_streams = streams;
-    config.per_file_overhead = 0.05;
-    StagingJob job(sim, src, dst, dataset.files, config);
-    job.run([](const StagingStats&) {});
-    sim.run();
-    return sim.now();
+    return run_fanout(sim, src, dst, dataset.files, streams, 0.05);
   };
   double serial = run_with_streams(1);
   double wide = run_with_streams(32);
@@ -119,14 +147,58 @@ TEST(Staging, EmptyFileListCompletesImmediately) {
   sim::Simulation sim;
   SimFilesystem src(sim, FilesystemSpec::lustre());
   SimFilesystem dst(sim, FilesystemSpec::nvme());
-  StagingJob job(sim, src, dst, {}, StagingConfig{});
-  bool done = false;
-  job.run([&](const StagingStats& stats) {
-    done = true;
-    EXPECT_EQ(stats.files_copied, 0u);
+  std::size_t landed = 0;
+  double makespan = run_fanout(sim, src, dst, {}, 32, 0.05,
+                               [&](const FileEntry&) { ++landed; });
+  EXPECT_DOUBLE_EQ(makespan, 0.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+  EXPECT_EQ(landed, 0u);
+  EXPECT_DOUBLE_EQ(dst.bytes_moved(), 0.0);
+}
+
+TEST(Staging, OneStreamLandsFilesInInputOrderOnce) {
+  sim::Simulation sim;
+  FilesystemSpec fast;
+  fast.bandwidth = 1e6;
+  SimFilesystem src(sim, fast);
+  SimFilesystem dst(sim, fast);
+  util::Rng rng(9);
+  Dataset dataset = Dataset::lognormal("d", 50, 1e5, 1.0, rng);
+  std::vector<std::string> landed;
+  run_fanout(sim, src, dst, dataset.files, 1, 0.01,
+             [&](const FileEntry& file) { landed.push_back(file.path); });
+  std::vector<std::string> expected;
+  for (const FileEntry& file : dataset.files) expected.push_back(file.path);
+  EXPECT_EQ(landed, expected);
+}
+
+TEST(Staging, NeverMoreCopiesInFlightThanStreams) {
+  // A copy is in flight from its job's start until it lands; the engine
+  // starts the next one only after reaping a landed copy, so the count just
+  // before each landing is the peak since the previous one.
+  sim::Simulation sim;
+  FilesystemSpec fast;
+  fast.bandwidth = 1e6;
+  SimFilesystem src(sim, fast);
+  SimFilesystem dst(sim, fast);
+  util::Rng rng(13);
+  Dataset dataset = Dataset::lognormal("d", 200, 1e5, 1.5, rng);
+  exec::SimDriver driver(sim, jobs_option(6));
+  exec::SimExecutor* executor = nullptr;
+  std::size_t peak = 0;
+  std::size_t landed = 0;
+  driver.add(0.0, dataset.files.size(), [&] {
+    auto fanout = rsync_executor(sim, dataset.files, 0.01, {&src.data(), &dst.data()},
+                                 [&](const FileEntry&) {
+                                   ++landed;
+                                   peak = std::max(peak, executor->active_count());
+                                 });
+    executor = fanout.get();
+    return fanout;
   });
-  sim.run();
-  EXPECT_TRUE(done);
+  driver.run();
+  EXPECT_EQ(landed, 200u);
+  EXPECT_EQ(peak, 6u);
 }
 
 TEST(DeleteFiles, CountsUnlinksAndFreesSpace) {
@@ -162,8 +234,7 @@ TEST(PipelineFootprint, EvictionBoundsNvmeUsage) {
     config.datasets.push_back(Dataset::uniform("d" + std::to_string(d), 100, 1000.0));
   }
   PipelineRunner runner(sim, lustre, nvme, config);
-  runner.run([](const PipelineReport&) {});
-  sim.run();
+  runner.run();
   EXPECT_LE(nvme.peak_bytes_stored(), 2.0 * dataset_bytes + 1.0);
   EXPECT_GE(nvme.peak_bytes_stored(), dataset_bytes);
 }
@@ -192,9 +263,7 @@ TEST_F(PipelineFixture, ReproducesPaperArithmetic) {
   SimFilesystem lustre(sim, FilesystemSpec::lustre());
   SimFilesystem nvme(sim, FilesystemSpec::nvme());
   PipelineRunner runner(sim, lustre, nvme, make_config(5));
-  PipelineReport report;
-  runner.run([&](const PipelineReport& r) { report = r; });
-  sim.run();
+  PipelineReport report = runner.run();
   ASSERT_EQ(report.stages.size(), 5u);
   EXPECT_EQ(report.stages[0].processed_from, "lustre");
   EXPECT_EQ(report.stages[1].processed_from, "nvme");
@@ -212,9 +281,7 @@ TEST_F(PipelineFixture, SlowCopyExtendsStage) {
   SimFilesystem nvme(sim, FilesystemSpec::nvme());
   PipelineConfig config = make_config(2);
   PipelineRunner runner(sim, lustre, nvme, config);
-  PipelineReport report;
-  runner.run([&](const PipelineReport& r) { report = r; });
-  sim.run();
+  PipelineReport report = runner.run();
   // Stage 1 takes copy time (1e5 B / 10 B/s = 1e4 s) > 86 min.
   EXPECT_GT(report.stages[0].duration(), 86.0 * 60.0);
   EXPECT_GT(report.stages[0].copy_seconds, 86.0 * 60.0);
@@ -225,9 +292,7 @@ TEST_F(PipelineFixture, StageReportsAreContiguous) {
   SimFilesystem lustre(sim, FilesystemSpec::lustre());
   SimFilesystem nvme(sim, FilesystemSpec::nvme());
   PipelineRunner runner(sim, lustre, nvme, make_config(4));
-  PipelineReport report;
-  runner.run([&](const PipelineReport& r) { report = r; });
-  sim.run();
+  PipelineReport report = runner.run();
   for (std::size_t s = 1; s < report.stages.size(); ++s) {
     EXPECT_DOUBLE_EQ(report.stages[s].start_time, report.stages[s - 1].end_time);
   }
@@ -243,19 +308,20 @@ TEST_F(PipelineFixture, RejectsBadConfig) {
   PipelineConfig bad = make_config(2);
   bad.prefetch_depth = 0;
   EXPECT_THROW(PipelineRunner(sim, lustre, nvme, bad), util::ConfigError);
-  PipelineConfig dup = make_config(2);
-  dup.datasets[1].name = dup.datasets[0].name;
-  EXPECT_THROW(PipelineRunner(sim, lustre, nvme, dup), util::ConfigError);
+  PipelineConfig no_streams = make_config(2);
+  no_streams.staging.parallel_streams = 0;  // -j0 would be one per CPU
+  EXPECT_THROW(PipelineRunner(sim, lustre, nvme, no_streams), util::ConfigError);
+  PipelineConfig negative = make_config(2);
+  negative.staging.per_file_overhead = -0.01;
+  EXPECT_THROW(PipelineRunner(sim, lustre, nvme, negative), util::ConfigError);
 }
 
 double run_pipeline(PipelineConfig config, double* nvme_peak = nullptr) {
   sim::Simulation sim;
   SimFilesystem lustre(sim, FilesystemSpec::lustre());
   SimFilesystem nvme(sim, FilesystemSpec::nvme());
-  PipelineReport report;
   PipelineRunner runner(sim, lustre, nvme, std::move(config));
-  runner.run([&](const PipelineReport& r) { report = r; });
-  sim.run();
+  PipelineReport report = runner.run();
   if (nvme_peak != nullptr) *nvme_peak = nvme.peak_bytes_stored();
   return report.makespan;
 }
@@ -289,6 +355,70 @@ TEST_F(PipelineFixture, OverlapModeBeatsBarrierWhenCopiesAreSlow) {
   double barrier = run_pipeline(slow_config(false));
   double overlap = run_pipeline(slow_config(true));
   EXPECT_LT(overlap, 0.9 * barrier);
+}
+
+TEST_F(PipelineFixture, SlowCopyStageReportsMatchPinnedValues) {
+  // Copies about as long as a stage (100 files x 1.68e11 B = 4200 s at
+  // NVMe's 4 GB/s ingest), in both modes at both depths. Values from the
+  // hand-written stream pool the engine fan-outs replaced; the port must not
+  // move them.
+  struct Stage {
+    double start, end, copy;
+  };
+  struct Pinned {
+    bool overlap;
+    std::size_t depth;
+    double makespan;
+    std::vector<Stage> stages;
+  };
+  const std::vector<Pinned> pinned = {
+      {false, 1, 17640.080000000002,
+       {{0, 5160, 4200.0400000000009},
+        {5160, 9360.0400000000009, 4200.0400000000009},
+        {9360.0400000000009, 13560.080000000002, 4200.0400000000009},
+        {13560.080000000002, 17640.080000000002, 0}}},
+      {false, 2, 20760.080000000002,
+       {{0, 8400.0400000000009, 8400.0400000000009},
+        {8400.0400000000009, 12600.080000000002, 4200.0400000000009},
+        {12600.080000000002, 16680.080000000002, 0},
+        {16680.080000000002, 20760.080000000002, 0}}},
+      {true, 1, 17520.04199999995,
+       {{0, 5160, 4200.0400000000009},
+        {5160, 9240, 4200.0400000000009},
+        {9240, 13320, 4200.0400000000009},
+        {13440.04199999995, 17520.04199999995, 0}}},
+      {true, 2, 17400,
+       {{0, 5160, 4200.0400000000009},
+        {5160, 9240, 4200.0400000000009},
+        {9240, 13320, 0},
+        {13320, 17400, 0}}},
+  };
+  auto expect_pinned = [](double actual, double expected) {
+    EXPECT_NEAR(actual, expected, 1e-9 * expected);
+  };
+  for (const Pinned& run : pinned) {
+    SCOPED_TRACE(std::string(run.overlap ? "overlap" : "barrier") + " depth " +
+                 std::to_string(run.depth));
+    PipelineConfig config = make_config(4);
+    for (auto& dataset : config.datasets) {
+      for (auto& file : dataset.files) file.bytes = 1.68e11;
+    }
+    config.prefetch_depth = run.depth;
+    config.overlap = run.overlap;
+    sim::Simulation sim;
+    SimFilesystem lustre(sim, FilesystemSpec::lustre());
+    SimFilesystem nvme(sim, FilesystemSpec::nvme());
+    PipelineReport report = PipelineRunner(sim, lustre, nvme, std::move(config)).run();
+    expect_pinned(report.makespan, run.makespan);
+    ASSERT_EQ(report.stages.size(), run.stages.size());
+    for (std::size_t s = 0; s < run.stages.size(); ++s) {
+      expect_pinned(report.stages[s].start_time, run.stages[s].start);
+      expect_pinned(report.stages[s].end_time, run.stages[s].end);
+      expect_pinned(report.stages[s].copy_seconds, run.stages[s].copy);
+    }
+    EXPECT_EQ(lustre.metadata_ops(), 300u);
+    EXPECT_EQ(nvme.metadata_ops(), 500u);
+  }
 }
 
 TEST_F(PipelineFixture, OverlapModeKeepsEvictionFootprintBound) {
