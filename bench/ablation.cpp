@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <iostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -16,6 +17,7 @@
 #include "exec/sim_driver.hpp"
 #include "slurm/driver.hpp"
 #include "storage/pipeline.hpp"
+#include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
@@ -57,10 +59,16 @@ void ablation_slots() {
   std::cout << "  free-list keeps all short lanes busy; {%} stays within 1..8\n\n";
 }
 
-// A2: -k buffering cost in the real engine with in-process tasks.
+// A2: -k buffering cost in the real engine with in-process tasks. One run
+// per mode can swing by 2x on a shared host, so the modes alternate over
+// several runs and the verdict comes from their medians and quartiles.
 void ablation_keep_order() {
-  std::cout << "A2: keep-order (-k) overhead, 2000 in-process tasks, 8 slots\n";
-  auto run_mode = [](core::OutputMode mode) {
+  constexpr int kRuns = 9;
+  constexpr int kTasks = 2000;
+  std::cout << "A2: keep-order (-k) overhead, " << kTasks
+            << " in-process tasks, 8 slots, " << kRuns
+            << " alternating runs per mode\n";
+  auto us_per_task = [](core::OutputMode mode) {
     auto task = [](const core::ExecRequest& request) {
       exec::TaskOutcome outcome;
       outcome.stdout_data = request.command + "\n";
@@ -73,19 +81,39 @@ void ablation_keep_order() {
     std::ostringstream out, err;
     core::Engine engine(options, executor, out, err);
     std::vector<core::ArgVector> inputs;
-    for (int i = 0; i < 2000; ++i) inputs.push_back({std::to_string(i)});
+    for (int i = 0; i < kTasks; ++i) inputs.push_back({std::to_string(i)});
     util::Stopwatch watch;
     engine.run("echo {}", std::move(inputs));
-    return watch.elapsed_seconds();
+    return watch.elapsed_seconds() / kTasks * 1e6;
   };
-  double grouped = run_mode(core::OutputMode::kGroup);
-  double keep_order = run_mode(core::OutputMode::kKeepOrder);
-  util::Table table({"mode", "wall_s", "per_task_us"});
-  table.add_row({"--group", util::format_double(grouped, 3),
-                 util::format_double(grouped / 2000 * 1e6, 1)});
-  table.add_row({"-k", util::format_double(keep_order, 3),
-                 util::format_double(keep_order / 2000 * 1e6, 1)});
-  std::cout << table.render() << "  -k costs only buffering, not throughput\n\n";
+  std::vector<double> grouped, keep_order;
+  for (int run = 0; run < kRuns; ++run) {
+    // Each mode goes first in every other run.
+    if (run % 2 == 0) grouped.push_back(us_per_task(core::OutputMode::kGroup));
+    keep_order.push_back(us_per_task(core::OutputMode::kKeepOrder));
+    if (run % 2 != 0) grouped.push_back(us_per_task(core::OutputMode::kGroup));
+  }
+  const util::BoxStats g = util::box_stats(grouped);
+  const util::BoxStats k = util::box_stats(keep_order);
+  util::Table table({"mode", "median_us_per_task", "q1", "q3", "min", "max"});
+  for (const auto& [name, box] : {std::pair{"--group", g}, std::pair{"-k", k}}) {
+    table.add_row({name, util::format_double(box.median, 1),
+                   util::format_double(box.q1, 1), util::format_double(box.q3, 1),
+                   util::format_double(box.min, 1), util::format_double(box.max, 1)});
+  }
+  const std::string ratio = util::format_double(k.median / g.median, 2) + "x";
+  std::cout << table.render() << "  ";
+  if (k.q1 > g.q3) {
+    std::cout << "-k is slower: its quartiles lie above --group's (median " << ratio
+              << ")";
+  } else if (k.q3 < g.q1) {
+    std::cout << "-k is faster: its quartiles lie below --group's (median " << ratio
+              << ")";
+  } else {
+    std::cout << "-k costs no measurable throughput: the quartile ranges overlap (median "
+              << ratio << ")";
+  }
+  std::cout << "\n\n";
 }
 
 // A3: striped vs block distribution when task cost grows with line index

@@ -734,7 +734,12 @@ struct Engine::Run {
     return true;
   }
 
+  // Executor-clock instant by which the loop must step again; < 0 when only
+  // a completion or new work can give it something to do.
+  double wake_at = -1.0;
+
   Step step(double max_wait) {
+    wake_at = -1.0;
     // Phase 0: observe termination signals and drive --termseq escalation.
     if (signals_ != nullptr) {
       signals_->poll();
@@ -960,6 +965,7 @@ struct Engine::Run {
       // Nothing running and nothing gating: step again to start more.
       return Step::kWaited;
     }
+    if (wait >= 0.0) wake_at = now + wait;
     if (max_wait >= 0.0) cap_wait(max_wait);
 
     std::optional<ExecResult> completion = executor_.wait_any(wait);
@@ -1257,5 +1263,14 @@ void Engine::kill_running(bool force) {
 }
 
 bool Engine::pressure_allows_start() { return run_->scheduler.pressure_allows_start(); }
+
+int Engine::wait_fd() const {
+  return run_ && !run_->active.empty() ? executor_.readiness_fd() : -1;
+}
+
+double Engine::wait_seconds() const {
+  if (!run_ || run_->wake_at < 0.0) return -1.0;
+  return std::max(0.0, run_->wake_at - executor_.now());
+}
 
 }  // namespace parcl::core

@@ -107,6 +107,15 @@ class Engine {
   void kill_running(bool force);
   /// The run's --memfree/--load probe (Scheduler::pressure_allows_start).
   bool pressure_allows_start();
+  /// For a caller that polls its own fds between step()s: the executor's
+  /// readiness fd while attempts are in flight (else, or when it has none,
+  /// -1), and the seconds until the loop must step again. That is the last
+  /// step()'s wait before `max_wait` capped it: timeouts, the --delay gate,
+  /// retry backoff, the pressure recheck and --termseq. < 0: only when the
+  /// fd polls readable or new work arrives. With attempts in flight and no
+  /// fd, the caller bounds its own sleep.
+  int wait_fd() const;
+  double wait_seconds() const;
 
  private:
   struct Run;  // one run's loop state (engine.cpp)

@@ -1,7 +1,8 @@
 // Executor: where composed jobs actually run.
 //
 // The engine is single-threaded and executor-agnostic. It starts jobs,
-// blocks in wait_any() for the next completion, and reads time through the
+// blocks in wait_any() for the next completion (or lets its caller poll the
+// executor's readiness_fd() beside other fds), and reads time through the
 // executor's clock — so the same engine drives real child processes
 // (exec::LocalExecutor), in-process functions (exec::FunctionExecutor), and
 // discrete-event simulations (exec::SimExecutor) without change.
@@ -114,6 +115,13 @@ class Executor {
   /// Elastic backends report their live (non-removed, non-draining) host
   /// count; the default 1 means "this backend never runs out of hosts".
   virtual std::size_t live_host_count() const { return 1; }
+
+  /// An fd a caller may poll(2) for readable instead of sleeping in
+  /// wait_any(), or -1 (the default) when the backend has none. Once
+  /// wait_any(0) has returned nullopt, the fd polls readable whenever a
+  /// later wait_any(0) has work to do: a completion to return, or an event
+  /// to handle. It may also poll readable with nothing to do.
+  virtual int readiness_fd() const { return -1; }
 
   /// Jobs started but not yet returned by wait_any().
   virtual std::size_t active_count() const = 0;

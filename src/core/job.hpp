@@ -67,10 +67,10 @@ struct DispatchCounters {
   double spawn_seconds = 0.0;      // parent-side compose+spawn time
   std::uint64_t reaps = 0;         // children reaped (waitpid successes)
   std::uint64_t reap_sweeps = 0;   // fallback whole-table waitpid sweeps
-  std::uint64_t polls = 0;         // poll() syscalls issued by wait_any()
-  std::uint64_t poll_events = 0;   // fd events dispatched across all polls
-  std::uint64_t exit_wakeups = 0;  // polls woken by a child-exit event
-  double poll_wait_seconds = 0.0;  // time blocked inside poll()
+  std::uint64_t polls = 0;         // epoll_wait() calls issued by wait_any()
+  std::uint64_t poll_events = 0;   // fd events dispatched across all waits
+  std::uint64_t exit_wakeups = 0;  // waits woken by a child-exit event
+  double poll_wait_seconds = 0.0;  // time blocked inside epoll_wait()
   std::uint64_t deferred = 0;      // dispatch rounds deferred by --memfree/--load
   std::uint64_t drained = 0;       // jobs allowed to finish during a signal drain
   std::uint64_t escalated = 0;     // kill signals sent by --termseq escalation
@@ -89,7 +89,7 @@ struct DispatchCounters {
   /// Mean parent-side cost of one spawn, microseconds (0 when no spawns).
   double mean_spawn_us() const noexcept;
 
-  /// Events dispatched per poll syscall (batching factor; 0 when no polls).
+  /// Events dispatched per epoll_wait (batching factor; 0 when no waits).
   double events_per_poll() const noexcept;
 
   /// Multi-line human-readable summary.

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -523,26 +524,10 @@ class ServiceLoop {
 
   int run(SignalCoordinator& signals) {
     while (true) {
-      int signal_count = signals.poll();
-      if (signal_count >= 1 && !core_.draining()) {
-        // Drain phase 1: stop admitting (listeners close, submits reject),
-        // let in-flight work finish; queued work stays journaled as the
-        // restart checkpoint.
-        std::cerr << "parcl: --server draining ("
-                  << core_.running_count() << " running, "
-                  << core_.queued_count() << " queued checkpointed)\n";
-        core_.begin_drain();
-        for (int fd : listeners_) ::close(fd);
-        listeners_.clear();
-        for (auto& connection : connections_) {
-          if (connection->hello_done) send(*connection, transport::encode_drain());
-        }
-      }
-      if (signal_count >= 2 && !killed_) {
-        // Drain phase 2: stop waiting, kill in-flight (deaths still ledger).
-        killed_ = true;
-        core_.kill_running(/*force=*/true);
-      }
+      core_.step(0.0);
+      pump_events();
+      flush_all();
+      sweep();
       if (core_.draining() && core_.running_count() == 0) {
         for (auto& connection : connections_) {
           if (connection->hello_done) send(*connection, transport::encode_bye());
@@ -554,44 +539,73 @@ class ServiceLoop {
         drain_outbufs(kShutdownFlushTimeout);
         return 0;
       }
-
-      poll_once();
-      core_.step(0.0);
-      pump_events();
-      sweep();
+      if (poll_once(signals.fd())) on_signals(signals.poll());
     }
   }
 
  private:
-  void poll_once() {
+  void on_signals(int signal_count) {
+    if (signal_count >= 1 && !core_.draining()) {
+      // Drain phase 1: stop admitting (listeners close, submits reject),
+      // let in-flight work finish; queued work stays journaled as the
+      // restart checkpoint.
+      std::cerr << "parcl: --server draining (" << core_.running_count()
+                << " running, " << core_.queued_count() << " queued checkpointed)\n";
+      core_.begin_drain();
+      for (int fd : listeners_) ::close(fd);
+      listeners_.clear();
+      for (auto& connection : connections_) {
+        if (connection->hello_done) send(*connection, transport::encode_drain());
+      }
+    }
+    if (signal_count >= 2 && !killed_) {
+      // Drain phase 2: stop waiting, kill in-flight (deaths still ledger).
+      killed_ = true;
+      core_.kill_running(/*force=*/true);
+    }
+  }
+
+  /// One poll(2) over the signal pipe, the executor's readiness fd, the
+  /// listeners and the connections. It sleeps until one of them is ready or
+  /// the engine's next deadline (a timeout, the --delay gate, a retry's
+  /// backoff) or a CLIENT_HELLO deadline passes; with neither, it blocks.
+  /// Returns whether a signal may have arrived.
+  bool poll_once(int signal_fd) {
     std::vector<pollfd> fds;
-    fds.reserve(listeners_.size() + connections_.size());
+    fds.reserve(2 + listeners_.size() + connections_.size());
+    fds.push_back({signal_fd, POLLIN, 0});
+    fds.push_back({core_.wait_fd(), POLLIN, 0});  // -1: nothing running
     for (int fd : listeners_) fds.push_back({fd, POLLIN, 0});
+    double wait = core_.wait_seconds();
+    const double t = now();
     for (auto& connection : connections_) {
       short events = connection->closing ? 0 : POLLIN;
       if (!connection->outbuf.empty()) events |= POLLOUT;
       fds.push_back({connection->fd, events, 0});
+      if (!connection->hello_done) {
+        double until = std::max(0.0, connection->opened_at + kHelloTimeout - t);
+        wait = wait < 0.0 ? until : std::min(wait, until);
+      }
     }
-    // Short timeout while jobs run or wait out a --delay or pressure gate
-    // (completions and gates are the loop's, not a socket's); long-poll
-    // when idle.
-    int timeout_ms = core_.idle() ? 100 : 5;
+    int timeout_ms =
+        wait < 0.0 ? -1 : static_cast<int>(std::min(std::ceil(wait * 1e3), 3.6e6));
     int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0) {
-      if (errno == EINTR) return;
+      if (errno == EINTR) return true;
       throw util::SystemError("poll", errno);
     }
     // accept_all() grows connections_, but fds only covers the pre-poll
     // list — iterate that many by index (the vector may also reallocate)
     // and let freshly accepted connections wait for the next poll pass.
     const std::size_t polled = connections_.size();
-    std::size_t index = 0;
+    std::size_t index = 2;  // past the signal pipe and the executor
     for (int fd : listeners_) {
       if (fds[index++].revents & POLLIN) accept_all(fd);
     }
     for (std::size_t i = 0; i < polled; ++i) {
       Connection& connection = *connections_[i];
       short revents = fds[index++].revents;
+      if (revents == 0) continue;
       if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
         if (!(revents & POLLIN)) {  // HUP with pending bytes: read them first
           drop(connection, /*orphaned=*/!connection.clean_bye);
@@ -599,8 +613,11 @@ class ServiceLoop {
         }
       }
       if ((revents & POLLIN) && !connection.closing) read_frames(connection);
-      if ((revents & POLLOUT) && connection.fd >= 0) flush_writes(connection);
+      // Acks leave as soon as their frames are read: the journal writes
+      // they confirm are already on disk.
+      if (connection.fd >= 0 && !connection.outbuf.empty()) flush_writes(connection);
     }
+    return (fds[0].revents & POLLIN) != 0;
   }
 
   void accept_all(int listener) {
@@ -765,10 +782,16 @@ class ServiceLoop {
     send(connection, transport::encode_reject(frame));
   }
 
+  /// Queues a frame. Acks go out once their SUBMIT frames are read, and
+  /// the rest with the pass: one write per connection (flush_all).
   void send(Connection& connection, const std::string& encoded) {
-    if (connection.fd < 0) return;
-    connection.outbuf += encoded;
-    flush_writes(connection);
+    if (connection.fd >= 0) connection.outbuf += encoded;
+  }
+
+  void flush_all() {
+    for (auto& connection : connections_) {
+      if (connection->fd >= 0 && !connection->outbuf.empty()) flush_writes(*connection);
+    }
   }
 
   void flush_writes(Connection& connection) {

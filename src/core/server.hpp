@@ -29,7 +29,9 @@
 //
 // ServerCore is the socket-free heart (deterministic tests and the bench
 // drive it directly, against a FunctionExecutor); the poll()-based socket
-// front end lives in server.cpp behind run_server().
+// front end lives in server.cpp behind run_server(). That loop sleeps in one
+// poll(2) over its sockets, the signal pipe and the executor's readiness fd,
+// until a frame, a signal, a job exit or the engine's next deadline.
 #pragma once
 
 #include <cstdint>
@@ -240,6 +242,13 @@ class ServerCore : private LiveSource {
 
   /// Drains finished-job events accumulated by step().
   std::vector<TenantEvent> take_events();
+
+  /// What step() would wait on, for a caller that polls its own fds
+  /// instead (Engine::wait_fd / wait_seconds): the executor's readiness fd,
+  /// and the seconds until step() must run again (< 0: only when that fd
+  /// polls readable or a submit arrives).
+  int wait_fd() const { return engine_.wait_fd(); }
+  double wait_seconds() const { return engine_.wait_seconds(); }
 
   /// Phase 1 of the two-phase drain: stop admitting (submits reject
   /// kDraining), keep finishing in-flight work. Queued-but-unstarted jobs

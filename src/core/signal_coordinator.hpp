@@ -5,7 +5,8 @@
 // through --termseq (e.g. TERM,200,KILL) to every live process group. The
 // coordinator implements the async-signal-safe half of that contract with a
 // self-pipe: the handler only writes the signal number to a non-blocking
-// pipe, and the engine's wait loop calls poll() to observe what arrived.
+// pipe, and the engine's wait loop calls poll() to observe what arrived (a
+// loop that polls fds can wait on fd() and call poll() when it is readable).
 // Tests drive the same path synthetically through notify(), so drain and
 // escalation semantics are exercised without delivering real signals.
 #pragma once
@@ -50,6 +51,11 @@ class SignalCoordinator {
   /// Drains the self-pipe and returns the total number of termination
   /// signals observed so far. Called from the engine's wait loop.
   int poll() noexcept;
+
+  /// The self-pipe's read end: polls readable once a signal has arrived
+  /// that poll() has not read yet, so a loop that polls its own fds can
+  /// wait on it too.
+  int fd() const noexcept { return pipe_fds_[0]; }
 
   /// Signals observed so far (as of the last poll()).
   int count() const noexcept { return count_; }

@@ -1,8 +1,13 @@
 #include "exec/function_executor.hpp"
 
-#include <chrono>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <csignal>
+
+#include "util/error.hpp"
 
 namespace parcl::exec {
 
@@ -15,9 +20,15 @@ double monotonic_seconds() {
 }  // namespace
 
 FunctionExecutor::FunctionExecutor(TaskFn task, std::size_t threads)
-    : task_(std::move(task)), pool_(threads), epoch_(monotonic_seconds()) {}
+    : task_(std::move(task)), pool_(threads), epoch_(monotonic_seconds()) {
+  ready_fd_ = eventfd(0, EFD_SEMAPHORE | EFD_NONBLOCK | EFD_CLOEXEC);
+  if (ready_fd_ < 0) throw util::SystemError("eventfd", errno);
+}
 
-FunctionExecutor::~FunctionExecutor() { pool_.wait_idle(); }
+FunctionExecutor::~FunctionExecutor() {
+  pool_.wait_idle();
+  close(ready_fd_);
+}
 
 double FunctionExecutor::now() const { return monotonic_seconds() - epoch_; }
 
@@ -54,6 +65,8 @@ void FunctionExecutor::start(const core::ExecRequest& request) {
         kill_signals_.erase(it);
       }
     }
+    // Count before queueing, so a pop always finds its count to take.
+    eventfd_write(ready_fd_, 1);
     completions_.push(std::move(result));
   });
 }
@@ -72,6 +85,8 @@ std::optional<core::ExecResult> FunctionExecutor::wait_any(double timeout_second
     result = completions_.pop_for(timeout_seconds);
   }
   if (result) {
+    eventfd_t count = 0;
+    eventfd_read(ready_fd_, &count);  // takes one: EFD_SEMAPHORE
     std::lock_guard<std::mutex> lock(mutex_);
     --active_;
   }

@@ -41,6 +41,11 @@ class FunctionExecutor final : public core::Executor {
   void kill(std::uint64_t job_id, bool force) override;
   std::size_t active_count() const override;
   double now() const override;
+  /// An eventfd (EFD_SEMAPHORE) holding one count per queued completion,
+  /// so it polls readable while wait_any(0) would return one. A worker
+  /// counts just before it queues: the fd may turn readable a moment
+  /// early, never late.
+  int readiness_fd() const override { return ready_fd_; }
 
  private:
   TaskFn task_;
@@ -50,6 +55,7 @@ class FunctionExecutor final : public core::Executor {
   std::map<std::uint64_t, int> kill_signals_;  // job_id -> pending signal
   std::size_t active_ = 0;
   double epoch_;
+  int ready_fd_ = -1;
 };
 
 }  // namespace parcl::exec

@@ -1,15 +1,14 @@
 #include "exec/local_executor.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
+#include <sys/epoll.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/syscall.h>
-#endif
 
 #include <algorithm>
 #include <atomic>
@@ -18,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "exec/spawn_path.hpp"
 #include "util/error.hpp"
@@ -43,15 +43,39 @@ void set_cloexec(int fd) {
   if (flags >= 0) fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
 }
 
+void close_fd(int& fd) {
+  if (fd >= 0) close(fd);
+  fd = -1;
+}
+
 /// pidfd_open(2) via syscall(2): glibc grew a wrapper only in 2.36.
 int pidfd_open_compat(pid_t pid) {
-#if defined(__linux__) && defined(SYS_pidfd_open)
+#if defined(SYS_pidfd_open)
   return static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
 #else
   (void)pid;
   errno = ENOSYS;
   return -1;
 #endif
+}
+
+/// Reads a memory file whole into `sink`, then closes it.
+void take_memory_file(int& fd, std::string& sink) {
+  if (fd < 0) return;
+  struct stat st {};
+  if (fstat(fd, &st) == 0 && st.st_size > 0) {
+    sink.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < sink.size()) {
+      ssize_t n =
+          pread(fd, sink.data() + got, sink.size() - got, static_cast<off_t>(got));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    sink.resize(got);
+  }
+  close_fd(fd);
 }
 
 /// Once pidfd_open reports ENOSYS we stop retrying it for the process.
@@ -103,6 +127,8 @@ bool shell_bypass_safe(const std::string& command) {
 
 LocalExecutor::LocalExecutor(SpawnTuning tuning)
     : tuning_(tuning), epoch_(monotonic_seconds()) {
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) throw util::SystemError("epoll_create1", errno);
   // A child dying while we are mid-write to a closed pipe must not kill us.
   // Children get the default disposition back before they exec; our own
   // prior disposition is restored on destruction.
@@ -120,11 +146,12 @@ LocalExecutor::~LocalExecutor() {
       waitpid(child.pid, &status, 0);
     }
     stacks_.release(child.stack);
-    if (child.pidfd >= 0) close(child.pidfd);
-    if (child.out_fd >= 0) close(child.out_fd);
-    if (child.err_fd >= 0) close(child.err_fd);
-    if (child.in_fd >= 0) close(child.in_fd);
+    close_fd(child.pidfd);
+    close_fd(child.out_fd);
+    close_fd(child.err_fd);
+    close_fd(child.in_fd);
   }
+  close(epoll_fd_);
   if (self_pipe_owner_ && --g_self_pipe_users == 0) {
     sigaction(SIGCHLD, &g_saved_sigchld, nullptr);
     close(g_self_pipe_read);
@@ -139,6 +166,8 @@ double LocalExecutor::now() const { return monotonic_seconds() - epoch_; }
 void LocalExecutor::start(const core::ExecRequest& request) {
   util::require(children_.find(request.job_id) == children_.end(),
                 "duplicate job id in LocalExecutor::start");
+  util::require(request.job_id >> (64 - kKindBits) == 0,
+                "job id too large for LocalExecutor");
   double t0 = monotonic_seconds();
 
   // Shell-mode commands with no metacharacters skip /bin/sh entirely: the
@@ -150,40 +179,41 @@ void LocalExecutor::start(const core::ExecRequest& request) {
              : std::vector<std::string>{"/bin/sh", "-c", request.command};
   if (words.empty()) throw util::ConfigError("empty command");
 
-  int out_pipe[2] = {-1, -1};
-  int err_pipe[2] = {-1, -1};
+  // The memory files and the stdin pipe are O_CLOEXEC: with LocalExecutors
+  // on several threads (the in-process pilot workers), another thread's
+  // child can exec between their creation and our spawn. An inherited stdin
+  // write end would keep this child's stdin open past our close, and an
+  // inherited memory file would outlive the job. The spawn installs the
+  // child's ends with dup, which clears CLOEXEC on the duplicate.
+  int out_fd = -1;
+  int err_fd = -1;
   int in_pipe[2] = {-1, -1};
-  auto close_pair = [](int fds[2]) {
-    if (fds[0] >= 0) close(fds[0]);
-    if (fds[1] >= 0) close(fds[1]);
+  auto close_all = [&] {
+    close_fd(out_fd);
+    close_fd(err_fd);
+    close_fd(in_pipe[0]);
+    close_fd(in_pipe[1]);
   };
-  // O_CLOEXEC on BOTH ends: with LocalExecutors on several threads (the
-  // in-process pilot workers), another thread's child can exec between our
-  // pipe() and spawn, and an inherited write end would keep this child's
-  // stdout open past its exit (EOF never arrives). The spawn installs the
-  // child-side ends with dup, which clears CLOEXEC on the duplicate.
   if (request.capture_output) {
-    if (pipe2(out_pipe, O_CLOEXEC) != 0) throw util::SystemError("pipe", errno);
-    if (pipe2(err_pipe, O_CLOEXEC) != 0) {
-      close_pair(out_pipe);
-      throw util::SystemError("pipe", errno);
+    out_fd = memfd_create("parcl-stdout", MFD_CLOEXEC);
+    if (out_fd >= 0) err_fd = memfd_create("parcl-stderr", MFD_CLOEXEC);
+    if (err_fd < 0) {
+      int error = errno;
+      close_all();
+      throw util::SystemError("memfd_create", error);
     }
   }
-  if (request.has_stdin) {
-    if (pipe2(in_pipe, O_CLOEXEC) != 0) {
-      close_pair(out_pipe);
-      close_pair(err_pipe);
-      throw util::SystemError("pipe", errno);
-    }
+  if (request.has_stdin && pipe2(in_pipe, O_CLOEXEC) != 0) {
+    int error = errno;
+    close_all();
+    throw util::SystemError("pipe", error);
   }
 
   // The record exists before the spawn: a CLONE_VM child reads its image
   // from here until it execs, and unordered_map nodes never move.
   Child& child = children_[request.job_id];
   auto abandon = [&] {
-    close_pair(out_pipe);
-    close_pair(err_pipe);
-    close_pair(in_pipe);
+    close_all();
     stacks_.release(child.stack);
     children_.erase(request.job_id);
   };
@@ -191,8 +221,8 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   lay_out_candidates(child.image);
   ChildPlan& plan = child.image.plan;
   plan.stdin_fd = in_pipe[0];
-  plan.stdout_fd = out_pipe[1];
-  plan.stderr_fd = err_pipe[1];
+  plan.stdout_fd = out_fd;
+  plan.stderr_fd = err_fd;
 
   pid_t pid = -1;
   int pidfd = -1;
@@ -229,14 +259,9 @@ void LocalExecutor::start(const core::ExecRequest& request) {
                                        O_RDONLY, 0);
     }
     if (request.capture_output) {
-      posix_spawn_file_actions_adddup2(&actions, out_pipe[1], STDOUT_FILENO);
-      posix_spawn_file_actions_adddup2(&actions, err_pipe[1], STDERR_FILENO);
-      if (out_pipe[1] != STDOUT_FILENO) {
-        posix_spawn_file_actions_addclose(&actions, out_pipe[1]);
-      }
-      if (err_pipe[1] != STDERR_FILENO) {
-        posix_spawn_file_actions_addclose(&actions, err_pipe[1]);
-      }
+      // The memory files themselves close at exec (MFD_CLOEXEC).
+      posix_spawn_file_actions_adddup2(&actions, out_fd, STDOUT_FILENO);
+      posix_spawn_file_actions_adddup2(&actions, err_fd, STDERR_FILENO);
     }
 
     posix_spawnattr_t attr;
@@ -276,31 +301,23 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     if (rc != 0) {
       // Nothing to exec: the job ends at once with exit 127, as the
       // CLONE_VM child's does and a shell's "command not found".
-      close_pair(out_pipe);
-      close_pair(err_pipe);
-      close_pair(in_pipe);
+      close_all();
       child.start_time = child.end_time = now();
       child.reaped = true;
       child.wait_status = W_EXITCODE(127, 0);
-      maybe_finish(request.job_id, child);
+      ready_.push_back(request.job_id);
       return;
     }
   }
 
   child.pid = pid;
   child.start_time = now();
-  if (request.capture_output) {
-    close(out_pipe[1]);
-    close(err_pipe[1]);
-    set_nonblocking(out_pipe[0]);
-    set_nonblocking(err_pipe[0]);
-    child.out_fd = out_pipe[0];
-    child.err_fd = err_pipe[0];
-  }
+  child.out_fd = std::exchange(out_fd, -1);
+  child.err_fd = std::exchange(err_fd, -1);
   if (request.has_stdin) {
-    close(in_pipe[0]);
+    close_fd(in_pipe[0]);
     set_nonblocking(in_pipe[1]);
-    child.in_fd = in_pipe[1];
+    child.in_fd = std::exchange(in_pipe[1], -1);
     child.in_buffer = request.stdin_data;
   }
 
@@ -315,82 +332,41 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   }
   if (child.pidfd < 0) enable_self_pipe();
 
-  if (child.pidfd >= 0) {
-    child.pidfd_slot =
-        add_poll_fd(child.pidfd, POLLIN, request.job_id, FdKind::kPidfd);
-  }
-  if (child.out_fd >= 0) {
-    child.out_slot = add_poll_fd(child.out_fd, POLLIN, request.job_id, FdKind::kOut);
-  }
-  if (child.err_fd >= 0) {
-    child.err_slot = add_poll_fd(child.err_fd, POLLIN, request.job_id, FdKind::kErr);
-  }
-  if (child.in_fd >= 0) {
+  bool watched =
+      child.pidfd < 0 || watch(child.pidfd, EPOLLIN, request.job_id, FdKind::kPidfd);
+  if (watched && child.in_fd >= 0) {
     feed_stdin(child);  // opportunistic first write
     if (child.in_fd >= 0) {
-      child.in_slot = add_poll_fd(child.in_fd, POLLOUT, request.job_id, FdKind::kIn);
+      watched = watch(child.in_fd, EPOLLOUT, request.job_id, FdKind::kIn);
     }
+  }
+  if (!watched) {
+    // Nothing would report this child's exit or drain its stdin: end it
+    // here instead of leaking a running process.
+    int error = errno;
+    if (::kill(-pid, SIGKILL) != 0) ::kill(pid, SIGKILL);
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    close_fd(child.pidfd);
+    close_fd(child.out_fd);
+    close_fd(child.err_fd);
+    close_fd(child.in_fd);
+    stacks_.release(child.stack);
+    children_.erase(request.job_id);
+    throw util::SystemError("epoll_ctl", error);
   }
   ++counters_.spawns;
   if (direct && request.use_shell) ++counters_.direct_execs;
   counters_.spawn_seconds += monotonic_seconds() - t0;
 }
 
-bool LocalExecutor::finished(const Child& child) noexcept {
-  return child.reaped && child.out_fd < 0 && child.err_fd < 0;
-}
-
-int LocalExecutor::add_poll_fd(int fd, short events, std::uint64_t job_id,
-                               FdKind kind) {
-  if (!free_slots_.empty()) {
-    int slot = free_slots_.back();
-    free_slots_.pop_back();
-    pollfds_[static_cast<std::size_t>(slot)] = {fd, events, 0};
-    poll_meta_[static_cast<std::size_t>(slot)] = {job_id, kind};
-    return slot;
-  }
-  pollfds_.push_back({fd, events, 0});
-  poll_meta_.push_back({job_id, kind});
-  return static_cast<int>(pollfds_.size() - 1);
-}
-
-void LocalExecutor::remove_poll_fd(int& slot) {
-  if (slot < 0) return;
-  auto index = static_cast<std::size_t>(slot);
-  pollfds_[index].fd = -1;  // negative fds are ignored by poll(2)
-  pollfds_[index].events = 0;
-  pollfds_[index].revents = 0;
-  free_slots_.push_back(slot);
-  slot = -1;
-}
-
-void LocalExecutor::compact_poll_set() {
-  std::vector<pollfd> fds;
-  std::vector<PollMeta> meta;
-  fds.reserve(pollfds_.size() - free_slots_.size());
-  meta.reserve(fds.capacity());
-  for (std::size_t i = 0; i < pollfds_.size(); ++i) {
-    if (pollfds_[i].fd < 0) continue;
-    int slot = static_cast<int>(fds.size());
-    fds.push_back(pollfds_[i]);
-    meta.push_back(poll_meta_[i]);
-    if (poll_meta_[i].kind == FdKind::kSelfPipe) {
-      self_pipe_slot_ = slot;
-      continue;
-    }
-    auto it = children_.find(poll_meta_[i].job_id);
-    if (it == children_.end()) continue;
-    switch (poll_meta_[i].kind) {
-      case FdKind::kOut: it->second.out_slot = slot; break;
-      case FdKind::kErr: it->second.err_slot = slot; break;
-      case FdKind::kIn: it->second.in_slot = slot; break;
-      case FdKind::kPidfd: it->second.pidfd_slot = slot; break;
-      case FdKind::kSelfPipe: break;
-    }
-  }
-  pollfds_ = std::move(fds);
-  poll_meta_ = std::move(meta);
-  free_slots_.clear();
+bool LocalExecutor::watch(int fd, std::uint32_t events, std::uint64_t job_id,
+                          FdKind kind) {
+  epoll_event event{};
+  event.events = events | EPOLLET;
+  event.data.u64 = job_id << kKindBits | static_cast<std::uint64_t>(kind);
+  return epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) == 0;
 }
 
 void LocalExecutor::enable_self_pipe() {
@@ -418,30 +394,30 @@ void LocalExecutor::enable_self_pipe() {
   ++g_self_pipe_users;
   self_pipe_owner_ = true;
   use_self_pipe_ = true;
-  self_pipe_slot_ = add_poll_fd(g_self_pipe_read, POLLIN, 0, FdKind::kSelfPipe);
+  // A failed watch degrades to the 100 ms sweeps wait_any() makes anyway.
+  watch(g_self_pipe_read, EPOLLIN, 0, FdKind::kSelfPipe);
   // Exits delivered before the handler existed never reach the pipe.
   need_sweep_ = true;
 }
 
-void LocalExecutor::mark_reaped(Child& child, int status) {
+void LocalExecutor::mark_reaped(std::uint64_t job_id, Child& child, int status) {
   child.reaped = true;
   child.wait_status = status;
   child.end_time = now();
   ++counters_.reaps;
   stacks_.release(child.stack);  // the child is gone: nothing runs on it
   child.stack = nullptr;
-  if (child.pidfd >= 0) {
-    close(child.pidfd);
-    child.pidfd = -1;
-  }
-  remove_poll_fd(child.pidfd_slot);
+  close_fd(child.pidfd);
   if (child.in_fd >= 0) {
     // Child exited without consuming all of its stdin.
-    close(child.in_fd);
-    child.in_fd = -1;
+    close_fd(child.in_fd);
     child.in_buffer.clear();
-    remove_poll_fd(child.in_slot);
   }
+  // What a background process writes from here on is dropped, as GNU
+  // Parallel drops what lands in a job's spool file after it is printed.
+  take_memory_file(child.out_fd, child.out_buffer);
+  take_memory_file(child.err_fd, child.err_buffer);
+  ready_.push_back(job_id);
 }
 
 void LocalExecutor::sweep_unreaped() {
@@ -451,26 +427,15 @@ void LocalExecutor::sweep_unreaped() {
     if (child.reaped) continue;
     int status = 0;
     pid_t reaped = waitpid(child.pid, &status, WNOHANG);
-    if (reaped == child.pid) {
-      mark_reaped(child, status);
-      maybe_finish(id, child);
-    }
+    if (reaped == child.pid) mark_reaped(id, child, status);
   }
-}
-
-void LocalExecutor::maybe_finish(std::uint64_t job_id, Child& child) {
-  if (child.ready_queued || !finished(child)) return;
-  child.ready_queued = true;
-  ready_.push_back(job_id);
 }
 
 void LocalExecutor::feed_stdin(Child& child) {
   while (child.in_fd >= 0) {
     if (child.in_offset >= child.in_buffer.size()) {
-      close(child.in_fd);  // EOF for the child
-      child.in_fd = -1;
+      close_fd(child.in_fd);  // EOF for the child
       child.in_buffer.clear();
-      remove_poll_fd(child.in_slot);
       return;
     }
     ssize_t n = write(child.in_fd, child.in_buffer.data() + child.in_offset,
@@ -481,34 +446,10 @@ void LocalExecutor::feed_stdin(Child& child) {
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;  // full
       // EPIPE (child closed stdin early) or another error: stop feeding.
-      close(child.in_fd);
-      child.in_fd = -1;
+      close_fd(child.in_fd);
       child.in_buffer.clear();
-      remove_poll_fd(child.in_slot);
       return;
     }
-  }
-}
-
-void LocalExecutor::drain_stream(Child& child, bool err_stream) {
-  int& fd = err_stream ? child.err_fd : child.out_fd;
-  int& slot = err_stream ? child.err_slot : child.out_slot;
-  std::string& sink = err_stream ? child.err_buffer : child.out_buffer;
-  char buffer[65536];
-  while (fd >= 0) {
-    ssize_t n = read(fd, buffer, sizeof(buffer));
-    if (n > 0) {
-      sink.append(buffer, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    }
-    close(fd);  // EOF, or unexpected error treated as EOF
-    fd = -1;
-    remove_poll_fd(slot);
-    return;
   }
 }
 
@@ -528,50 +469,33 @@ core::ExecResult LocalExecutor::harvest(std::uint64_t job_id, Child& child) {
   return result;
 }
 
-void LocalExecutor::dispatch_event(std::size_t slot, short revents) {
-  (void)revents;  // any event (IN/OUT/HUP/ERR) triggers the same handling
-  const PollMeta meta = poll_meta_[slot];
-  if (meta.kind == FdKind::kSelfPipe) {
+void LocalExecutor::dispatch_event(std::uint64_t data) {
+  const FdKind kind = kind_of(data);
+  if (kind == FdKind::kSelfPipe) {
     char buffer[256];
     while (read(g_self_pipe_read, buffer, sizeof(buffer)) > 0) {
     }
     sweep_unreaped();
     return;
   }
-  auto it = children_.find(meta.job_id);
-  if (it == children_.end()) return;
+  const std::uint64_t job_id = data >> kKindBits;
+  auto it = children_.find(job_id);
+  if (it == children_.end()) return;  // harvested: a closed fd's last event
   Child& child = it->second;
-  switch (meta.kind) {
-    case FdKind::kPidfd: {
-      if (!child.reaped) {
-        int status = 0;
-        pid_t reaped = waitpid(child.pid, &status, WNOHANG);
-        if (reaped == child.pid) mark_reaped(child, status);
-      }
-      break;
-    }
-    case FdKind::kOut:
-      drain_stream(child, /*err_stream=*/false);
-      break;
-    case FdKind::kErr:
-      drain_stream(child, /*err_stream=*/true);
-      break;
-    case FdKind::kIn:
-      feed_stdin(child);
-      break;
-    case FdKind::kSelfPipe:
-      break;
+  if (kind == FdKind::kIn) {
+    feed_stdin(child);
+  } else if (!child.reaped) {
+    // A pidfd polls readable only once its process has exited.
+    int status = 0;
+    pid_t reaped = waitpid(child.pid, &status, WNOHANG);
+    if (reaped == child.pid) mark_reaped(job_id, child, status);
   }
-  maybe_finish(meta.job_id, child);
 }
 
 std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) {
   double deadline =
       timeout_seconds < 0.0 ? -1.0 : monotonic_seconds() + timeout_seconds;
   if (need_sweep_) sweep_unreaped();
-  if (free_slots_.size() > 32 && free_slots_.size() > pollfds_.size() / 2) {
-    compact_poll_set();
-  }
   bool deadline_polled = false;
 
   while (true) {
@@ -598,10 +522,10 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
       return std::nullopt;
     }
 
-    // Poll window: with pidfds a child exit always produces an event, so we
+    // Wait window: with pidfds a child exit always produces an event, so we
     // can block indefinitely; in self-pipe mode we cap the window because a
     // second executor instance may consume our wakeup byte. An expired
-    // deadline still gets one zero-timeout poll so completions that already
+    // deadline still gets one zero-timeout wait so completions that already
     // happened are collected (matching the old sweep-first behavior).
     int timeout_ms;
     if (deadline < 0.0) {
@@ -618,14 +542,14 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
       }
     }
 
+    epoll_event events[64];
     double t0 = monotonic_seconds();
-    int nready =
-        poll(pollfds_.data(), static_cast<nfds_t>(pollfds_.size()), timeout_ms);
+    int nready = epoll_wait(epoll_fd_, events, 64, timeout_ms);
     ++counters_.polls;
     counters_.poll_wait_seconds += monotonic_seconds() - t0;
     if (nready < 0) {
       if (errno == EINTR) continue;
-      throw util::SystemError("poll", errno);
+      throw util::SystemError("epoll_wait", errno);
     }
     if (nready == 0) {
       if (use_self_pipe_) sweep_unreaped();
@@ -634,16 +558,9 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
 
     counters_.poll_events += static_cast<std::uint64_t>(nready);
     bool exit_event = false;
-    int handled = 0;
-    for (std::size_t i = 0; i < pollfds_.size() && handled < nready; ++i) {
-      short revents = pollfds_[i].revents;
-      if (revents == 0 || pollfds_[i].fd < 0) continue;
-      pollfds_[i].revents = 0;
-      ++handled;
-      FdKind kind = poll_meta_[i].kind;
-      if (kind == FdKind::kPidfd || kind == FdKind::kSelfPipe)
-        exit_event = true;
-      dispatch_event(i, revents);
+    for (int i = 0; i < nready; ++i) {
+      if (kind_of(events[i].data.u64) != FdKind::kIn) exit_event = true;
+      dispatch_event(events[i].data.u64);
     }
     if (exit_event) ++counters_.exit_wakeups;
   }

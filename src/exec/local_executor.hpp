@@ -1,9 +1,12 @@
 // LocalExecutor: runs jobs as real child processes on this machine.
 //
 // Each job gets its own process group (so kill() reaches the whole shell
-// pipeline), stdin from /dev/null, and — when capturing — pipes for stdout
-// and stderr drained non-blockingly from wait_any()'s poll loop, so children
-// writing more than a pipe buffer never deadlock.
+// pipeline), stdin from /dev/null, and — when capturing — a memory file
+// (memfd_create) each for stdout and stderr. The child writes them without
+// ever blocking; the dispatcher reads each whole once the child is reaped.
+// As in GNU Parallel, which spools output to files, a job is done when its
+// process exits: a background process that keeps the job's stdout open
+// does not hold the job, and what it writes after the exit is dropped.
 //
 // The dispatch hot path is event-driven:
 //   - children are spawned by clone_vm_spawn (exec/spawn_path.hpp): a
@@ -18,15 +21,16 @@
 //     nothing can exec with exit 127, as the CLONE_VM child does;
 //   - shell-mode commands free of metacharacters skip /bin/sh entirely;
 //   - a job's --env variables replace inherited ones of the same name;
-//   - each child's exit is observed through a pidfd in the poll set (Linux
-//     pidfd_open), falling back to a SIGCHLD self-pipe where pidfds are
-//     unavailable, so a completion wakes wait_any() immediately and reaping
-//     costs O(exits) — not O(children) — waitpid calls per wakeup;
-//   - the pollfd set is persistent and updated incrementally as pipes and
-//     pidfds open and close, instead of being rebuilt every iteration.
+//   - each child's exit is observed through a pidfd (Linux pidfd_open),
+//     falling back to a SIGCHLD self-pipe where pidfds are unavailable, so
+//     a completion wakes wait_any() immediately and reaping costs O(exits)
+//     — not O(children) — waitpid calls per wakeup;
+//   - one edge-triggered epoll set holds the pidfds, the --pipe stdin write
+//     ends and the self-pipe; readiness_fd() returns it, so a caller can
+//     wait on job exits beside its own fds. Each fd is added once and never
+//     removed: closing it is enough (see watch()).
 #pragma once
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/types.h>
 
@@ -34,7 +38,6 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/executor.hpp"
 #include "core/profile.hpp"
@@ -69,6 +72,11 @@ class LocalExecutor final : public core::Executor {
   core::ResourcePressure pressure() const override;
   std::size_t active_count() const override { return children_.size(); }
   double now() const override;
+  /// The epoll set. In self-pipe mode, executors in one process share the
+  /// pipe, and one may drain a byte another's set was woken for: wait_any()
+  /// caps its own sleeps at 100 ms for that reason, and so should a caller
+  /// that polls this fd beside other executors of the same process.
+  int readiness_fd() const override { return epoll_fd_; }
 
   const core::DispatchCounters* dispatch_counters() const noexcept override {
     return &counters_;
@@ -82,22 +90,16 @@ class LocalExecutor final : public core::Executor {
   struct Child {
     pid_t pid = -1;
     int pidfd = -1;   // -1 when pidfds are unavailable (self-pipe fallback)
-    int out_fd = -1;  // -1 once closed / when not capturing
+    int out_fd = -1;  // memory file the child's stdout goes to; -1 when not capturing
     int err_fd = -1;
     int in_fd = -1;   // write end of the child's stdin pipe (--pipe mode)
-    // Slots of this child's fds in the persistent poll set (-1 = none).
-    int pidfd_slot = -1;
-    int out_slot = -1;
-    int err_slot = -1;
-    int in_slot = -1;
-    std::string out_buffer;
+    std::string out_buffer;  // the memory files' contents, read at reap
     std::string err_buffer;
     std::string in_buffer;       // pending stdin bytes
     std::size_t in_offset = 0;   // how much of in_buffer is already written
     double start_time = 0.0;
     double end_time = 0.0;       // recorded when the child is reaped
     bool reaped = false;
-    bool ready_queued = false;   // already pushed onto ready_
     int wait_status = 0;
     // What the child reads before exec, from before the spawn until harvest,
     // and its CLONE_VM stack until reap (nullptr after posix_spawn).
@@ -105,46 +107,40 @@ class LocalExecutor final : public core::Executor {
     void* stack = nullptr;
   };
 
-  enum class FdKind : unsigned char { kOut, kErr, kIn, kPidfd, kSelfPipe };
-  struct PollMeta {
-    std::uint64_t job_id = 0;
-    FdKind kind = FdKind::kOut;
-  };
+  // What an epoll event's data.u64 carries below the job id.
+  enum class FdKind : std::uint64_t { kIn, kPidfd, kSelfPipe };
+  static constexpr int kKindBits = 2;
+  static FdKind kind_of(std::uint64_t data) noexcept {
+    return static_cast<FdKind>(data & ((1u << kKindBits) - 1));
+  }
 
-  /// True when the child is fully finished (reaped and pipes drained).
-  static bool finished(const Child& child) noexcept;
   core::ExecResult harvest(std::uint64_t job_id, Child& child);
-  /// Reads everything currently available from one stream; closes at EOF.
-  void drain_stream(Child& child, bool err_stream);
   /// Writes pending stdin bytes; closes the pipe when drained or broken.
   void feed_stdin(Child& child);
-  /// Records the child's exit status and completion time; closes its pidfd
-  /// and any still-open stdin pipe, and returns its stack to the pool.
-  void mark_reaped(Child& child, int status);
+  /// Records the child's exit status and completion time, reads and closes
+  /// its memory files, closes its pidfd and any still-open stdin pipe,
+  /// returns its stack to the pool, and queues it for harvest.
+  void mark_reaped(std::uint64_t job_id, Child& child, int status);
   /// Fallback reaper: WNOHANG-waits every unreaped child (self-pipe mode).
   void sweep_unreaped();
-  /// Pushes the child onto ready_ once it transitions to finished.
-  void maybe_finish(std::uint64_t job_id, Child& child);
-  void dispatch_event(std::size_t slot, short revents);
+  void dispatch_event(std::uint64_t data);
 
-  int add_poll_fd(int fd, short events, std::uint64_t job_id, FdKind kind);
-  void remove_poll_fd(int& slot);
-  void compact_poll_set();
+  /// Adds `fd` to the epoll set, edge-triggered. The fd is never removed:
+  /// a sibling's CLONE_VM child holds a copy of every fd until it execs, so
+  /// a closed fd can stay in the set for a moment. Edge triggering keeps
+  /// such an entry from firing again on a state that did not change (an
+  /// exited pidfd stays readable), and the handlers ignore a closed fd and
+  /// a harvested job. Returns false (errno set) when epoll_ctl fails.
+  bool watch(int fd, std::uint32_t events, std::uint64_t job_id, FdKind kind);
   /// Switches to the SIGCHLD self-pipe when pidfd_open is unavailable.
   void enable_self_pipe();
 
   std::unordered_map<std::uint64_t, Child> children_;
-  std::deque<std::uint64_t> ready_;  // finished, waiting to be harvested
-
-  // Persistent poll set: pollfds_[i] is described by poll_meta_[i]; closed
-  // slots are parked with fd = -1 (ignored by poll) and recycled.
-  std::vector<pollfd> pollfds_;
-  std::vector<PollMeta> poll_meta_;
-  std::vector<int> free_slots_;
+  std::deque<std::uint64_t> ready_;  // reaped, waiting to be harvested
+  int epoll_fd_ = -1;
 
   bool use_self_pipe_ = false;  // pidfd_open unavailable on this kernel
   bool self_pipe_owner_ = false;
-  int self_pipe_slot_ = -1;
   bool need_sweep_ = false;  // children predate the self-pipe handler
 
   struct sigaction saved_sigpipe_ {};

@@ -6,7 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "exec/local_executor.hpp"
 #include "util/error.hpp"
@@ -96,6 +98,15 @@ bool WorkerAgent::send_unacked(int fd, bool force) {
     if (due && !send_entry(fd, entry)) return false;
   }
   return true;
+}
+
+double WorkerAgent::seconds_until_due(double last_beat_at) const {
+  double due = last_beat_at + config_.heartbeat_interval;
+  double resend_age = config_.resend_after_beats * config_.heartbeat_interval;
+  for (const auto& [seq, entry] : journal_) {
+    if (entry.last_sent > 0.0) due = std::min(due, entry.last_sent + resend_age);
+  }
+  return std::max(0.0, due - now());
 }
 
 void WorkerAgent::journal_completion(core::ExecResult&& result) {
@@ -239,11 +250,17 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
       }
     }
 
-    struct pollfd pfd{read_fd, POLLIN, 0};
-    int timeout_ms = (!running_.empty() || !journal_.empty()) ? 2 : 25;
-    int rc = ::poll(&pfd, 1, timeout_ms);
+    // Sleep until a frame, a job's completion (the inner executor's fd),
+    // or the next heartbeat or journal resend; a wedged agent sends neither.
+    double wait = hung() ? -1.0 : seconds_until_due(last_beat_at);
+    struct pollfd fds[2] = {
+        {read_fd, POLLIN, 0},
+        {running_.empty() ? -1 : inner_->readiness_fd(), POLLIN, 0}};
+    int timeout_ms =
+        wait < 0.0 ? -1 : static_cast<int>(std::min(std::ceil(wait * 1e3), 3.6e6));
+    int rc = ::poll(fds, 2, timeout_ms);
     if (rc < 0 && errno != EINTR) return ServeOutcome::kConnectionLost;
-    if (rc <= 0 || (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    if (rc <= 0 || (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     ssize_t n = ::read(read_fd, buffer, sizeof(buffer));
     if (n == 0) return ServeOutcome::kConnectionLost;
     if (n < 0) {

@@ -7,7 +7,10 @@
 // seq-tagged STDOUT/STDERR chunks, and reports RESULT frames. Completed
 // results stay in the agent's journal until the pilot ACKs them and are
 // retransmitted with the heartbeat cadence, so a dropped or reordered
-// frame never loses a completion — the pilot dedupes instead.
+// frame never loses a completion — the pilot dedupes instead. Between
+// frames the agent sleeps in one poll over its channel and the inner
+// executor's readiness fd, so a job's exit wakes it at once (with an inner
+// executor that has no such fd, the next heartbeat does).
 //
 // The journal is also what makes reconnect-and-reconcile exact: when the
 // link dies, serve() returns with the journal (and running children)
@@ -96,6 +99,8 @@ class WorkerAgent {
   bool send_hello(int fd);
   bool send_entry(int fd, JournalEntry& entry);
   bool send_unacked(int fd, bool force);
+  /// Seconds until the next heartbeat or journal resend is due (0: now).
+  double seconds_until_due(double last_beat_at) const;
   void handle_submit(const transport::Frame& frame);
   void handle_kill(const transport::Frame& frame);
   void handle_ack(const transport::Frame& frame);

@@ -6,6 +6,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -477,6 +478,39 @@ TEST(ParclService, ServerRunsClientCommandsVerbatim) {
       parcl() + " --client --socket \"$D/parcl.sock\" -k echo ::: '{}' '{#}' '{%}'; "
       "kill -TERM $S; wait $S; rm -rf \"$D\"");
   EXPECT_NE(result.output.find("{}\n{#}\n{%}\n"), std::string::npos) << result.output;
+}
+
+TEST(ParclService, TimeoutAndRetryWakeAQuietServer) {
+  // One client, one job, no other traffic: only the loop's own deadlines
+  // (the --timeout kill, the --retry-delay backoff, the SIGKILL grace) can
+  // wake the server, and the RESULT must still arrive.
+  CommandResult result = run_command(
+      "D=$(mktemp -d); " + parcl() + " --server --state-dir \"$D\" -j1 "
+      "--timeout 0.3 --retries 2 --retry-delay 0.2 2>\"$D/server.log\" & S=$!; "
+      "for i in $(seq 100); do [ -S \"$D/parcl.sock\" ] && break; sleep 0.05; done; "
+      "T0=$(date +%s%N); timeout 10 " +
+      parcl() + " --client --socket \"$D/parcl.sock\" 'sleep {}' ::: 5; C=$?; "
+      "T1=$(date +%s%N); kill -TERM $S; wait $S; W=$?; "
+      "echo \"client=$C server=$W ms=$(( (T1 - T0) / 1000000 ))\"; "
+      "tail -n +2 \"$D/ledger.joblog\" | cut -f8 | sed 's/^/signal=/'; rm -rf \"$D\"");
+  EXPECT_NE(result.output.find("client=1 server=0"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("signal=15\n"), std::string::npos) << result.output;
+  std::size_t at = result.output.find("ms=");
+  ASSERT_NE(at, std::string::npos) << result.output;
+  EXPECT_LT(std::atol(result.output.c_str() + at + 3), 3000) << result.output;
+}
+
+TEST(ParclService, SigtermDrainsAnIdleServerPromptly) {
+  CommandResult result = run_command(
+      "D=$(mktemp -d); " + parcl() + " --server --state-dir \"$D\" -j2 "
+      "2>\"$D/server.log\" & S=$!; "
+      "for i in $(seq 100); do [ -S \"$D/parcl.sock\" ] && break; sleep 0.05; done; "
+      "sleep 0.2; T0=$(date +%s%N); kill -TERM $S; wait $S; W=$?; T1=$(date +%s%N); "
+      "echo \"server=$W ms=$(( (T1 - T0) / 1000000 ))\"; rm -rf \"$D\"");
+  EXPECT_NE(result.output.find("server=0"), std::string::npos) << result.output;
+  std::size_t at = result.output.find("ms=");
+  ASSERT_NE(at, std::string::npos) << result.output;
+  EXPECT_LT(std::atol(result.output.c_str() + at + 3), 200) << result.output;
 }
 
 TEST(ParclService, ClientExits120WhenServerAbsent) {

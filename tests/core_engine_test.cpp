@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -41,6 +42,52 @@ TaskOutcome echo_task(const ExecRequest& request) {
   TaskOutcome outcome;
   outcome.stdout_data = request.command + "\n";
   return outcome;
+}
+
+// The eventfd is counted by the pool's workers and read by the dispatch
+// thread: under TSan this is the handoff the worker agent's wait relies on.
+TEST(FunctionExecutor, ReadinessFdIsReadableExactlyWhileACompletionIsQueued) {
+  std::atomic<bool> gate{false};
+  std::atomic<bool> gated_started{false};
+  FunctionExecutor executor(
+      [&](const ExecRequest& request) {
+        if (request.command == "gated") {
+          gated_started.store(true);
+          while (!gate.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return TaskOutcome{};
+      },
+      1);  // one worker: tasks run in start order
+  pollfd pfd{executor.readiness_fd(), POLLIN, 0};
+  ASSERT_GE(pfd.fd, 0);
+  auto readable = [&pfd](int timeout_ms) { return poll(&pfd, 1, timeout_ms) == 1; };
+  auto start = [&executor](std::uint64_t id, const std::string& command) {
+    ExecRequest request;
+    request.job_id = id;
+    request.command = command;
+    executor.start(request);
+  };
+  EXPECT_FALSE(readable(0));
+
+  // Jobs 1 and 2 finish before the worker reaches gated job 3, so exactly
+  // two completions are queued once job 3 has started.
+  start(1, "quick");
+  start(2, "quick");
+  start(3, "gated");
+  while (!gated_started.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(readable(0));
+  ASSERT_TRUE(executor.wait_any(0.0).has_value());
+  EXPECT_TRUE(readable(0)) << "one completion is still queued";
+  ASSERT_TRUE(executor.wait_any(0.0).has_value());
+  EXPECT_FALSE(readable(0)) << "readable while job 3 still runs";
+  EXPECT_FALSE(executor.wait_any(0.0).has_value());
+
+  gate.store(true);
+  EXPECT_TRUE(readable(5000));
+  std::optional<ExecResult> last = executor.wait_any(0.0);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->job_id, 3u);
+  EXPECT_FALSE(readable(0));
 }
 
 TEST(Engine, RunsEveryJobAndCapturesOutput) {

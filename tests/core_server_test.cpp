@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <deque>
 #include <fstream>
 #include <map>
@@ -702,6 +704,53 @@ TEST_F(ServerCoreTest, TimeoutKillsAServiceJobAndLedgersItsSignal) {
   std::vector<JoblogEntry> ledger = read_joblog(ServerCore::ledger_path(dir_));
   ASSERT_EQ(ledger.size(), 1u);
   EXPECT_EQ(ledger[0].signal, SIGTERM);
+}
+
+// The socket loop sleeps in poll(2) on wait_fd() with wait_seconds() as its
+// timeout; these two tests pin what each of them reports.
+TEST_F(ServerCoreTest, WaitFdPollsReadableWhenAJobExits) {
+  exec::LocalExecutor executor;
+  ServerCore core(config(), executor);
+  ASSERT_TRUE(core.attach_tenant("alice").accepted);
+  // Long enough that the step which starts it cannot also reap it.
+  ASSERT_TRUE(core.submit("alice", 1, "sleep 0.1").accepted);
+  EXPECT_EQ(core.wait_fd(), -1) << "nothing runs yet";
+  core.step(0.0);
+  ASSERT_EQ(core.running_count(), 1u);
+  EXPECT_LT(core.wait_seconds(), 0.0) << "no deadline: only the exit wakes the loop";
+  pollfd pfd{core.wait_fd(), POLLIN, 0};
+  ASSERT_GE(pfd.fd, 0);
+  ASSERT_EQ(poll(&pfd, 1, 5000), 1);
+  core.step(0.0);
+  std::vector<TenantEvent> events = core.take_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].result.exit_code, 0);
+  EXPECT_EQ(core.wait_fd(), -1);
+}
+
+TEST_F(ServerCoreTest, TimeoutSetsTheNextWake) {
+  exec::LocalExecutor executor;
+  ServerConfig cfg = config();
+  cfg.options.timeout_seconds = 0.2;
+  ServerCore core(cfg, executor);
+  ASSERT_TRUE(core.attach_tenant("alice").accepted);
+  ASSERT_TRUE(core.submit("alice", 1, "sleep 5").accepted);
+  core.step(0.0);
+  ASSERT_EQ(core.running_count(), 1u);
+  double wake = core.wait_seconds();
+  EXPECT_GT(wake, 0.1);
+  EXPECT_LE(wake, 0.2);
+  // Sleep that long, as the socket loop does: no exit comes first, and the
+  // step after it sends the timeout's SIGTERM.
+  pollfd pfd{core.wait_fd(), POLLIN, 0};
+  EXPECT_EQ(poll(&pfd, 1, static_cast<int>(std::ceil(wake * 1e3))), 0);
+  core.step(0.0);
+  ASSERT_EQ(poll(&pfd, 1, 5000), 1) << "the SIGTERM'd job's exit";
+  core.step(0.0);
+  std::vector<TenantEvent> events = core.take_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].result.status, JobStatus::kTimedOut);
+  EXPECT_EQ(events[0].result.term_signal, SIGTERM);
 }
 
 // Kills the service makes on purpose are final: --retries re-runs a job

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <random>
 #include <sstream>
 
 #include "core/engine.hpp"
@@ -74,7 +76,8 @@ TEST(LocalExecutor, CapturesStderrSeparately) {
 }
 
 TEST(LocalExecutor, LargeOutputDoesNotDeadlock) {
-  // 1 MiB of stdout: far beyond the 64 KiB pipe buffer.
+  // 1 MiB of stdout: a pipe would fill 16 times over; the memory file the
+  // child writes never blocks it.
   Options options;
   LocalExecutor executor;
   std::ostringstream out, err;
@@ -268,6 +271,80 @@ TEST(LocalExecutor, CompletionWakesWaitAnyImmediately) {
     best_latency = std::min(best_latency, elapsed - 0.12);
   }
   EXPECT_LT(best_latency, 0.05);
+}
+
+TEST(LocalExecutor, ReadinessFdPollsReadableAtExitOnly) {
+  // The readiness fd is the epoll set over the children's pidfds: nothing
+  // makes it readable while the child runs (its output goes to memory
+  // files, not to fds in the set), and its exit does.
+  LocalExecutor executor;
+  ASSERT_GE(executor.readiness_fd(), 0);
+  ExecRequest request;
+  request.job_id = 1;
+  request.command = "/bin/sleep 0.2";
+  request.use_shell = false;
+  double t0 = executor.now();
+  executor.start(request);
+  pollfd pfd{executor.readiness_fd(), POLLIN, 0};
+  EXPECT_EQ(poll(&pfd, 1, 100), 0) << "readable while the child runs";
+  ASSERT_EQ(poll(&pfd, 1, 5000), 1) << "the exit did not make it readable";
+  EXPECT_GE(executor.now() - t0, 0.19);
+  auto result = executor.wait_any(0.0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->exit_code, 0);
+  EXPECT_FALSE(executor.wait_any(0.0).has_value());
+  EXPECT_EQ(poll(&pfd, 1, 0), 0) << "still readable with nothing left to reap";
+}
+
+TEST(LocalExecutor, BackgroundWriterDoesNotHoldTheJob) {
+  // A job is done when its process exits, as in GNU Parallel, which spools
+  // output to files: a background process that keeps stdout open does not
+  // hold the job, and what it writes after the exit is dropped.
+  LocalExecutor executor;
+  ExecRequest request;
+  request.job_id = 1;
+  request.command = "(sleep 2; echo late) & echo early; echo $$ >&2";
+  double t0 = executor.now();
+  executor.start(request);
+  auto result = executor.wait_any(5.0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_LT(executor.now() - t0, 1.0);
+  EXPECT_EQ(result->stdout_data, "early\n");
+  // The background subshell is still in the job's process group.
+  pid_t group = static_cast<pid_t>(std::atol(result->stderr_data.c_str()));
+  if (group > 0) ::kill(-group, SIGKILL);
+}
+
+TEST(LocalExecutor, EightMiBPerStreamComesBackExact) {
+  const std::string dir =
+      ::testing::TempDir() + "parcl_streams_" + std::to_string(getpid());
+  ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
+  std::mt19937_64 rng(28);
+  auto pattern = [&rng] {
+    std::string bytes(8u << 20, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng() & 0xff);
+    return bytes;
+  };
+  const std::string out_bytes = pattern();
+  const std::string err_bytes = pattern();
+  std::ofstream(dir + "/out", std::ios::binary) << out_bytes;
+  std::ofstream(dir + "/err", std::ios::binary) << err_bytes;
+
+  LocalExecutor executor;
+  ExecRequest request;
+  request.job_id = 1;
+  request.command = "cat " + dir + "/out; cat " + dir + "/err >&2";
+  executor.start(request);
+  auto result = executor.wait_any(30.0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->exit_code, 0);
+  EXPECT_EQ(result->stdout_data.size(), out_bytes.size());
+  EXPECT_EQ(result->stderr_data.size(), err_bytes.size());
+  EXPECT_TRUE(result->stdout_data == out_bytes) << "stdout differs";
+  EXPECT_TRUE(result->stderr_data == err_bytes) << "stderr differs";
+  std::remove((dir + "/out").c_str());
+  std::remove((dir + "/err").c_str());
+  rmdir(dir.c_str());
 }
 
 TEST(LocalExecutor, ManyShortLivedChildrenCompleteOutOfOrder) {
