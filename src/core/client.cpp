@@ -196,7 +196,7 @@ class ServiceClient {
         pending_.erase(result.seq);
         JobResult& arrived = arrived_[result.seq];
         arrived.seq = result.seq;
-        collator_.deliver(arrived);
+        collator_.deliver(std::move(arrived));
         arrived_.erase(result.seq);
         out_.flush();
         return true;

@@ -165,11 +165,35 @@ struct Engine::Run {
   std::set<std::uint64_t> skip;  // --resume: seqs the joblog already holds
   std::map<std::uint64_t, bool> resume_status;
   std::unique_ptr<JoblogWriter> joblog;
+  // An `out` without a stream buffer (the job service's) takes no output:
+  // nothing is collated, and results reach only the result callback.
+  const bool collate = out_.rdbuf() != nullptr;
   OutputCollator collator =
       options_.tag_template.empty()
           ? OutputCollator(options_.output_mode, options_.tag, out_, err_)
           : OutputCollator(options_.output_mode, tagstring(options_.tag_template),
                            out_, err_);
+  // --joblog rows wait here until their job's output is written: a row
+  // commits once the collator no longer holds its seq, so under -k rows
+  // follow output order and a logged seq always has its output on disk.
+  std::map<std::uint64_t, std::string> unlogged_rows;
+  // Commits, in seq order, the rows whose output the caller has flushed.
+  void commit_rows() {
+    for (auto row = unlogged_rows.begin();
+         row != unlogged_rows.end() && !collator.holds(row->first);
+         row = unlogged_rows.erase(row)) {
+      joblog->append(row->second);
+    }
+  }
+  // A seq with no output to write. Under -k it may release held results,
+  // whose rows then commit.
+  void note_absent(std::uint64_t seq) {
+    if (!collate) return;
+    collator.mark_absent(seq);
+    if (unlogged_rows.empty()) return;
+    out_.flush();
+    commit_rows();
+  }
 
   // Per-job command overrides (--graph node commands, --then stage
   // commands) parse once into this cache — O(stages + graph nodes)
@@ -210,7 +234,7 @@ struct Engine::Run {
     ++summary.skipped;
     if (abandoned && summary.starved) ++summary.starved_skipped;
     note_stage_done(job.stage);
-    collator.mark_absent(job.seq);
+    note_absent(job.seq);
     if (collect) {
       if (summary.results.size() < job.seq) summary.results.resize(job.seq);
       JobResult& result = summary.results[job.seq - 1];
@@ -259,7 +283,7 @@ struct Engine::Run {
     ++summary.skipped;
     ++summary.dep_skipped;
     note_stage_done(skipped.stage);
-    collator.mark_absent(skipped.seq);
+    note_absent(skipped.seq);
     JobResult result;
     result.seq = skipped.seq;
     result.stage = skipped.stage;
@@ -550,21 +574,33 @@ struct Engine::Run {
       first_start = std::min(first_start, result.start_time);
       last_end = std::max(last_end, result.end_time);
       summary.total_busy += result.runtime();
-      // Write-ahead ordering for crash-safe --resume: output and --results
-      // land (and flush) before the joblog row commits, so a logged seq
-      // always has its output on disk — a crash between the two re-runs
-      // the job instead of losing its output.
-      collator.deliver(result);
+      // Write-ahead ordering for crash-safe --resume: --results and the
+      // output land (and flush) before the joblog row commits, so a logged
+      // seq always has its output on disk — a crash between the two re-runs
+      // the job instead of losing its output. Under -k the row waits in
+      // `unlogged_rows` for as long as the collator holds the output.
       save_results_tree(result);
-      out_.flush();
       // The Host column records where the attempt *actually* ran: a
       // rescheduled or hedged job logs the host that produced its final
-      // result, not the static label.
+      // result, not the static label. The row (its Receive column) is made
+      // before the collator may take the bytes.
       if (joblog) {
-        joblog->record(result, result.host.empty() ? kLocalHost : result.host);
+        unlogged_rows.emplace(
+            final_seq,
+            JoblogWriter::row(result, result.host.empty() ? kLocalHost : result.host));
       }
+      if (collate) {
+        // The collator moves held bytes out unless they are still read below.
+        if (collect || on_result_) {
+          collator.deliver(result);
+        } else {
+          collator.deliver(std::move(result));
+        }
+      }
+      out_.flush();
+      commit_rows();
     } else {
-      collator.mark_absent(result.seq);
+      note_absent(final_seq);
     }
     print_progress();
     if (on_result_) on_result_(result);
@@ -738,6 +774,20 @@ struct Engine::Run {
   // a completion or new work can give it something to do.
   double wake_at = -1.0;
 
+  // The earliest pending timeout deadline (< 0: none). Entries of attempts
+  // that completed, or whose signal was already sent, are dropped.
+  double next_deadline() {
+    while (!deadlines.empty()) {
+      const DeadlineEvent& next = deadlines.top();
+      auto it = active.find(next.job_id);
+      bool stale = it == active.end() ||
+                   (next.escalation ? it->second.force_sent : it->second.kill_sent);
+      if (!stale) return next.time;
+      deadlines.pop();
+    }
+    return -1.0;
+  }
+
   Step step(double max_wait) {
     wake_at = -1.0;
     // Phase 0: observe termination signals and drive --termseq escalation.
@@ -893,20 +943,6 @@ struct Engine::Run {
       double gate = scheduler.delay_gate();
       if (scheduler.slot_free() && gate > now) wait = gate - now;
     }
-    while (!deadlines.empty()) {
-      const DeadlineEvent& next = deadlines.top();
-      auto it = active.find(next.job_id);
-      bool stale = it == active.end() ||
-                   (next.escalation ? it->second.force_sent
-                                    : it->second.kill_sent);
-      if (stale) {
-        deadlines.pop();
-        continue;
-      }
-      double until = std::max(0.0, next.time - now);
-      wait = wait < 0.0 ? until : std::min(wait, until);
-      break;
-    }
     auto cap_wait = [&](double until) {
       until = std::max(0.0, until);
       wait = wait < 0.0 ? until : std::min(wait, until);
@@ -961,11 +997,13 @@ struct Engine::Run {
       // observe delivered signals promptly.
       cap_wait(kSignalPollInterval);
     }
+    // Every gate but the timeout deadlines, as an instant (< 0: none).
+    const double gates_at = wait >= 0.0 ? now + wait : -1.0;
+    if (double due = next_deadline(); due >= 0.0) cap_wait(due - now);
     if (active.empty() && wait < 0.0) {
       // Nothing running and nothing gating: step again to start more.
       return Step::kWaited;
     }
-    if (wait >= 0.0) wake_at = now + wait;
     if (max_wait >= 0.0) cap_wait(max_wait);
 
     std::optional<ExecResult> completion = executor_.wait_any(wait);
@@ -989,6 +1027,12 @@ struct Engine::Run {
         attempt.force_sent = true;
         executor_.kill(event.job_id, /*force=*/true);
       }
+    }
+    // The next wake, taken after phase 3 so that it sees the deadlines
+    // still pending (a SIGTERM sent above leaves its SIGKILL escalation).
+    wake_at = gates_at;
+    if (double due = next_deadline(); due >= 0.0 && (wake_at < 0.0 || due < wake_at)) {
+      wake_at = due;
     }
 
     if (!completion) return Step::kWaited;
@@ -1219,7 +1263,9 @@ RunSummary Engine::Run::finish() {
     }
   }
 
-  collator.finish();
+  if (collate) collator.finish();
+  out_.flush();
+  commit_rows();
   if (options_.progress) {
     // Final flush: the source is exhausted now, so the total is accurate.
     print_progress();

@@ -39,7 +39,9 @@ class SignalCoordinator;
 
 class Engine {
  public:
-  /// Streams for collated job output (defaults: std::cout / std::cerr).
+  /// Streams for collated job output (defaults: std::cout / std::cerr). An
+  /// `out` without a stream buffer (`std::ostream(nullptr)`) turns collation
+  /// off: each result then reaches only the result callback.
   Engine(Options options, Executor& executor);
   Engine(Options options, Executor& executor, std::ostream& out, std::ostream& err);
   ~Engine();

@@ -94,13 +94,21 @@ JoblogWriter::JoblogWriter(const std::string& path, bool fsync_each)
 JoblogWriter::~JoblogWriter() = default;
 
 void JoblogWriter::record(const JobResult& result, const std::string& host) {
+  append(row(result, host));
+}
+
+std::string JoblogWriter::row(const JobResult& result, const std::string& host) {
   const double start = round_to_ms(result.start_time);
   std::ostringstream row;
   row << result.seq << '\t' << host << '\t' << util::format_double(start, 3) << '\t'
       << util::format_double(round_to_ms(result.end_time) - start, 3) << '\t' << 0 << '\t'
       << result.stdout_data.size() << '\t' << result.exit_code << '\t'
       << result.term_signal << '\t' << result.command << '\n';
-  write_all(impl_->fd, row.str(), "write joblog");
+  return row.str();
+}
+
+void JoblogWriter::append(const std::string& row) {
+  write_all(impl_->fd, row, "write joblog");
   if (impl_->fsync_each && ::fsync(impl_->fd) < 0) {
     throw util::SystemError("fsync joblog", errno);
   }

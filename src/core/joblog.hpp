@@ -63,6 +63,10 @@ class JoblogWriter {
   /// from the rounded runtime by 0.001 s), so Starttime + JobRuntime keeps
   /// the real order of one job's end and another's start.
   void record(const JobResult& result, const std::string& host);
+  /// The row record() writes, made now and committed later by append():
+  /// the engine's -k rows wait for their job's output this way.
+  static std::string row(const JobResult& result, const std::string& host);
+  void append(const std::string& row);
 
  private:
   struct Impl;

@@ -3,7 +3,8 @@
 // Group mode emits a job's buffered output when it finishes; keep-order
 // buffers out-of-order finishers and releases them in sequence order, so
 // `parallel -k` output equals sequential output. Tag mode prefixes every
-// line with the job's first argument and a TAB.
+// line with the job's first argument and a TAB. Each stream of a job goes
+// out in one write (two when an untagged last line lacks its '\n').
 #pragma once
 
 #include <cstdint>
@@ -25,8 +26,12 @@ class OutputCollator {
   OutputCollator(OutputMode mode, bool tag, std::ostream& out, std::ostream& err);
   OutputCollator(OutputMode mode, TagFn tag, std::ostream& out, std::ostream& err);
 
-  /// Delivers a finished job's output (possibly buffering under -k).
+  /// Delivers a finished job's output: written now, or held under -k until
+  /// every earlier seq is written or absent. A held result's bytes are
+  /// copied out of `result`; the rvalue overload moves them out instead and
+  /// leaves its other fields as they are.
   void deliver(const JobResult& result);
+  void deliver(JobResult&& result);
 
   /// Tells -k mode that `seq` will never arrive (skipped / killed before
   /// producing output is still delivered via deliver()).
@@ -38,9 +43,21 @@ class OutputCollator {
   /// Finished jobs buffered out-of-order under -k (the collation window
   /// the engine bounds via Options::keep_order_window).
   std::size_t held_count() const noexcept { return held_.size(); }
+  /// Whether -k still holds `seq`'s output, waiting on an earlier seq.
+  bool holds(std::uint64_t seq) const { return held_.count(seq) != 0; }
 
  private:
-  void emit(const JobResult& result);
+  // A finished job's output waiting for its turn under -k.
+  struct Held {
+    std::string prefix;  // each line's --tag prefix with its TAB ("" = none)
+    std::string out;
+    std::string err;
+  };
+
+  std::string prefix_for(const JobResult& result) const;
+  /// Writes `result` unless -k must hold it; returns whether it was written.
+  bool write_if_due(const JobResult& result);
+  void emit(const std::string& prefix, const std::string& out, const std::string& err);
   void advance();
 
   OutputMode mode_;
@@ -48,7 +65,7 @@ class OutputCollator {
   std::ostream& out_;
   std::ostream& err_;
   std::uint64_t next_seq_ = 1;
-  std::map<std::uint64_t, JobResult> held_;  // -k: finished but not yet due
+  std::map<std::uint64_t, Held> held_;  // -k: finished but not yet due
   std::map<std::uint64_t, bool> absent_;
 };
 

@@ -322,7 +322,9 @@ class ServerCore : private LiveSource {
   std::vector<TenantEvent> events_;
   ServerStats stats_;
   bool draining_ = false;
-  std::ostream discard_{nullptr};  // the loop's job output goes nowhere
+  // No stream buffer: the loop collates nothing, and record_result sends
+  // each result's output to its client.
+  std::ostream discard_{nullptr};
   Engine engine_;
 };
 

@@ -745,6 +745,9 @@ TEST_F(ServerCoreTest, TimeoutSetsTheNextWake) {
   pollfd pfd{core.wait_fd(), POLLIN, 0};
   EXPECT_EQ(poll(&pfd, 1, static_cast<int>(std::ceil(wake * 1e3))), 0);
   core.step(0.0);
+  // The next wake is the SIGKILL escalation 1 s on, not the deadline the
+  // pass just fired.
+  EXPECT_GT(core.wait_seconds(), 0.5);
   ASSERT_EQ(poll(&pfd, 1, 5000), 1) << "the SIGTERM'd job's exit";
   core.step(0.0);
   std::vector<TenantEvent> events = core.take_events();

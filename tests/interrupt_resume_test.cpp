@@ -158,6 +158,16 @@ TEST(InterruptResume, SigkillAtSeededPointsResumesExactlyUnloggedSeqs) {
     }
     // A process SIGKILL cannot tear the single-write O_APPEND records.
     EXPECT_EQ(stats.torn_lines, 0u) << "kill point " << point;
+    // Write-ahead: every logged seq already has its output in out1, -k
+    // holding it or not.
+    std::set<std::string> printed;
+    std::istringstream out1(slurp(dir.path / "out1"));
+    for (std::string line; std::getline(out1, line);) printed.insert(line);
+    for (std::uint64_t seq : logged) {
+      EXPECT_EQ(printed.count("job-" + std::to_string(seq)), 1u)
+          << "kill point " << point << ": seq " << seq
+          << " logged before the kill but its output is not in out1";
+    }
 
     // Second half: identical invocation, resumed.
     status = wait_for(spawn_parcl(args, dir.path / "out2"));
