@@ -4,13 +4,14 @@
 // a time, so peak RSS is bounded by the window of in-flight work — not by
 // the total job count. Each measurement forks a child that drives the engine
 // from a lazily generated FunctionSource through a zero-cost SimExecutor,
-// then reads the child's ru_maxrss via wait4. Scales 10k / 100k / 1M jobs;
+// then reads the child's ru_maxrss via wait4. Scales 10k / 100k / 1M items;
 // a materialized (vector-of-args) run at the small scales shows the O(jobs)
-// baseline the streaming path removes.
+// baseline the streaming path removes, and a two-stage --then chain over the
+// same stream shows that a chain keeps only its live items.
 //
-// Self-asserts sub-linear growth — peak RSS at 1M jobs must stay within 2x
-// of the 10k-job run — and records everything in BENCH_dispatch.json for
-// the CI regression guard.
+// Self-asserts sub-linear growth — peak RSS at 1M items must stay within 2x
+// of the 10k-item run, flat and chained — and records everything in
+// BENCH_dispatch.json for the CI regression guard.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/dag_source.hpp"
 #include "core/engine.hpp"
 #include "core/job_source.hpp"
 #include "exec/sim_executor.hpp"
@@ -33,9 +35,12 @@ namespace {
 
 using namespace parcl;
 
-/// Runs N zero-cost jobs through the engine in the current process.
-/// Returns true when every job succeeded.
-bool drive_engine(std::size_t total_jobs, bool streamed) {
+enum class Shape { kStreamed, kMaterialized, kChain };
+const char* const kShapeNames[] = {"streamed", "materialized", "chain"};
+
+/// Runs N zero-cost items through the engine in the current process (two
+/// jobs each for a chain). Returns true when every job succeeded.
+bool drive_engine(std::size_t total_jobs, Shape shape) {
   sim::Simulation sim;
   exec::SimExecutor executor(sim, [](const core::ExecRequest&) {
     return exec::SimOutcome{0.0, 0, ""};
@@ -48,15 +53,21 @@ bool drive_engine(std::size_t total_jobs, bool streamed) {
   std::ostringstream out, err;
   core::Engine engine(options, executor, out, err);
   core::RunSummary summary;
-  if (streamed) {
-    std::size_t next = 0;
-    core::FunctionSource source([&]() -> std::optional<core::JobInput> {
-      if (next >= total_jobs) return std::nullopt;
-      core::JobInput job;
-      job.args = {std::to_string(next++)};
-      return job;
-    });
+  std::size_t next = 0;
+  core::FunctionSource source([&]() -> std::optional<core::JobInput> {
+    if (next >= total_jobs) return std::nullopt;
+    core::JobInput job;
+    job.args = {std::to_string(next++)};
+    return job;
+  });
+  if (shape == Shape::kStreamed) {
     summary = engine.run_source("noop {}", source);
+  } else if (shape == Shape::kChain) {
+    std::vector<core::StageSpec> stages(2);
+    stages[0].command = "fetch {}";
+    stages[1].command = "process {}";
+    core::StageChainSource chain(source, std::move(stages));
+    summary = engine.run_source("", chain);
   } else {
     std::vector<core::ArgVector> inputs;
     inputs.reserve(total_jobs);
@@ -65,19 +76,20 @@ bool drive_engine(std::size_t total_jobs, bool streamed) {
     }
     summary = engine.run("noop {}", std::move(inputs));
   }
-  return summary.succeeded == total_jobs && summary.failed == 0;
+  const std::size_t jobs_per_item = shape == Shape::kChain ? 2 : 1;
+  return summary.succeeded == jobs_per_item * total_jobs && summary.failed == 0;
 }
 
 /// Forks, runs drive_engine in the child, and returns the child's peak RSS
 /// in KiB (Linux ru_maxrss units). Returns 0 on any failure.
-long measure_peak_rss_kib(std::size_t total_jobs, bool streamed) {
+long measure_peak_rss_kib(std::size_t total_jobs, Shape shape) {
   pid_t pid = fork();
   if (pid < 0) {
     std::perror("fork");
     return 0;
   }
   if (pid == 0) {
-    bool ok = drive_engine(total_jobs, streamed);
+    bool ok = drive_engine(total_jobs, shape);
     _exit(ok ? 0 : 1);
   }
   int status = 0;
@@ -87,8 +99,8 @@ long measure_peak_rss_kib(std::size_t total_jobs, bool streamed) {
     return 0;
   }
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::cerr << "memory_footprint: child for " << total_jobs << " jobs ("
-              << (streamed ? "streamed" : "materialized")
+    std::cerr << "memory_footprint: child for " << total_jobs << " items ("
+              << kShapeNames[static_cast<int>(shape)]
               << ") failed with status " << status << "\n";
     return 0;
   }
@@ -115,21 +127,29 @@ int main() {
   };
 
   bench::BenchJson json("BENCH_dispatch.json");
-  util::Table table({"jobs", "streamed_rss", "materialized_rss"});
-  long streamed_10k = 0;
-  long streamed_1m = 0;
+  util::Table table({"items", "streamed_rss", "materialized_rss", "chain_rss"});
+  long streamed_10k = 0, streamed_1m = 0;
+  long chain_10k = 0, chain_1m = 0;
   bool measured_all = true;
   for (const Scale& scale : scales) {
-    long streamed = measure_peak_rss_kib(scale.jobs, /*streamed=*/true);
+    long streamed = measure_peak_rss_kib(scale.jobs, Shape::kStreamed);
     long materialized =
         scale.materialized_too
-            ? measure_peak_rss_kib(scale.jobs, /*streamed=*/false)
+            ? measure_peak_rss_kib(scale.jobs, Shape::kMaterialized)
             : 0;
-    if (streamed == 0) measured_all = false;
-    if (scale.jobs == 10'000) streamed_10k = streamed;
-    if (scale.jobs == 1'000'000) streamed_1m = streamed;
+    long chain = measure_peak_rss_kib(scale.jobs, Shape::kChain);
+    if (streamed == 0 || chain == 0) measured_all = false;
+    if (scale.jobs == 10'000) {
+      streamed_10k = streamed;
+      chain_10k = chain;
+    }
+    if (scale.jobs == 1'000'000) {
+      streamed_1m = streamed;
+      chain_1m = chain;
+    }
     table.add_row({scale.label, format_kib(streamed),
-                   scale.materialized_too ? format_kib(materialized) : "-"});
+                   scale.materialized_too ? format_kib(materialized) : "-",
+                   format_kib(chain)});
     json.set("memory_footprint",
              std::string("peak_rss_kib_streamed_") + scale.label,
              static_cast<double>(streamed));
@@ -138,16 +158,23 @@ int main() {
                std::string("peak_rss_kib_materialized_") + scale.label,
                static_cast<double>(materialized));
     }
+    json.set("memory_footprint",
+             std::string("peak_rss_kib_chain_") + scale.label,
+             static_cast<double>(chain));
   }
   std::cout << table.render() << '\n';
 
+  auto growth = [](long small, long large) {
+    return small > 0 ? static_cast<double>(large) / static_cast<double>(small)
+                     : 0.0;
+  };
   bool flat = measured_all && streamed_10k > 0 &&
               streamed_1m <= 2 * streamed_10k;
+  bool chain_flat = measured_all && chain_10k > 0 && chain_1m <= 2 * chain_10k;
   json.set("memory_footprint", "rss_growth_10k_to_1m",
-           streamed_10k > 0
-               ? static_cast<double>(streamed_1m) /
-                     static_cast<double>(streamed_10k)
-               : 0.0);
+           growth(streamed_10k, streamed_1m));
+  json.set("memory_footprint", "rss_growth_chain_10k_to_1m",
+           growth(chain_10k, chain_1m));
   bench::stamp_provenance(json);
   json.write();
   std::cout << "wrote BENCH_dispatch.json (memory_footprint section)\n";
@@ -156,10 +183,13 @@ int main() {
   check.add_text("peak RSS flat 10k -> 1M jobs", "<= 2x",
                  format_kib(streamed_10k) + " -> " + format_kib(streamed_1m),
                  flat);
+  check.add_text("peak RSS of a 2-stage chain 10k -> 1M items", "<= 2x",
+                 format_kib(chain_10k) + " -> " + format_kib(chain_1m),
+                 chain_flat);
   check.print();
-  if (!flat) {
+  if (!flat || !chain_flat) {
     std::cerr << "memory_footprint: FAIL — peak RSS grew more than 2x from "
-                 "10k to 1M jobs (streaming regression)\n";
+                 "10k to 1M items (streaming regression)\n";
     return 1;
   }
   return 0;

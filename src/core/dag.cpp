@@ -2,63 +2,20 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace parcl::core {
 
 void DependencyTracker::add_node(std::uint64_t id,
-                                 std::vector<std::uint64_t> deps,
-                                 std::vector<std::string> tokens) {
+                                 std::vector<std::uint64_t> deps) {
+  if (sealed_) throw util::InternalError("dag: add_node after seal");
   if (id == 0) throw util::ConfigError("dag: node id 0 is reserved");
   auto [it, inserted] = nodes_.try_emplace(id);
   if (!inserted)
     throw util::ConfigError("dag: duplicate node id " + std::to_string(id));
-  Node& node = it->second;
-  node.deps = std::move(deps);
-  node.tokens = std::move(tokens);
-  std::sort(node.deps.begin(), node.deps.end());
-  node.deps.erase(std::unique(node.deps.begin(), node.deps.end()),
-                  node.deps.end());
-  std::sort(node.tokens.begin(), node.tokens.end());
-  node.tokens.erase(std::unique(node.tokens.begin(), node.tokens.end()),
-                    node.tokens.end());
-  if (!sealed_) return;
-
-  // Incremental declaration: resolve now. Deps may only point backwards,
-  // so the graph stays acyclic without re-running Kahn.
-  ++pending_;
-  bool dead = false;
-  for (std::uint64_t dep : node.deps) {
-    auto dit = nodes_.find(dep);
-    if (dep == id || dit == nodes_.end()) {
-      nodes_.erase(id);
-      --pending_;
-      throw util::ConfigError("dag: node " + std::to_string(id) +
-                              " depends on undeclared node " +
-                              std::to_string(dep));
-    }
-    Node& pred = dit->second;
-    pred.dependents.push_back(id);
-    switch (pred.state) {
-      case State::kDoneOk: break;  // already met
-      case State::kFailed:
-      case State::kSkipped: dead = true; break;
-      default: ++node.unmet; break;
-    }
-  }
-  for (const std::string& token : node.tokens) {
-    if (satisfied_tokens_.count(token)) continue;
-    token_waiters_[token].push_back(id);
-    ++node.unmet;
-  }
-  if (dead) {
-    node.state = State::kSkipped;
-    --pending_;
-    skipped_.push_back(id);
-  } else if (node.unmet == 0) {
-    make_ready(id);
-  }
+  it->second.deps = std::move(deps);
 }
 
 void DependencyTracker::seal() {
@@ -83,18 +40,9 @@ void DependencyTracker::seal() {
       it->second.dependents.push_back(id);
       ++node.unmet;
     }
-    std::sort(node.tokens.begin(), node.tokens.end());
-    node.tokens.erase(std::unique(node.tokens.begin(), node.tokens.end()),
-                      node.tokens.end());
-    for (const std::string& token : node.tokens) {
-      if (satisfied_tokens_.count(token)) continue;
-      token_waiters_[token].push_back(id);
-      ++node.unmet;
-    }
   }
 
-  // Kahn over node deps only (tokens come from outside the graph and
-  // cannot form a cycle among nodes).
+  // Kahn's algorithm: a node left unvisited sits on a cycle.
   std::map<std::uint64_t, std::size_t> indeg;
   std::deque<std::uint64_t> frontier;
   for (const auto& [id, node] : nodes_) {
@@ -171,7 +119,7 @@ void DependencyTracker::complete(std::uint64_t id, bool ok) {
 }
 
 void DependencyTracker::skip_descendants(std::uint64_t id) {
-  // BFS through node-dep edges; every not-yet-finished descendant of a
+  // BFS through dependent edges; every not-yet-finished descendant of a
   // failed (or skipped) node is skipped, even if it still has other unmet
   // predecessors — one dead input is enough.
   std::deque<std::uint64_t> frontier{id};
@@ -189,18 +137,6 @@ void DependencyTracker::skip_descendants(std::uint64_t id) {
       frontier.push_back(dep);
     }
   }
-}
-
-void DependencyTracker::satisfy(const std::string& token) {
-  if (!satisfied_tokens_.insert(token).second) return;  // already produced
-  auto it = token_waiters_.find(token);
-  if (it == token_waiters_.end()) return;
-  for (std::uint64_t id : it->second) {
-    Node& waiter = nodes_[id];
-    if (waiter.state != State::kWaiting) continue;
-    if (--waiter.unmet == 0) make_ready(id);
-  }
-  token_waiters_.erase(it);
 }
 
 std::vector<std::uint64_t> DependencyTracker::take_skipped() {

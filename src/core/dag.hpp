@@ -1,26 +1,23 @@
-// Dependency tracking for dataflow scheduling: the shared core under the
-// engine's --graph / stage-chain sources and the storage pipeline runner.
+// Dependency tracking for a static dataflow graph: the core under the
+// engine's --graph source and the storage pipeline runner.
 //
-// A DependencyTracker holds a static DAG of nodes (arbitrary nonzero
-// uint64 ids) whose edges come from two kinds of predecessors:
-//   - node deps: node B lists node A; B becomes ready only after
-//     complete(A, ok=true),
-//   - token deps: node B lists a string token (a declared output file,
-//     "nvme:year2020"); B becomes ready only after satisfy(token).
-// This mirrors Parsl's dataflow model (futures gating task launch): a
-// completion event is the future resolving, a token is an output file
-// landing on storage.
+// A DependencyTracker holds a DAG of nodes (arbitrary nonzero uint64 ids)
+// declared up front and sealed once: node B lists node A, and B becomes
+// ready only after complete(A, ok=true). This mirrors Parsl's dataflow
+// model (futures gating task launch): a completion event is the future
+// resolving.
 //
 // Failure propagates strictly: a node whose final completion is not ok —
-// or that was itself skipped — skips every transitive descendant reachable
-// through node deps. Skipped nodes are reported through take_skipped() so
-// the caller can account for them honestly (RunSummary::dep_skipped, the
-// joblog's dep-skip rows) instead of silently dropping them.
+// or that was itself skipped — skips every transitive descendant. Skipped
+// nodes are reported through take_skipped() so the caller can account for
+// them honestly (RunSummary::dep_skipped, the joblog's dep-skip rows)
+// instead of silently dropping them.
 //
 // The tracker is single-threaded and event-driven: it never calls back.
-// Callers pump it — pop_ready() / complete() / satisfy() / take_skipped()
-// — from their own loop (the engine's serial loop, the storage sim's event
-// loop).
+// Callers pump it — pop_ready() / complete() / take_skipped() — from their
+// own loop (the engine's serial loop, the storage sim's event loop).
+// `--then` chains stream an unbounded input and keep their own per-item
+// state instead (StageChainSource).
 #pragma once
 
 #include <cstddef>
@@ -29,30 +26,22 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <vector>
 
 namespace parcl::core {
 
 class DependencyTracker {
  public:
-  /// Declares node `id` (nonzero, unique) with its predecessors. Before
-  /// seal(), forward references are allowed: a dep may name a node declared
-  /// later. After seal(), declaration turns incremental — a streaming
-  /// source materializing jobs lazily — and every dep must name an
-  /// already-declared node (back-edges only, so the graph stays acyclic by
-  /// construction); a dep that already failed or was skipped skips the new
-  /// node immediately. Throws ConfigError on id 0, a duplicate
-  /// declaration, or an unknown incremental dep.
-  void add_node(std::uint64_t id, std::vector<std::uint64_t> deps = {},
-                std::vector<std::string> tokens = {});
+  /// Declares node `id` (nonzero, unique) with its predecessors. Forward
+  /// references are allowed: a dep may name a node declared later. Throws
+  /// ConfigError on id 0 or a duplicate declaration, and InternalError
+  /// after seal().
+  void add_node(std::uint64_t id, std::vector<std::uint64_t> deps = {});
 
   /// Seals the graph: resolves deps (throwing ConfigError on an unknown
   /// id), rejects cycles via Kahn's algorithm, and moves dependency-free
-  /// nodes to the ready set. Must be called once before pop/complete;
-  /// add_node afterwards switches to incremental (back-edge-only) mode.
+  /// nodes to the ready set. Must be called once before pop/complete.
   void seal();
-  bool sealed() const noexcept { return sealed_; }
 
   /// Lowest-id ready node, or nullopt. A popped node is "emitted": the
   /// caller owns it until complete().
@@ -71,11 +60,6 @@ class DependencyTracker {
   /// the scheduling contract the chaos soak asserts.
   void complete(std::uint64_t id, bool ok);
 
-  /// Marks `token` produced; nodes whose last unmet dep it was become
-  /// ready. Unknown tokens (nothing waits on them) are remembered, so
-  /// satisfy-before-declare composes with lazy node declaration.
-  void satisfy(const std::string& token);
-
   /// Nodes skipped by failure propagation since the last call, in id order.
   std::vector<std::uint64_t> take_skipped();
 
@@ -90,10 +74,10 @@ class DependencyTracker {
   /// capped" from "truly dry".
   bool all_emitted() const noexcept { return pending_ == emitted_; }
 
-  /// Nodes are waiting on future complete()/satisfy() events and none are
-  /// ready: the caller must not treat an empty pop as end-of-stream.
-  /// (Undrained take_skipped() reports are orthogonal — skipped nodes are
-  /// already terminal and excluded from pending().)
+  /// Nodes are waiting on future complete() events and none are ready: the
+  /// caller must not treat an empty pop as end-of-stream. (Undrained
+  /// take_skipped() reports are orthogonal — skipped nodes are already
+  /// terminal and excluded from pending().)
   bool blocked() const noexcept { return pending_ > 0 && ready_.empty(); }
 
   /// Waiting/ready (not yet emitted) node ids, in id order — the never-ran
@@ -105,9 +89,8 @@ class DependencyTracker {
 
   struct Node {
     std::vector<std::uint64_t> deps;
-    std::vector<std::string> tokens;
     std::vector<std::uint64_t> dependents;
-    std::size_t unmet = 0;  // node deps + tokens still outstanding
+    std::size_t unmet = 0;  // node deps still outstanding
     State state = State::kWaiting;
   };
 
@@ -116,8 +99,6 @@ class DependencyTracker {
 
   std::map<std::uint64_t, Node> nodes_;
   std::set<std::uint64_t> ready_;
-  std::map<std::string, std::vector<std::uint64_t>> token_waiters_;
-  std::set<std::string> satisfied_tokens_;
   std::vector<std::uint64_t> skipped_;  // pending take_skipped() drain
   std::size_t pending_ = 0;
   std::size_t emitted_ = 0;  // popped, not yet completed

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <unordered_map>
 
@@ -10,16 +11,6 @@
 #include "util/strings.hpp"
 
 namespace parcl::core {
-
-namespace {
-
-// Barrier tokens are internal to StageChainSource; a colon keeps them out
-// of any plausible user file-path namespace.
-std::string barrier_token(std::size_t stage) {
-  return "stage-barrier:" + std::to_string(stage);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // GraphSpec parsing
@@ -47,7 +38,14 @@ GraphSpec GraphSpec::parse(std::istream& in, const std::string& origin) {
           fail("duplicate stage '" + stage.name + "'");
       for (std::size_t i = 1; i < fields.size(); ++i) {
         if (util::starts_with(fields[i], "jobs=")) {
-          long jobs = util::parse_long(fields[i].substr(5));
+          const std::string value = fields[i].substr(5);
+          long jobs = -1;
+          try {
+            jobs = util::parse_long(value);
+          } catch (const util::ParseError&) {
+          }
+          if (jobs < 0)
+            fail("stage jobs= needs an integer >= 0, got '" + value + "'");
           stage.jobs = static_cast<std::size_t>(jobs);
         } else {
           fail("unknown stage attribute '" + fields[i] + "'");
@@ -246,7 +244,6 @@ StageChainSource::StageChainSource(JobSource& upstream,
     stage.command = tmpl.source();
   }
   resolved_.assign(stages_.size() + 1, 0);
-  tracker_.seal();  // empty graph; items declare their chains incrementally
 }
 
 StageChainSource::StageChainSource(std::unique_ptr<JobSource> upstream,
@@ -264,42 +261,63 @@ bool StageChainSource::pull_item() {
   if (!input) {
     head_exhausted_ = true;
     // The last stage-s drain may already be complete (e.g. nothing ever
-    // failed and stage s was fast); barrier tokens waiting only on the
-    // head count can fire now.
-    for (std::size_t s = 1; s < stages_.size(); ++s)
-      if (resolved_[s] == items_) tracker_.satisfy(barrier_token(s + 1));
+    // failed and stage s was fast); barriers waiting only on the head
+    // count can lift now.
+    for (std::size_t s = 2; s <= stages_.size(); ++s) lift(s);
     return false;
   }
   ++items_;
-  const std::size_t S = stages_.size();
-  std::uint64_t base = (items_ - 1) * S;
-  item_args_[items_] = input->args;
-  item_live_[items_] = S;
-  for (std::size_t s = 1; s <= S; ++s) {
-    std::vector<std::uint64_t> deps;
-    std::vector<std::string> tokens;
-    if (s > 1) deps.push_back(base + s - 1);
-    if (stages_[s - 1].barrier) tokens.push_back(barrier_token(s));
-    tracker_.add_node(base + s, std::move(deps), std::move(tokens));
-  }
+  live_.emplace_hint(live_.end(), items_, Item{std::move(input->args)});
+  unemitted_ += stages_.size();
+  ready_.insert(seq_of(items_, 1));  // stage 1 is never a barrier
   return true;
 }
 
-JobInput StageChainSource::emit(std::uint64_t seq) {
-  JobInput job;
-  job.args = item_args_.at(item_of(seq));
-  job.seq = seq;
-  job.stage = stage_of(seq);
-  job.command = stages_[job.stage - 1].command;
-  return job;
+void StageChainSource::lift(std::size_t stage) {
+  if (!stages_[stage - 1].barrier || !stage_resolved(stage - 1)) return;
+  // Items reach a barrier stage without a ready entry; the live map is
+  // where they wait.
+  for (const auto& [item, state] : live_) {
+    if (state.stage == stage && !state.running)
+      ready_.insert(seq_of(item, stage));
+  }
+}
+
+void StageChainSource::note_resolved(std::size_t stage) {
+  ++resolved_[stage];
+  if (stage < stages_.size()) lift(stage + 1);
+}
+
+void StageChainSource::skip_from(std::uint64_t item, const ArgVector& args,
+                                 std::size_t stage,
+                                 std::vector<DepSkippedJob>& out) {
+  for (std::size_t s = stage; s <= stages_.size(); ++s) {
+    DepSkippedJob skip;
+    skip.seq = seq_of(item, s);
+    skip.stage = s;
+    skip.args = args;
+    skip.command = stages_[s - 1].command;
+    out.push_back(std::move(skip));
+    --unemitted_;
+  }
 }
 
 std::optional<JobInput> StageChainSource::next_gated(
     const std::function<bool(std::size_t)>& allow) {
   for (;;) {
-    auto id = tracker_.pop_ready_if(
-        [&](std::uint64_t seq) { return allow(stage_of(seq)); });
-    if (id) return emit(*id);
+    for (auto it = ready_.begin(); it != ready_.end(); ++it) {
+      if (!allow(stage_of(*it))) continue;
+      JobInput job;
+      job.seq = *it;
+      ready_.erase(it);
+      Item& item = live_.at(item_of(job.seq));
+      item.running = true;
+      --unemitted_;
+      job.args = item.args;
+      job.stage = item.stage;
+      job.command = stages_[job.stage - 1].command;
+      return job;
+    }
     // Nothing ready: try materializing the next input item, whose stage-1
     // job is ready by construction — but only if stage 1 has capacity,
     // otherwise we'd buffer items faster than they can start.
@@ -307,64 +325,58 @@ std::optional<JobInput> StageChainSource::next_gated(
     bool was_exhausted = head_exhausted_;
     if (!pull_item()) {
       // Discovering head exhaustion can lift barriers; give the pop one
-      // more pass over the nodes that just became ready. (At most one
+      // more pass over the jobs that just became ready. (At most one
       // extra iteration: the transition fires once.)
-      if (!was_exhausted && tracker_.has_ready()) continue;
+      if (!was_exhausted && !ready_.empty()) continue;
       return std::nullopt;
     }
   }
 }
 
-void StageChainSource::note_resolved(std::uint64_t seq) {
-  std::size_t s = stage_of(seq);
-  ++resolved_[s];
-  // A barrier on stage s+1 lifts when stage s is fully drained: every item
-  // known AND each one's stage-s job completed or was skipped.
-  if (head_exhausted_ && s + 1 <= stages_.size() && resolved_[s] == items_)
-    tracker_.satisfy(barrier_token(s + 1));
-  std::uint64_t item = item_of(seq);
-  auto live = item_live_.find(item);
-  if (live != item_live_.end() && --live->second == 0) {
-    item_live_.erase(live);
-    item_args_.erase(item);  // chain fully resolved; drop the buffered args
-  }
-}
-
 void StageChainSource::note_complete(std::uint64_t seq, bool ok) {
-  tracker_.complete(seq, ok);
-  note_resolved(seq);
-}
-
-DepSkippedJob StageChainSource::describe(std::uint64_t seq) const {
-  DepSkippedJob skip;
-  skip.seq = seq;
-  skip.stage = stage_of(seq);
-  auto it = item_args_.find(item_of(seq));
-  if (it != item_args_.end()) skip.args = it->second;
-  skip.command = stages_[skip.stage - 1].command;
-  return skip;
+  const std::size_t s = stage_of(seq);
+  auto it = live_.find(item_of(seq));
+  if (it == live_.end() || it->second.stage != s || !it->second.running)
+    throw util::InternalError("stage chain: complete of job " +
+                              std::to_string(seq) + " that is not in flight");
+  if (ok && s < stages_.size() && !closed_) {
+    it->second.stage = s + 1;
+    it->second.running = false;
+    // A barrier stage waits for lift() unless the barrier is already gone.
+    if (!stages_[s].barrier || stage_resolved(s)) ready_.insert(seq + 1);
+  } else {
+    // The item's chain ends here: its last stage resolved, a failure skips
+    // the rest, or drain_unemitted() already reported the rest.
+    if (!ok && !closed_) skip_from(it->first, it->second.args, s + 1, skipped_);
+    live_.erase(it);
+  }
+  note_resolved(s);
 }
 
 std::vector<DepSkippedJob> StageChainSource::take_dep_skips() {
   std::vector<DepSkippedJob> out;
-  for (std::uint64_t seq : tracker_.take_skipped()) {
-    out.push_back(describe(seq));
-    note_resolved(seq);
-  }
+  out.swap(skipped_);
+  std::sort(out.begin(), out.end(),
+            [](const DepSkippedJob& a, const DepSkippedJob& b) {
+              return a.seq < b.seq;
+            });
+  // A skip counts toward its stage's drain (and a barrier) once taken.
+  for (const DepSkippedJob& skip : out) note_resolved(skip.stage);
   return out;
 }
 
 std::vector<DepSkippedJob> StageChainSource::drain_unemitted() {
   std::vector<DepSkippedJob> out;
-  for (std::uint64_t seq : tracker_.drain_unemitted()) {
-    out.push_back(describe(seq));
-    note_resolved(seq);
+  for (auto it = live_.begin(); it != live_.end();) {
+    const Item& item = it->second;
+    skip_from(it->first, item.args, item.stage + (item.running ? 1 : 0), out);
+    // A running job stays live until its completion, which then only
+    // retires the item: a closed chain makes nothing ready.
+    it = item.running ? std::next(it) : live_.erase(it);
   }
+  ready_.clear();
+  closed_ = true;
   return out;
-}
-
-bool StageChainSource::blocked() const {
-  return !head_exhausted_ || tracker_.blocked();
 }
 
 std::string StageChainSource::stage_name(std::size_t stage) const {

@@ -2,10 +2,10 @@
 //
 // A DagSource is a JobSource whose next() is gated on completion events:
 // jobs materialize as their predecessors complete, never up front. The
-// engine detects a DagSource (dynamic_cast in execute()), feeds final
-// completions back via note_complete(), and drains dependency-skipped
-// descendants via take_dep_skips() so they land in the joblog and
-// RunSummary instead of vanishing.
+// engine detects a DagSource (a dynamic_cast in Engine::Run's member
+// set-up), feeds final completions back via note_complete(), and drains
+// dependency-skipped descendants via take_dep_skips() so they land in the
+// joblog and RunSummary instead of vanishing.
 //
 // Two concrete sources:
 //   GraphSource       an explicit DAG from `parcl --graph FILE` — named
@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -169,11 +170,12 @@ struct StageSpec {
 
 /// DagSource chaining S stages over a streaming upstream (non-owning, like
 /// the decorator sources). Input item i (1-based pull order) yields jobs
-/// seq (i-1)*S + s for stage s, all sharing the item's args; stage s
-/// depends on the item's stage s-1 job, plus a whole-previous-stage
-/// barrier token when the stage is marked barrier. Items are pulled
-/// lazily — one per next() when stage 1 has capacity — so the upstream is
-/// never materialized up front.
+/// seq (i-1)*S + s for stage s, all sharing the item's args; stage s waits
+/// for the item's stage s-1 job to succeed and, on a barrier stage, for the
+/// whole previous stage to resolve. Items are pulled lazily — one per
+/// next() when stage 1 has capacity — so the upstream is never
+/// materialized up front, and an item is forgotten once its last job
+/// resolves: memory follows the live window, not the input length.
 class StageChainSource : public DagSource {
  public:
   StageChainSource(JobSource& upstream, std::vector<StageSpec> stages);
@@ -186,9 +188,11 @@ class StageChainSource : public DagSource {
   void note_complete(std::uint64_t seq, bool ok) override;
   std::vector<DepSkippedJob> take_dep_skips() override;
   std::vector<DepSkippedJob> drain_unemitted() override;
-  bool blocked() const override;
+  bool blocked() const override {
+    return !head_exhausted_ || (!live_.empty() && ready_.empty());
+  }
   bool exhausted() const override {
-    return head_exhausted_ && tracker_.all_emitted();
+    return head_exhausted_ && unemitted_ == 0;
   }
 
   std::size_t stage_count() const override { return stages_.size(); }
@@ -197,26 +201,46 @@ class StageChainSource : public DagSource {
   std::size_t stage_limit(std::size_t stage) const override;
 
  private:
+  /// An item whose chain has not resolved: its args and its cursor, the
+  /// lowest stage whose job has not resolved. Every later stage waits.
+  struct Item {
+    ArgVector args;
+    std::size_t stage = 1;
+    bool running = false;  // the cursor stage's job was emitted
+  };
+
   std::size_t stage_of(std::uint64_t seq) const {
     return static_cast<std::size_t>((seq - 1) % stages_.size()) + 1;
   }
   std::uint64_t item_of(std::uint64_t seq) const {
     return (seq - 1) / stages_.size() + 1;
   }
-  bool pull_item();  // declare the next input item's chain; false when dry
-  void note_resolved(std::uint64_t seq);  // stage drain + barrier bookkeeping
-  DepSkippedJob describe(std::uint64_t seq) const;
-  JobInput emit(std::uint64_t seq);
+  std::uint64_t seq_of(std::uint64_t item, std::size_t stage) const {
+    return (item - 1) * stages_.size() + stage;
+  }
+  /// Every item is known and each one's stage-`stage` job completed or was
+  /// skipped: a barrier on the next stage lifts.
+  bool stage_resolved(std::size_t stage) const {
+    return head_exhausted_ && resolved_[stage] == items_;
+  }
+  bool pull_item();  // take the next input item; false when dry
+  void lift(std::size_t stage);  // ready a barrier stage's jobs once due
+  void note_resolved(std::size_t stage);
+  /// Appends the item's jobs from `stage` on to `out` as skipped.
+  void skip_from(std::uint64_t item, const ArgVector& args, std::size_t stage,
+                 std::vector<DepSkippedJob>& out);
 
   std::unique_ptr<JobSource> owned_upstream_;  // owning-ctor storage only
   JobSource& upstream_;
   std::vector<StageSpec> stages_;
-  DependencyTracker tracker_;
   bool head_exhausted_ = false;
-  std::uint64_t items_ = 0;               // input values pulled so far
-  std::vector<std::size_t> resolved_;     // per stage, jobs done or skipped
-  std::map<std::uint64_t, ArgVector> item_args_;  // live until chain resolves
-  std::map<std::uint64_t, std::size_t> item_live_;  // unresolved jobs per item
+  bool closed_ = false;  // drain_unemitted() ran: completions only retire
+  std::uint64_t items_ = 0;          // input values pulled so far
+  std::map<std::uint64_t, Item> live_;  // by item number
+  std::set<std::uint64_t> ready_;       // seqs, lowest popped first
+  std::vector<DepSkippedJob> skipped_;  // until take_dep_skips()
+  std::vector<std::size_t> resolved_;   // per stage, jobs done or skipped
+  std::size_t unemitted_ = 0;  // live jobs neither emitted nor resolved
 };
 
 }  // namespace parcl::core

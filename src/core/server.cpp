@@ -132,13 +132,18 @@ void IntakeJournal::append_accept(const IntakeRecord& record) {
                      "\t" + (record.has_stdin ? "1" : "0") + "\t" +
                      escape_field(record.command) + "\t" +
                      escape_field(record.stdin_data) + "\n";
-  write_all(fd_, line, "write intake journal");
-  if (fsync_each_) ::fsync(fd_);
+  append(line);
 }
 
 void IntakeJournal::append_cancel(std::uint64_t intake_id) {
-  write_all(fd_, "C\t" + std::to_string(intake_id) + "\n", "write intake journal");
-  if (fsync_each_) ::fsync(fd_);
+  append("C\t" + std::to_string(intake_id) + "\n");
+}
+
+void IntakeJournal::append(const std::string& line) {
+  write_all(fd_, line, "write intake journal");
+  if (fsync_each_ && ::fsync(fd_) < 0) {
+    throw util::SystemError("fsync intake journal", errno);
+  }
 }
 
 std::vector<IntakeRecord> IntakeJournal::replay(const std::string& path) {

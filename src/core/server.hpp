@@ -86,8 +86,9 @@ class IntakeJournal {
   IntakeJournal(const IntakeJournal&) = delete;
   IntakeJournal& operator=(const IntakeJournal&) = delete;
 
-  /// Appends an accept record. The record is on disk (one write()) when
-  /// this returns — the caller may ack.
+  /// Appends an accept record. The record is on disk (one write(), and an
+  /// fsync with `fsync_each`) when this returns — the caller may ack. A
+  /// failed write or fsync throws SystemError, so no ack goes out.
   void append_accept(const IntakeRecord& record);
 
   /// Appends a cancel record (orphan-cancel, drain-abandon).
@@ -103,6 +104,8 @@ class IntakeJournal {
   static std::uint64_t max_intake_id(const std::string& path);
 
  private:
+  void append(const std::string& line);
+
   int fd_ = -1;
   bool fsync_each_ = false;
 };

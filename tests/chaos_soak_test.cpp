@@ -16,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -967,6 +968,28 @@ struct DagJoblogRow {
   int exitval = 0;
 };
 
+/// Joblog rows by seq. A short row or a seq logged twice fails the test.
+std::map<std::uint64_t, DagJoblogRow> read_dag_rows(
+    const std::string& joblog_bytes, const std::string& label) {
+  std::map<std::uint64_t, DagJoblogRow> rows;
+  std::istringstream log(joblog_bytes);
+  std::string line;
+  std::getline(log, line);  // header
+  while (std::getline(log, line)) {
+    auto fields = util::split(line, '\t');
+    EXPECT_GE(fields.size(), 7u) << label;
+    if (fields.size() < 7) continue;
+    std::uint64_t seq = static_cast<std::uint64_t>(util::parse_long(fields[0]));
+    DagJoblogRow row;
+    row.start = std::stod(fields[2]);
+    row.end = row.start + std::stod(fields[3]);
+    row.exitval = static_cast<int>(util::parse_long(fields[6]));
+    EXPECT_TRUE(rows.emplace(seq, row).second)
+        << label << ": seq " << seq << " logged twice";
+  }
+  return rows;
+}
+
 FaultPlan dag_plan(std::uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
@@ -1038,23 +1061,8 @@ TEST(ChaosSoak, DagSchedulesRespectDependenciesExactlyOnce) {
                   run.summary.dep_skipped,
               kChaosDagNodes)
         << "dag seed " << seed;
-    std::map<std::uint64_t, DagJoblogRow> rows;
-    std::istringstream log(run.joblog_bytes);
-    std::string line;
-    std::getline(log, line);  // header
-    while (std::getline(log, line)) {
-      auto fields = util::split(line, '\t');
-      ASSERT_GE(fields.size(), 7u) << "dag seed " << seed;
-      std::uint64_t seq =
-          static_cast<std::uint64_t>(util::parse_long(fields[0]));
-      EXPECT_TRUE(rows.find(seq) == rows.end())
-          << "dag seed " << seed << ": seq " << seq << " logged twice";
-      DagJoblogRow row;
-      row.start = std::stod(fields[2]);
-      row.end = row.start + std::stod(fields[3]);
-      row.exitval = static_cast<int>(util::parse_long(fields[6]));
-      rows[seq] = row;
-    }
+    std::map<std::uint64_t, DagJoblogRow> rows =
+        read_dag_rows(run.joblog_bytes, "dag seed " + std::to_string(seed));
     ASSERT_EQ(rows.size(), kChaosDagNodes) << "dag seed " << seed;
 
     std::size_t logged_dep_skips = 0;
@@ -1100,6 +1108,144 @@ TEST(ChaosSoak, DagSchedulesRespectDependenciesExactlyOnce) {
     // Both legs must actually bite: some schedules finish clean (output
     // identity exercised) and some propagate failures (dep-skip rows
     // exercised).
+    EXPECT_GE(fully_succeeded, 10u);
+    EXPECT_GE(dep_skips_seen, 50u);
+  }
+  std::remove(joblog.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Stage chains under chaos: the DAG soak's fault plan over a --then chain.
+// Items stream through fetch -> crunch -> reduce, where reduce is a
+// --then-all barrier; stage 1 is capped on two seeds in three. Every item
+// must keep its own stage order, the barrier must hold, dep-skips must
+// follow a dead previous stage, and clean runs must print the -j1 -k output.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kChaosChainItems = 30;
+constexpr std::size_t kChaosChainStages = 3;
+constexpr std::size_t kChaosChainJobs = kChaosChainItems * kChaosChainStages;
+
+ScheduleResult run_chain_schedule(std::uint64_t seed, bool faults,
+                                  const std::string& joblog_path,
+                                  std::size_t jobs) {
+  sim::Simulation sim;
+  util::Rng duration_rng(seed * 17 + 5);
+  exec::SimExecutor inner(
+      sim,
+      [&](const core::ExecRequest& request) {
+        exec::SimOutcome outcome;
+        outcome.duration = duration_rng.lognormal(0.5, 0.4);
+        outcome.stdout_data = request.command + "\n";
+        return outcome;
+      },
+      /*dispatch_cost=*/1.0 / 470.0);
+  FaultPlan plan = faults ? dag_plan(seed) : FaultPlan{};
+  if (!faults) plan.seed = seed;
+  FaultInjectingExecutor executor(inner, plan);
+
+  ScheduleResult result;
+  result.total_jobs = kChaosChainJobs;
+  result.options.jobs = jobs;
+  result.options.output_mode = OutputMode::kKeepOrder;
+  result.options.joblog_path = joblog_path;
+  result.options.retries = 1 + seed % 3;
+  std::remove(joblog_path.c_str());
+
+  std::vector<core::ArgVector> items;
+  for (std::size_t i = 1; i <= kChaosChainItems; ++i)
+    items.push_back({"item" + std::to_string(i)});
+  core::VectorSource upstream(std::move(items));
+  std::vector<core::StageSpec> stages(kChaosChainStages);
+  stages[0].command = "fetch {}";
+  stages[0].jobs = seed % 3;
+  stages[1].command = "crunch {}";
+  stages[2].command = "reduce {}";
+  stages[2].barrier = true;
+  core::StageChainSource chain(upstream, std::move(stages));
+
+  std::ostringstream out, err;
+  Engine engine(result.options, executor, out, err);
+  result.summary = engine.run_source("", chain);
+  result.output = out.str();
+  result.joblog_bytes = testing::slurp(joblog_path);
+  result.faults = executor.counters();
+  EXPECT_EQ(executor.active_count(), 0u);
+  return result;
+}
+
+TEST(ChaosSoak, StageChainSchedulesKeepItemOrderExactlyOnce) {
+  const std::string joblog = temp_joblog("chain");
+  ScheduleResult baseline =
+      run_chain_schedule(1, /*faults=*/false, joblog, /*jobs=*/1);
+  ASSERT_EQ(baseline.summary.succeeded, kChaosChainJobs);
+  const std::string expected_output = baseline.output;
+
+  std::size_t fully_succeeded = 0;
+  std::size_t dep_skips_seen = 0;
+  for (std::uint64_t seed : seed_range(1, 100)) {
+    const std::string label = "chain seed " + std::to_string(seed);
+    ScheduleResult run =
+        run_chain_schedule(seed, /*faults=*/true, joblog, 1 + seed % 8);
+
+    // One terminal state and one joblog row per seq.
+    EXPECT_EQ(run.summary.succeeded + run.summary.failed +
+                  run.summary.dep_skipped,
+              kChaosChainJobs)
+        << label;
+    std::map<std::uint64_t, DagJoblogRow> rows =
+        read_dag_rows(run.joblog_bytes, label);
+    ASSERT_EQ(rows.size(), kChaosChainJobs) << label;
+
+    auto stage_of = [](std::uint64_t seq) {
+      return static_cast<std::size_t>((seq - 1) % kChaosChainStages) + 1;
+    };
+    double last_stage2_end = 0.0;
+    for (const auto& [seq, row] : rows) {
+      if (stage_of(seq) == 2 && row.exitval != core::kDepSkippedExitval)
+        last_stage2_end = std::max(last_stage2_end, row.end);
+    }
+
+    std::size_t logged_dep_skips = 0;
+    for (const auto& [seq, row] : rows) {
+      const std::size_t stage = stage_of(seq);
+      if (stage == 1) {
+        EXPECT_NE(row.exitval, core::kDepSkippedExitval)
+            << label << ": stage-1 seq " << seq << " dep-skipped";
+        continue;
+      }
+      const DagJoblogRow& previous = rows.at(seq - 1);  // same item
+      if (row.exitval == core::kDepSkippedExitval) {
+        ++logged_dep_skips;
+        EXPECT_NE(previous.exitval, 0)
+            << label << ": seq " << seq
+            << " dep-skipped after a clean previous stage";
+        continue;
+      }
+      EXPECT_EQ(previous.exitval, 0)
+          << label << ": seq " << seq << " ran although stage " << stage - 1
+          << " of its item failed";
+      EXPECT_GE(row.start, previous.end - 1e-9)
+          << label << ": seq " << seq
+          << " started before its item's previous stage finished";
+      if (stage == 3) {
+        EXPECT_GE(row.start, last_stage2_end - 1e-9)
+            << label << ": barrier seq " << seq
+            << " started before stage 2 drained";
+      }
+    }
+    EXPECT_EQ(logged_dep_skips, run.summary.dep_skipped) << label;
+    dep_skips_seen += logged_dep_skips;
+
+    if (run.summary.failed == 0 && run.summary.dep_skipped == 0) {
+      ++fully_succeeded;
+      EXPECT_EQ(run.output, expected_output)
+          << label << ": clean -k output diverged from the -j1 baseline";
+    }
+  }
+  if (std::getenv("PARCL_CHAOS_SEEDS") == nullptr) {
+    // Both legs must bite: clean schedules exercise output identity, and
+    // failing ones exercise dep-skip rows.
     EXPECT_GE(fully_succeeded, 10u);
     EXPECT_GE(dep_skips_seen, 50u);
   }

@@ -82,36 +82,12 @@ TEST(DependencyTracker, RejectsCyclesAndSelfDeps) {
   }
 }
 
-TEST(DependencyTracker, IncrementalAddsAreBackEdgeOnly) {
+TEST(DependencyTracker, AddAfterSealThrows) {
   DependencyTracker tracker;
   tracker.add_node(1);
   tracker.seal();
-  tracker.add_node(2, {1});                              // back-edge: fine
-  EXPECT_THROW(tracker.add_node(3, {9}), util::ConfigError);  // forward: no
-  EXPECT_THROW(tracker.add_node(4, {4}), util::ConfigError);  // self: no
-
-  // A dep that already failed skips the new node on declaration.
-  ASSERT_EQ(tracker.pop_ready(), std::optional<std::uint64_t>(1));
-  tracker.complete(1, false);
-  auto skipped = tracker.take_skipped();
-  ASSERT_EQ(skipped.size(), 1u);  // node 2
-  EXPECT_EQ(skipped[0], 2u);
-  tracker.add_node(5, {1});
-  skipped = tracker.take_skipped();
-  ASSERT_EQ(skipped.size(), 1u);
-  EXPECT_EQ(skipped[0], 5u);
-}
-
-TEST(DependencyTracker, TokensSatisfyBeforeAndAfterDeclaration) {
-  DependencyTracker tracker;
-  tracker.satisfy("early");  // produced before anyone waits on it
-  tracker.add_node(1, {}, {"early"});
-  tracker.add_node(2, {}, {"late"});
-  tracker.seal();
-  EXPECT_EQ(tracker.pop_ready(), std::optional<std::uint64_t>(1));
-  EXPECT_EQ(tracker.pop_ready(), std::nullopt);
-  tracker.satisfy("late");
-  EXPECT_EQ(tracker.pop_ready(), std::optional<std::uint64_t>(2));
+  EXPECT_THROW(tracker.add_node(2, {1}), util::InternalError);
+  EXPECT_EQ(tracker.pending(), 1u);
 }
 
 TEST(DependencyTracker, CompletionIsExactlyOnce) {
@@ -211,6 +187,8 @@ TEST(GraphSpec, ErrorsNameTheOffendingLine) {
   expect_parse_error("stage\n", "stage directive needs a name");
   expect_parse_error("stage s\nstage s\n", "test.graph:2");
   expect_parse_error("a wat=1 :: ok\n", "unknown node attribute");
+  expect_parse_error("stage s jobs=-2\na stage=s :: ok\n", "test.graph:1");
+  expect_parse_error("a :: ok\nstage s jobs=abc\n", "test.graph:2");
   expect_parse_error("", "declares no nodes");
 }
 
@@ -438,6 +416,36 @@ TEST(StageChainSource, FailureSkipsTheRestOfTheItemChainOnly) {
   chain.note_complete(6, true);
   EXPECT_EQ(chain.next(), std::nullopt);  // discovers the upstream is dry
   EXPECT_TRUE(chain.exhausted());
+}
+
+TEST(StageChainSource, CompletionAfterDrainMakesNothingReady) {
+  // A halted run drains the never-ran tail while a job still runs. Its
+  // completion, ok or failed, must neither start a later stage nor report
+  // that stage's skip a second time.
+  for (bool ok : {true, false}) {
+    VectorSource upstream({{"x"}, {"y"}});
+    std::vector<StageSpec> stages(3);
+    stages[0].command = "a {}";
+    stages[1].command = "b {}";
+    stages[2].command = "c {}";
+    StageChainSource chain(upstream, std::move(stages));
+    ASSERT_EQ(chain.next()->seq, 1u);
+    ASSERT_EQ(chain.next()->seq, 4u);
+    EXPECT_EQ(chain.next(), std::nullopt);  // discovers the upstream is dry
+    chain.note_complete(4, true);           // y's stage 2 is now ready
+
+    std::vector<std::uint64_t> drained;
+    for (const DepSkippedJob& skip : chain.drain_unemitted())
+      drained.push_back(skip.seq);
+    EXPECT_EQ(drained, (std::vector<std::uint64_t>{2, 3, 5, 6}));
+
+    chain.note_complete(1, ok);  // x's stage 1 ran through the drain
+    EXPECT_TRUE(chain.take_dep_skips().empty()) << "ok=" << ok;
+    EXPECT_EQ(chain.next(), std::nullopt);
+    EXPECT_TRUE(chain.exhausted());
+    EXPECT_THROW(chain.note_complete(1, true), util::InternalError);
+    EXPECT_THROW(chain.note_complete(2, true), util::InternalError);
+  }
 }
 
 // ---------------------------------------------------------------------------

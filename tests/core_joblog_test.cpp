@@ -1,6 +1,7 @@
 #include "core/joblog.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -14,8 +15,11 @@ namespace {
 class JoblogTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // ctest runs each case in its own process, several at once: the test
+    // name and the pid keep their files apart.
     path_ = ::testing::TempDir() + "joblog_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".tsv";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".tsv";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -152,6 +152,18 @@ TEST_F(IntakeJournalTest, RoundTripsArbitraryBytes) {
   EXPECT_EQ(replayed[0].stdin_data, record.stdin_data);
 }
 
+TEST_F(IntakeJournalTest, FsyncFailureThrowsSoNoAckGoesOut) {
+  // fsync on /dev/null fails with EINVAL: with fsync_each, neither append
+  // may return as if its record were durable.
+  IntakeJournal journal("/dev/null", /*fsync_each=*/true);
+  IntakeRecord record;
+  record.intake_id = 1;
+  record.tenant = "t";
+  record.command = "true";
+  EXPECT_THROW(journal.append_accept(record), util::SystemError);
+  EXPECT_THROW(journal.append_cancel(1), util::SystemError);
+}
+
 TEST_F(IntakeJournalTest, CancelRecordsFoldOut) {
   {
     IntakeJournal journal(path());
