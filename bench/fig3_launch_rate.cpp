@@ -8,8 +8,9 @@
 //
 // Two measurements:
 //   (a) REAL: this machine — the parcl engine + LocalExecutor launching
-//       /bin/true through /bin/sh, single instance (absolute rate depends on
-//       this host; the paper's Perlmutter value is the reference).
+//       /bin/true, single instance (absolute rate depends on this host; the
+//       paper's Perlmutter value is the reference), and a bare command name
+//       (`basename {}`) beside its forced-shell form.
 //   (b) SIM: the Perlmutter node model, sweeping instance count.
 #include <sys/resource.h>
 
@@ -32,16 +33,19 @@ struct RealMeasurement {
   parcl::core::DispatchCounters counters;
 };
 
-/// Real measurement: dispatch `n` no-op commands through the engine and
+/// Real measurement: dispatch `n` short commands through the engine and
 /// LocalExecutor, return launches/s plus the executor's hot-path counters.
 /// `command` defaults to the bypass-eligible "/bin/true {}"; appending a
-/// shell metacharacter (" ;") forces the /bin/sh path for comparison.
-RealMeasurement measure_real_rate(std::size_t n, std::size_t jobs,
-                                  const std::string& command = "/bin/true {}") {
+/// shell metacharacter (" ;") forces the /bin/sh path for comparison. The
+/// default -u skips the capture files (pure spawn cost); a command that
+/// prints is measured with its output captured.
+RealMeasurement measure_real_rate(
+    std::size_t n, std::size_t jobs, const std::string& command = "/bin/true {}",
+    parcl::core::OutputMode output_mode = parcl::core::OutputMode::kUngroup) {
   using namespace parcl;
   core::Options options;
   options.jobs = jobs;
-  options.output_mode = core::OutputMode::kUngroup;  // no pipes: pure spawn cost
+  options.output_mode = output_mode;
   exec::LocalExecutor executor;
   std::ostringstream sink_out, sink_err;
   core::Engine engine(options, executor, sink_out, sink_err);
@@ -127,6 +131,18 @@ int main() {
     real_table.add_row({"64", "600", "sh -c", util::format_double(m.rate, 0),
                         util::format_double(m.counters.mean_spawn_us(), 0)});
   }
+  // A bare command name that is no shell built-in execs directly from PATH;
+  // its forced-shell form runs the same binary through /bin/sh -c.
+  double real_bare = 0.0;
+  double real_bare_shell = 0.0;
+  for (bool forced : {false, true}) {
+    RealMeasurement m = measure_real_rate(600, 64, forced ? "basename {} ;" : "basename {}",
+                                          core::OutputMode::kGroup);
+    (forced ? real_bare_shell : real_bare) = m.rate;
+    real_table.add_row({"64", "600", forced ? "basename, sh -c" : "basename, bare",
+                        util::format_double(m.rate, 0),
+                        util::format_double(m.counters.mean_spawn_us(), 0)});
+  }
   std::cout << real_table.render() << '\n';
 
   double wakeup_latency_s = measure_wakeup_latency(10);
@@ -184,6 +200,8 @@ int main() {
 
   json.set("fig3_launch_rate", "launches_per_s", real_single);
   json.set("fig3_launch_rate", "launches_per_s_shell", real_shell);
+  json.set("fig3_launch_rate", "launches_per_s_bare", real_bare);
+  json.set("fig3_launch_rate", "launches_per_s_bare_shell", real_bare_shell);
   json.set("fig3_launch_rate", "mean_spawn_us", mean_spawn_us);
   json.set("fig3_launch_rate", "mean_completion_to_wakeup_us",
            wakeup_latency_s * 1e6);

@@ -257,7 +257,7 @@ ServerCore::ServerCore(ServerConfig config, Executor& executor)
     // Tenants resurface at weight 1 until their client reconnects and
     // re-states a weight; the journal promise (acked work runs) does not
     // depend on the client ever returning.
-    ensure_tenant(record.tenant, 1.0, /*connected=*/false);
+    ++ensure_tenant(record.tenant, 1.0, /*connected=*/false).pending;
     std::uint64_t id = record.intake_id;
     Pending pending;
     pending.record = std::move(record);
@@ -268,8 +268,8 @@ ServerCore::ServerCore(ServerConfig config, Executor& executor)
   }
 }
 
-void ServerCore::ensure_tenant(const std::string& tenant, double weight,
-                               bool connected) {
+ServerCore::Tenant& ServerCore::ensure_tenant(const std::string& tenant, double weight,
+                                              bool connected) {
   Tenant& t = tenants_[tenant];
   t.weight = weight;
   if (connected) {
@@ -277,6 +277,7 @@ void ServerCore::ensure_tenant(const std::string& tenant, double weight,
     t.strikes = 0;
   }
   queue_.attach(tenant, weight);
+  return t;
 }
 
 Admission ServerCore::attach_tenant(const std::string& tenant, double weight) {
@@ -302,18 +303,21 @@ void ServerCore::detach_tenant(const std::string& tenant, bool orphaned) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return;
   it->second.connected = false;
-  if (!orphaned || config_.orphans == OrphanPolicy::kKeep) return;
-  // Orphan-cancel: queued jobs are journal-cancelled (the restart replay
-  // must not resurrect them), running ones are killed — their deaths still
-  // flow through step() and the ledger, so exactly-once holds.
-  for (std::uint64_t id : queue_.detach(tenant)) {
-    journal_.append_cancel(id);
-    pending_.erase(id);
-    ++stats_.cancelled;
+  if (orphaned && config_.orphans == OrphanPolicy::kCancel) {
+    // Orphan-cancel: queued jobs are journal-cancelled (the restart replay
+    // must not resurrect them), running ones are killed — their deaths
+    // still flow through step() and the ledger, so exactly-once holds.
+    for (std::uint64_t id : queue_.detach(tenant)) {
+      journal_.append_cancel(id);
+      pending_.erase(id);
+      --it->second.pending;
+      ++stats_.cancelled;
+    }
+    for (auto& [id, pending] : pending_) {
+      if (pending.record.tenant == tenant) engine_.kill(id, /*force=*/false);
+    }
   }
-  for (auto& [id, pending] : pending_) {
-    if (pending.record.tenant == tenant) engine_.kill(id, /*force=*/false);
-  }
+  close_idle_joblog(tenant, it->second);
 }
 
 bool ServerCore::tenant_connected(const std::string& tenant) const {
@@ -408,6 +412,7 @@ Admission ServerCore::submit(const std::string& tenant, std::uint64_t client_seq
   queue_.push(tenant, id);
   pending_.emplace(id, std::move(pending));
   it->second.strikes = 0;
+  ++it->second.pending;
   ++stats_.accepted;
   return Admission::accept(id);
 }
@@ -418,7 +423,14 @@ std::optional<JobInput> ServerCore::next() {
   if (!ready()) return std::nullopt;
   std::optional<FairShareQueue::Popped> popped = queue_.pop();
   Pending& pending = pending_.at(popped->id);
-  stats_.queue_latency_seconds.push_back(executor_.now() - pending.accept_time);
+  double latency = executor_.now() - pending.accept_time;
+  std::vector<double>& samples = stats_.queue_latency_seconds;
+  if (samples.size() < ServerStats::kQueueLatencyWindow) {
+    samples.push_back(latency);
+  } else {
+    samples[next_latency_slot_] = latency;
+    next_latency_slot_ = (next_latency_slot_ + 1) % ServerStats::kQueueLatencyWindow;
+  }
   ++stats_.served_by_tenant[popped->tenant];
   JobInput job;
   job.seq = popped->id;
@@ -443,7 +455,10 @@ void ServerCore::record_result(const JobResult& result) {
   tenant_joblog(record.tenant).record(tenant_row, kLocalHost);
   ++stats_.completed;
   events_.push_back(TenantEvent{record.tenant, std::move(tenant_row)});
+  auto owner = tenants_.find(record.tenant);
   pending_.erase(it);
+  --owner->second.pending;
+  close_idle_joblog(owner->first, owner->second);
 }
 
 std::size_t ServerCore::step(double timeout_seconds) {
@@ -478,6 +493,10 @@ JoblogWriter& ServerCore::tenant_joblog(const std::string& tenant) {
              .first;
   }
   return *it->second;
+}
+
+void ServerCore::close_idle_joblog(const std::string& tenant, const Tenant& state) {
+  if (!state.connected && state.pending == 0) tenant_joblogs_.erase(tenant);
 }
 
 // ---------------------------------------------------------------------------

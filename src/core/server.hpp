@@ -191,8 +191,10 @@ struct ServerStats {
   /// Jobs dispatched per tenant (the fairness series the bench feeds into
   /// the Jain index).
   std::map<std::string, std::uint64_t> served_by_tenant;
-  /// Accept-to-dispatch queue latency samples, seconds (executor clock).
+  /// Accept-to-dispatch queue latency samples, seconds (executor clock):
+  /// the last kQueueLatencyWindow jobs served, in no particular order.
   std::vector<double> queue_latency_seconds;
+  static constexpr std::size_t kQueueLatencyWindow = std::size_t{1} << 17;
 };
 
 /// The socket-free job service: admission, journaling, fair-share
@@ -299,6 +301,7 @@ class ServerCore : private LiveSource {
     double weight = 1.0;
     bool connected = false;
     std::size_t strikes = 0;  // consecutive rejects (flood detector)
+    std::size_t pending = 0;  // its jobs queued or in the loop
   };
   struct Pending {
     IntakeRecord record;
@@ -307,10 +310,14 @@ class ServerCore : private LiveSource {
 
   bool ready() const override;
   std::optional<JobInput> next() override;
-  void ensure_tenant(const std::string& tenant, double weight, bool connected);
+  Tenant& ensure_tenant(const std::string& tenant, double weight, bool connected);
   Admission note_reject(const std::string& tenant, Admission rejection);
   void record_result(const JobResult& result);
   JoblogWriter& tenant_joblog(const std::string& tenant);
+  /// Closes the joblog of a tenant that is detached and has nothing
+  /// pending, so the server holds no fd for each name it ever served. A
+  /// later row reopens it in append mode.
+  void close_idle_joblog(const std::string& tenant, const Tenant& state);
 
   ServerConfig config_;
   Executor& executor_;
@@ -324,6 +331,7 @@ class ServerCore : private LiveSource {
   std::map<std::string, std::unique_ptr<JoblogWriter>> tenant_joblogs_;
   std::vector<TenantEvent> events_;
   ServerStats stats_;
+  std::size_t next_latency_slot_ = 0;  // the oldest sample, once the window is full
   bool draining_ = false;
   // No stream buffer: the loop collates nothing, and record_result sends
   // each result's output to its client.

@@ -17,6 +17,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <string_view>
 #include <utility>
 
 #include "exec/spawn_path.hpp"
@@ -100,27 +102,61 @@ void sigchld_self_pipe_handler(int) {
   errno = saved_errno;
 }
 
-/// True when a shell-mode command can skip /bin/sh: only plain words built
-/// from characters the shell never interprets, and a path-like first word
-/// (so shell builtins such as `exit` or `cd` keep their shell semantics).
-bool shell_bypass_safe(const std::string& command) {
-  bool seen_word = false;
-  bool in_first_word = true;
-  bool first_word_is_path = false;
-  for (char c : command) {
-    if (c == ' ') {
-      if (seen_word) in_first_word = false;
-      continue;
-    }
+/// The first word of a shell-mode command made only of plain words, built
+/// from characters the shell never interprets; empty when the command has
+/// any other character, or no word.
+std::string_view plain_first_word(const std::string& command) {
+  std::size_t begin = command.find_first_not_of(' ');
+  if (begin == std::string::npos) return {};
+  std::size_t end = std::min(command.find(' ', begin), command.size());
+  for (std::size_t i = begin; i < command.size(); ++i) {
+    char c = command[i];
+    if (c == ' ') continue;
     bool plain = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
                  c == '_' || c == '-' || c == '+' || c == ':' || c == ',' ||
                  c == '.' || c == '/' || c == '%' || c == '@' || c == '^';
     // '=' is safe in arguments but a variable assignment in the first word.
-    if (!plain && !(c == '=' && !in_first_word)) return false;
-    seen_word = true;
-    if (in_first_word && c == '/') first_word_is_path = true;
+    if (!plain && !(c == '=' && i > end)) return {};
   }
-  return seen_word && first_word_is_path;
+  return std::string_view(command).substr(begin, end - begin);
+}
+
+/// The built-ins and reserved words of POSIX sh, dash and bash (/bin/sh is
+/// dash on Debian, bash on RHEL and SLES), sorted. sh runs these itself,
+/// though some (echo, printf, kill, test, true) are binaries too and act
+/// differently there. Words with a metacharacter ([, [[, !, {) never reach
+/// the lookup.
+constexpr std::string_view kShellWords[] = {
+    ".",        ":",       "alias",    "bg",       "bind",     "break",
+    "builtin",  "caller",  "case",     "cd",       "chdir",    "command",
+    "compgen",  "complete", "compopt", "continue", "coproc",   "declare",
+    "dirs",     "disown",  "do",       "done",     "echo",     "elif",
+    "else",     "enable",  "esac",     "eval",     "exec",     "exit",
+    "export",   "false",   "fc",       "fg",       "fi",       "for",
+    "function", "getopts", "hash",     "help",     "history",  "if",
+    "in",       "jobs",    "kill",     "let",      "local",    "logout",
+    "mapfile",  "popd",    "printf",   "pushd",    "pwd",      "read",
+    "readarray", "readonly", "return", "select",   "set",      "shift",
+    "shopt",    "source",  "suspend",  "test",     "then",     "time",
+    "times",    "trap",    "true",     "type",     "typeset",  "ulimit",
+    "umask",    "unalias", "unset",    "until",    "wait",     "while",
+};
+static_assert(std::is_sorted(std::begin(kShellWords), std::end(kShellWords)));
+
+/// True when `sh -c` would run the bare command `name` from the job's PATH:
+/// it is no built-in or reserved word, the job's environment (inherited or
+/// --env) exports no function of that name, which a bash /bin/sh would
+/// import, and the job has a PATH to search.
+bool runs_from_path(std::string_view name,
+                    const std::map<std::string, std::string>& env) {
+  if (std::binary_search(std::begin(kShellWords), std::end(kShellWords), name)) {
+    return false;
+  }
+  auto exported = [&env](const std::string& key) {
+    return env.count(key) != 0 || std::getenv(key.c_str()) != nullptr;
+  };
+  std::string function = "BASH_FUNC_" + std::string(name);
+  return exported("PATH") && !exported(function + "%%") && !exported(function + "()");
 }
 
 }  // namespace
@@ -170,10 +206,17 @@ void LocalExecutor::start(const core::ExecRequest& request) {
                 "job id too large for LocalExecutor");
   double t0 = monotonic_seconds();
 
-  // Shell-mode commands with no metacharacters skip /bin/sh entirely: the
-  // shell would only exec the argv we can compose ourselves (GNU parallel
-  // applies the same optimization).
-  bool direct = !request.use_shell || shell_bypass_safe(request.command);
+  // Shell-mode commands with no metacharacters skip /bin/sh when the shell
+  // would only exec the argv we can compose ourselves (GNU parallel applies
+  // the same optimization): a path-like first word, or a bare name that sh
+  // would find in PATH. If no candidate execs, the child hands the command
+  // to sh -c after all, so a failure reads as the shell's.
+  bool direct = !request.use_shell;
+  if (!direct) {
+    std::string_view first = plain_first_word(request.command);
+    direct = first.find('/') != std::string_view::npos ||
+             (!first.empty() && runs_from_path(first, request.env));
+  }
   std::vector<std::string> words =
       direct ? util::shell_split(request.command)
              : std::vector<std::string>{"/bin/sh", "-c", request.command};
@@ -219,6 +262,7 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   };
   compose_image(child.image, std::move(words), request.env);
   lay_out_candidates(child.image);
+  if (direct && request.use_shell) hand_failures_to_shell(child.image, request.command);
   ChildPlan& plan = child.image.plan;
   plan.stdin_fd = in_pipe[0];
   plan.stdout_fd = out_fd;
@@ -292,6 +336,10 @@ void LocalExecutor::start(const core::ExecRequest& request) {
       }
       if (rc == 0 || !try_next_candidate(rc)) break;
     }
+    if (rc != 0 && rc != EAGAIN && rc != ENOMEM && plan.shell_argv != nullptr) {
+      rc = posix_spawn(&pid, plan.shell_argv[0], &actions, &attr, plan.shell_argv,
+                       plan.envp);
+    }
     posix_spawn_file_actions_destroy(&actions);
     posix_spawnattr_destroy(&attr);
     if (rc == EAGAIN || rc == ENOMEM) {
@@ -299,8 +347,8 @@ void LocalExecutor::start(const core::ExecRequest& request) {
       throw util::SystemError("posix_spawn", rc);
     }
     if (rc != 0) {
-      // Nothing to exec: the job ends at once with exit 127, as the
-      // CLONE_VM child's does and a shell's "command not found".
+      // Nothing to exec, not even the shell: the job ends at once with exit
+      // 127, as the CLONE_VM child's does and a shell's "command not found".
       close_all();
       child.start_time = child.end_time = now();
       child.reaped = true;

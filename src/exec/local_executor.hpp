@@ -17,9 +17,12 @@
 //   - posix_spawn (a vfork-class clone on glibc) is the fallback: on other
 //     targets, in ASan/TSan builds, when the kernel refuses the clone, and
 //     under SpawnTuning::Path::kPosixSpawn. It tries the same exec
-//     candidates, runs a script without #! through /bin/sh, and ends a job
-//     nothing can exec with exit 127, as the CLONE_VM child does;
-//   - shell-mode commands free of metacharacters skip /bin/sh entirely;
+//     candidates, runs a script without #! through /bin/sh, and, as the
+//     CLONE_VM child does, hands a shell-mode job it cannot exec to
+//     /bin/sh -c and ends a --no-shell one with exit 127;
+//   - shell-mode commands free of metacharacters skip /bin/sh when their
+//     first word is a path, or a bare name that sh would look up in the
+//     job's PATH: not a built-in, a reserved word or an exported function;
 //   - a job's --env variables replace inherited ones of the same name;
 //   - each child's exit is observed through a pidfd (Linux pidfd_open),
 //     falling back to a SIGCHLD self-pipe where pidfds are unavailable, so

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -23,6 +22,7 @@ namespace parcl::exec {
 
 namespace {
 char g_shell[] = "/bin/sh";
+char g_shell_c[] = "-c";
 }  // namespace
 
 void compose_image(SpawnImage& image, std::vector<std::string> words,
@@ -57,8 +57,13 @@ void lay_out_candidates(SpawnImage& image) {
   if (std::strchr(file, '/') != nullptr) {
     image.candidates.push_back(file);
   } else if (*file != '\0') {
-    const char* search = std::getenv("PATH");
-    if (search == nullptr) search = "/bin:/usr/bin";
+    const char* search = "/bin:/usr/bin";
+    for (char* const* entry = image.envp.data(); *entry != nullptr; ++entry) {
+      if (std::strncmp(*entry, "PATH=", 5) == 0) {
+        search = *entry + 5;
+        break;
+      }
+    }
     std::string& paths = image.paths;
     std::vector<std::size_t> starts;
     const char* entry = search;  // an empty entry is the working directory
@@ -90,6 +95,12 @@ void lay_out_candidates(SpawnImage& image) {
   image.plan.candidates = image.candidates.data();
   image.plan.script_argvs = image.script_argvs.data();
   image.plan.script_stride = stride;
+}
+
+void hand_failures_to_shell(SpawnImage& image, std::string command) {
+  image.command = std::move(command);
+  image.shell_argv = {g_shell, g_shell_c, image.command.data(), nullptr};
+  image.plan.shell_argv = image.shell_argv.data();
 }
 
 namespace {
@@ -225,6 +236,10 @@ constexpr long kSigsetBytes = 8;
                          arg(plan.envp));
     }
     if (!try_next_candidate(err)) break;
+  }
+  if (plan.shell_argv != nullptr) {
+    raw_syscall(SYS_execve, arg(plan.shell_argv[0]), arg(plan.shell_argv),
+                arg(plan.envp));
   }
   raw_syscall(SYS_exit_group, 127);
   __builtin_unreachable();

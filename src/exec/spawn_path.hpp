@@ -18,7 +18,8 @@
 //   - It makes only raw syscalls. A libc wrapper sets errno, and errno, like
 //     the rest of the thread control block, is the dispatcher thread's.
 //   - It neither allocates nor builds strings: the parent lays out every
-//     exec candidate, and the /bin/sh argv for each, before the clone.
+//     exec candidate, the /bin/sh argv for each, and a shell-mode job's
+//     /bin/sh -c argv for when none execs, before the clone.
 //   - It gets every signal blocked and resets each caught handler to SIG_DFL
 //     before it unblocks. Its handler table is a copy (no CLONE_SIGHAND), but
 //     the handlers' code and data are the dispatcher's: a handler run in the
@@ -31,6 +32,7 @@
 
 #include <sys/types.h>
 
+#include <array>
 #include <cerrno>
 #include <cstddef>
 #include <map>
@@ -66,6 +68,7 @@ struct ChildPlan {
   char* const* candidates = nullptr;  // paths to exec, in execvpe order
   char* const* script_argvs = nullptr;  // one per candidate, script_stride apart
   std::size_t script_stride = 0;
+  char* const* shell_argv = nullptr;  // exec'd when no candidate is; nullptr = exit 127
   int stdin_fd = -1;   // parent's fd; -1 = /dev/null
   int stdout_fd = -1;  // -1 = inherit the parent's stream
   int stderr_fd = -1;
@@ -93,6 +96,9 @@ struct SpawnImage {
   /// Per candidate, the execvpe retry for ENOEXEC:
   /// {"/bin/sh", candidate, argv[1..], nullptr}.
   std::vector<char*> script_argvs;
+  // Set by hand_failures_to_shell():
+  std::string command;
+  std::array<char*, 4> shell_argv{};  // {"/bin/sh", "-c", command, nullptr}
   ChildPlan plan;  // the child's view; its fds are set by the caller
 };
 
@@ -103,10 +109,17 @@ void compose_image(SpawnImage& image, std::vector<std::string> words,
                    const std::map<std::string, std::string>& env);
 
 /// Lays out argv[0]'s exec candidates as execvpe searches them (argv[0]
-/// itself if it has a slash, else each entry of the dispatcher's PATH), the
-/// /bin/sh argv for each, and the plan's pointers. Both spawn paths try the
-/// candidates in this order.
+/// itself if it has a slash, else each entry of the job's PATH: the one in
+/// its envp, or /bin:/usr/bin when it has none), the /bin/sh argv for each,
+/// and the plan's pointers. Both spawn paths try the candidates in this
+/// order.
 void lay_out_candidates(SpawnImage& image);
+
+/// For a shell-mode job that skipped /bin/sh: when no candidate execs, the
+/// child runs `/bin/sh -c command` instead of ending with exit 127, so the
+/// job fails as it would have through the shell (its message, 126 or 127).
+/// A successful exec never gets there.
+void hand_failures_to_shell(SpawnImage& image, std::string command);
 
 /// Errors after which execvpe tries the next PATH candidate.
 constexpr bool try_next_candidate(long err) noexcept {
@@ -142,9 +155,9 @@ struct SpawnedChild {
 /// `stack_top`. `image` and the stack must stay untouched until the child
 /// is reaped. Returns nullopt when this build has no fast path or the
 /// kernel refuses the clone (ENOSYS, EPERM, EINVAL), so the caller falls
-/// back to posix_spawn; throws SystemError on any other failure. An exec
-/// failure in the child is its exit 127, as from a shell's "command not
-/// found".
+/// back to posix_spawn; throws SystemError on any other failure. When no
+/// candidate execs, the child execs the plan's shell_argv, or ends with
+/// exit 127, as from a shell's "command not found", when it has none.
 std::optional<SpawnedChild> clone_vm_spawn(SpawnImage& image, void* stack_top);
 
 }  // namespace parcl::exec

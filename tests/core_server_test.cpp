@@ -11,9 +11,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -781,6 +783,94 @@ TEST_F(ServerCoreTest, DrainPhaseTwoKillIsNeverRetried) {
     core.begin_drain();
     core.kill_running(/*force=*/true);
   });
+}
+
+/// Entries in /proc/self/fd: the fds this process holds open (plus the one
+/// the listing itself opens, the same on every call).
+std::size_t open_fds() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// A tenant's joblog closes once the tenant is gone and nothing of it is
+// pending, whichever comes last; the next row reopens it for appending.
+TEST_F(ServerCoreTest, DetachedTenantsHoldNoJoblogOpen) {
+  constexpr int kTenants = 50;
+  constexpr std::uint64_t kJobs = 3;
+  auto name = [](int i) { return "tenant" + std::to_string(i); };
+  InlineExecutor executor;
+  {
+    ServerCore core(config(), executor);
+    std::size_t baseline = open_fds();
+    for (int i = 0; i < kTenants; ++i) {
+      ASSERT_TRUE(core.attach_tenant(name(i)).accepted);
+      for (std::uint64_t seq = 1; seq <= kJobs; ++seq) {
+        ASSERT_TRUE(core.submit(name(i), seq, "echo " + std::to_string(seq)).accepted);
+      }
+      // Even tenants leave with their jobs done, odd ones before they run.
+      if (i % 2 == 0) drain(core);
+      core.detach_tenant(name(i), /*orphaned=*/false);
+    }
+    drain(core);
+    EXPECT_EQ(open_fds(), baseline);
+    for (int i = 0; i < kTenants; ++i) {
+      EXPECT_EQ(joblog_rows(ServerCore::tenant_joblog_path(dir_, name(i))), kJobs)
+          << name(i);
+    }
+
+    // A returning tenant appends below its old rows, under the one header.
+    ASSERT_TRUE(core.attach_tenant(name(0)).accepted);
+    ASSERT_TRUE(core.submit(name(0), kJobs + 1, "echo again").accepted);
+    drain(core);
+    core.detach_tenant(name(0), /*orphaned=*/false);
+    EXPECT_EQ(open_fds(), baseline);
+    std::ifstream in(ServerCore::tenant_joblog_path(dir_, name(0)));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), kJobs + 2);
+    EXPECT_EQ(lines.front().rfind("Seq\t", 0), 0u);
+    EXPECT_EQ(lines.back().rfind(std::to_string(kJobs + 1) + "\t", 0), 0u);
+  }
+  for (int i = 0; i < kTenants; ++i) {
+    std::remove(ServerCore::tenant_joblog_path(dir_, name(i)).c_str());
+  }
+}
+
+// The queue-latency samples keep the last kQueueLatencyWindow jobs served,
+// not one sample per job for the server's whole life.
+TEST_F(ServerCoreTest, QueueLatencySamplesStayInTheirWindow) {
+  constexpr std::size_t kWindow = ServerStats::kQueueLatencyWindow;
+  constexpr std::size_t kBatch = 1000;
+  constexpr std::size_t kLastBatch = 700;
+  InlineExecutor executor;
+  ServerCore core(config(), executor);
+  ASSERT_TRUE(core.attach_tenant("alice").accepted);
+  std::uint64_t seq = 0;
+  while (seq < kWindow) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      ASSERT_TRUE(core.submit("alice", ++seq, "true").accepted);
+    }
+    drain(core);
+  }
+  EXPECT_EQ(core.stats().queue_latency_seconds.size(), kWindow);
+
+  // The last batch waits 100 s in the queue: its samples replace the
+  // oldest ones.
+  for (std::size_t i = 0; i < kLastBatch; ++i) {
+    ASSERT_TRUE(core.submit("alice", ++seq, "true").accepted);
+  }
+  executor.advance(100.0);
+  drain(core);
+  const std::vector<double>& samples = core.stats().queue_latency_seconds;
+  EXPECT_EQ(samples.size(), kWindow);
+  EXPECT_EQ(std::count_if(samples.begin(), samples.end(),
+                          [](double s) { return s >= 100.0; }),
+            static_cast<std::ptrdiff_t>(kLastBatch));
+  EXPECT_EQ(core.stats().completed, seq);
 }
 
 // ---------------------------------------------------------------------------

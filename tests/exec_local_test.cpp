@@ -577,12 +577,16 @@ class PinnedToOneCpu {
   bool pinned_ = false;
 };
 
-/// Sets an environment variable for the scope.
+/// Sets an environment variable, or with nullopt unsets it, for the scope.
 class ScopedEnv {
  public:
-  ScopedEnv(const char* key, const std::string& value) : key_(key) {
+  ScopedEnv(const char* key, const std::optional<std::string>& value) : key_(key) {
     if (const char* old = std::getenv(key)) saved_ = old;
-    setenv(key, value.c_str(), 1);
+    if (value) {
+      setenv(key, value->c_str(), 1);
+    } else {
+      unsetenv(key);
+    }
   }
   ~ScopedEnv() {
     if (saved_) {
@@ -802,6 +806,111 @@ TEST_P(SpawnPath, KeepsTheJobContract) {
   } else {
     EXPECT_EQ(executor.counters().clone_vm_spawns, executor.counters().spawns);
   }
+}
+
+// A shell-mode command that skips /bin/sh acts as it would through the
+// shell. Each row runs in its bare form and in its forced-shell form
+// ("CMD ;"), and the two print the same stdout and stderr and end with the
+// same status. Bare names exec directly unless sh would not look them up in
+// the job's PATH; a direct exec that finds nothing to run hands the command
+// to sh -c, so its failure is the shell's.
+TEST_P(SpawnPath, DirectExecAgreesWithTheShell) {
+  SpawnTuning tuning;
+  tuning.path = GetParam();
+  LocalExecutor executor{tuning};
+  std::uint64_t next_id = 1;
+  auto run = [&](const std::string& command, bool use_shell,
+                 const std::map<std::string, std::string>& env) {
+    ExecRequest request;
+    request.job_id = next_id++;
+    request.command = command;
+    request.use_shell = use_shell;
+    request.env = env;
+    executor.start(request);
+    std::optional<core::ExecResult> result = executor.wait_any(10.0);
+    EXPECT_TRUE(result.has_value()) << command;
+    return result.value_or(core::ExecResult{});
+  };
+
+  char dir_template[] = "/tmp/parcl_direct_XXXXXX";
+  ASSERT_NE(mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  const std::string data = dir + "/data";
+  const std::string tool = dir + "/parcltool";  // found only in DIR
+  const std::string unexecutable = dir + "/noexec";
+  const std::string subdir = dir + "/sub";
+  std::ofstream(data) << "abcdef";
+  std::ofstream(tool) << "#!/bin/sh\necho parcltool \"$@\"\n";
+  std::ofstream(unexecutable) << "echo never\n";
+  ASSERT_EQ(chmod(tool.c_str(), 0755), 0);
+  ASSERT_EQ(chmod(unexecutable.c_str(), 0644), 0);
+  ASSERT_EQ(mkdir(subdir.c_str(), 0755), 0);
+  const char* inherited = std::getenv("PATH");
+  ASSERT_NE(inherited, nullptr);
+  const std::map<std::string, std::string> job_path{
+      {"PATH", dir + ":" + inherited}};
+
+  struct Row {
+    std::string command;
+    std::map<std::string, std::string> env;
+    bool direct;  // the bare form skips /bin/sh
+    int exit_code;
+    std::optional<std::string> stdout_data;  // nullopt: /bin/sh's choice
+    std::string stderr_part;  // in the stderr of both forms (the shell's
+                              // message names the command; its wording
+                              // is dash's or bash's)
+    bool unset_path = false;  // PATH in neither environment
+  };
+  const std::vector<Row> rows = {
+      {"head -c 3 " + data, {}, true, 0, "abc", ""},
+      {"parcltool x", job_path, true, 0, "parcltool x\n", ""},
+      {"cd /", {}, false, 0, "", ""},
+      {"exit 3", {}, false, 3, "", ""},
+      {"true", {}, false, 0, "", ""},
+      // A bash /bin/sh imports the function; dash runs head. Either way the
+      // shell decides, so both forms agree.
+      {"head -c 3 " + data, {{"BASH_FUNC_head%%", "() {  echo function; }"}}, false,
+       0, std::nullopt, ""},
+      {"head -c 3 " + data, {}, false, 0, "abc", "", /*unset_path=*/true},
+      {"nosuchparclcmd x", {}, true, 127, "", "nosuchparclcmd"},
+      {dir + "/nosuch x", {}, true, 127, "", dir + "/nosuch"},
+      {unexecutable + " x", {}, true, 126, "", unexecutable},
+      {subdir + " x", {}, true, 126, "", subdir},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.command);
+    std::optional<ScopedEnv> no_path;
+    if (row.unset_path) no_path.emplace("PATH", std::nullopt);
+    std::uint64_t before = executor.counters().direct_execs;
+    core::ExecResult bare = run(row.command, true, row.env);
+    std::uint64_t bare_direct = executor.counters().direct_execs - before;
+    core::ExecResult shell = run(row.command + " ;", true, row.env);
+    EXPECT_EQ(executor.counters().direct_execs - before, bare_direct);
+    EXPECT_EQ(bare_direct, row.direct ? 1u : 0u);
+    EXPECT_EQ(bare.exit_code, row.exit_code);
+    EXPECT_EQ(shell.exit_code, row.exit_code);
+    EXPECT_EQ(bare.stdout_data, shell.stdout_data);
+    EXPECT_EQ(bare.stderr_data, shell.stderr_data);
+    if (row.stdout_data) {
+      EXPECT_EQ(bare.stdout_data, *row.stdout_data);
+    }
+    EXPECT_NE(bare.stderr_data.find(row.stderr_part), std::string::npos)
+        << bare.stderr_data;
+  }
+  {
+    // --no-shell searches the job's PATH too, and what it cannot exec ends
+    // with exit 127: its words are not shell syntax to hand to sh.
+    SCOPED_TRACE("--no-shell");
+    core::ExecResult found = run("parcltool y", false, job_path);
+    EXPECT_EQ(found.exit_code, 0);
+    EXPECT_EQ(found.stdout_data, "parcltool y\n");
+    core::ExecResult missing = run("nosuchparclcmd y", false, {});
+    EXPECT_EQ(missing.exit_code, 127);
+    EXPECT_EQ(missing.stderr_data, "");
+  }
+  for (const std::string& file : {data, tool, unexecutable}) std::remove(file.c_str());
+  rmdir(subdir.c_str());
+  rmdir(dir.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
