@@ -9,15 +9,26 @@
 // Two measurements:
 //   (a) REAL: this machine — the parcl engine + LocalExecutor launching
 //       /bin/true, single instance (absolute rate depends on this host; the
-//       paper's Perlmutter value is the reference), and a bare command name
-//       (`basename {}`) beside its forced-shell form.
+//       paper's Perlmutter value is the reference), a bare command name
+//       (`basename {}`) beside its forced-shell form, and the start-up cost
+//       of the `parcl` binary itself beside `/bin/true`'s (each instance
+//       of Listing 1's per-node script, each `sem` call and each --client
+//       submit starts parcl once).
 //   (b) SIM: the Perlmutter node model, sweeping instance count.
+#include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -25,6 +36,10 @@
 #include "core/engine.hpp"
 #include "exec/local_executor.hpp"
 #include "exec/sim_driver.hpp"
+
+#ifndef PARCL_BINARY_PATH
+#error "PARCL_BINARY_PATH must be defined by the build"
+#endif
 
 namespace {
 
@@ -78,6 +93,47 @@ double measure_wakeup_latency(std::size_t samples) {
     if (result) total += std::max(0.0, elapsed - lifetime);
   }
   return total / static_cast<double>(samples);
+}
+
+/// Seconds to fork, exec and reap `argv` with stdin, stdout and stderr on
+/// /dev/null; throws unless it exits 0.
+double time_one_start(char* const argv[]) {
+  auto t0 = std::chrono::steady_clock::now();
+  pid_t pid = fork();
+  if (pid < 0) throw std::runtime_error("fork failed");
+  if (pid == 0) {
+    int null = open("/dev/null", O_RDWR);
+    for (int fd : {0, 1, 2}) dup2(null, fd);
+    execv(argv[0], argv);
+    _exit(127);
+  }
+  int status = 0;
+  pid_t reaped;
+  do {
+    reaped = wait4(pid, &status, 0, nullptr);
+  } while (reaped < 0 && errno == EINTR);
+  auto t1 = std::chrono::steady_clock::now();
+  if (reaped != pid || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    throw std::runtime_error(std::string(argv[0]) + " did not exit 0");
+  }
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// Start-up rates (starts/s) of `parcl -j1 /bin/true` on empty stdin and of
+/// `/bin/true`, interleaved in rounds so a drift in host speed hits both.
+std::pair<double, double> measure_start_rates(int rounds, int per_round) {
+  char parcl_path[] = PARCL_BINARY_PATH;
+  char jobs[] = "-j1";
+  char true_path[] = "/bin/true";
+  char* const parcl_argv[] = {parcl_path, jobs, true_path, nullptr};
+  char* const true_argv[] = {true_path, nullptr};
+  double parcl_s = 0.0, true_s = 0.0;
+  for (int r = 0; r < rounds; ++r) {
+    for (int i = 0; i < per_round; ++i) parcl_s += time_one_start(parcl_argv);
+    for (int i = 0; i < per_round; ++i) true_s += time_one_start(true_argv);
+  }
+  const double starts = static_cast<double>(rounds) * per_round;
+  return {starts / parcl_s, starts / true_s};
 }
 
 /// Sim measurement: `instances` parallel instances of zero-length tasks
@@ -157,6 +213,13 @@ int main() {
   std::cout << "(a2) direct-exec launch rate (" << cores << " cores): "
             << util::format_double(serial.rate, 0) << "/s\n\n";
 
+  auto [parcl_starts, true_starts] = measure_start_rates(4, 100);
+  std::cout << "(a3) start-up, fork/exec/wait4 on empty stdin: `parcl -j1 /bin/true` "
+            << util::format_double(parcl_starts, 0) << "/s ("
+            << util::format_double(1e3 / parcl_starts, 2) << " ms), `/bin/true` "
+            << util::format_double(true_starts, 0) << "/s ("
+            << util::format_double(1e3 / true_starts, 2) << " ms)\n\n";
+
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   bench::BenchJson throughput("BENCH_throughput.json");
@@ -196,6 +259,8 @@ int main() {
             aggregate_crossover_ms > 35.0 && aggregate_crossover_ms < 50.0);
   check.add("real single-instance rate here (procs/s)", "(host-dependent)",
             real_single, 0, real_single > 0.0);
+  check.add("parcl starts / /bin/true starts here", "(host-dependent)",
+            parcl_starts / true_starts, 2, parcl_starts > 0.0);
   check.print();
 
   json.set("fig3_launch_rate", "launches_per_s", real_single);
@@ -203,6 +268,8 @@ int main() {
   json.set("fig3_launch_rate", "launches_per_s_bare", real_bare);
   json.set("fig3_launch_rate", "launches_per_s_bare_shell", real_bare_shell);
   json.set("fig3_launch_rate", "mean_spawn_us", mean_spawn_us);
+  json.set("fig3_launch_rate", "parcl_starts_per_s", parcl_starts);
+  json.set("fig3_launch_rate", "true_starts_per_s", true_starts);
   json.set("fig3_launch_rate", "mean_completion_to_wakeup_us",
            wakeup_latency_s * 1e6);
   bench::stamp_provenance(json);

@@ -631,11 +631,14 @@ struct Engine::Run {
   // (an injected or real spawn error is a failure like any other and must
   // count toward --halt). The total passed for percent policies is exact:
   // halt.percent forces buffer_all, so the source is already exhausted.
-  void apply_halt_policy() {
+  // `exitval` is the Exitval of the job just recorded: under fail=1 it is
+  // the failure that trips the halt, and the run's exit status.
+  void apply_halt_policy(int exitval) {
     Scheduler::HaltAction action = scheduler.evaluate_halt(
         summary.failed, summary.succeeded, done, next_seq - 1);
     if (action == Scheduler::HaltAction::kNone) return;
     summary.halted = true;
+    if (options_.halt.exits_with_job_status()) summary.halt_exitval = exitval;
     if (action == Scheduler::HaltAction::kKillRunning) kill_active(/*force=*/false);
   }
 
@@ -732,7 +735,7 @@ struct Engine::Run {
     result.start_time = now;
     result.end_time = now;
     record_final(std::move(result));
-    apply_halt_policy();
+    apply_halt_policy(127);
   }
 
   // --hedge: launch a speculative duplicate of a straggling attempt on a
@@ -1148,7 +1151,7 @@ struct Engine::Run {
     record_final(std::move(result));
 
     // Phase 5: halt policy.
-    apply_halt_policy();
+    apply_halt_policy(completion->exit_code);
     return Step::kReaped;
   }
 

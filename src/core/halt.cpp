@@ -62,6 +62,10 @@ bool HaltPolicy::triggered(std::size_t failed, std::size_t succeeded, std::size_
   return tally >= count;
 }
 
+bool HaltPolicy::exits_with_job_status() const noexcept {
+  return when != HaltWhen::kNever && on == HaltOn::kFail && percent == 0.0 && count == 1;
+}
+
 std::string HaltPolicy::to_string() const {
   if (when == HaltWhen::kNever) return "never";
   std::string out = when == HaltWhen::kNow ? "now," : "soon,";

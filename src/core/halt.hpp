@@ -35,6 +35,10 @@ struct HaltPolicy {
   bool triggered(std::size_t failed, std::size_t succeeded, std::size_t done,
                  std::size_t total_jobs) const noexcept;
 
+  /// True for an absolute `fail=1` policy (now or soon): the run then exits
+  /// with the failing job's Exitval, not with the count of failed jobs.
+  bool exits_with_job_status() const noexcept;
+
   std::string to_string() const;
 };
 

@@ -26,6 +26,7 @@ double RunSummary::dispatch_rate() const noexcept {
 }
 
 int RunSummary::exit_status() const noexcept {
+  if (halt_exitval != 0) return halt_exitval;
   // A starved give-up (--min-hosts-grace) abandoned a tail of queued work;
   // that must surface in the exit status like any other unfinished work.
   // Only the abandoned tail, though — `skipped` also counts --resume skips

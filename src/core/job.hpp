@@ -119,6 +119,9 @@ struct RunSummary {
   /// against exit_status(): unfinished downstream work is not success.
   std::size_t dep_skipped = 0;
   bool halted = false;
+  /// The Exitval of the job whose failure tripped an absolute `fail=1`
+  /// --halt; 0 when no such halt tripped. GNU Parallel exits with it.
+  int halt_exitval = 0;
   /// The --min-hosts grace expired and the run gave up on queued work; the
   /// abandoned tail is in `starved_skipped` and counts against
   /// exit_status() — losing work must never read as success.
@@ -135,8 +138,8 @@ struct RunSummary {
   /// Jobs started per second over the dispatch window (0 if < 2 starts).
   double dispatch_rate() const noexcept;
 
-  /// Exit status with parallel's convention: number of failed jobs capped
-  /// at 101.
+  /// Exit status with parallel's convention: `halt_exitval` when set,
+  /// otherwise the number of failed jobs capped at 101.
   int exit_status() const noexcept;
 };
 

@@ -42,13 +42,6 @@ int signal_by_name(const std::string& name) {
   return -1;
 }
 
-void set_nonblocking_cloexec(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  flags = fcntl(fd, F_GETFD, 0);
-  if (flags >= 0) fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
-
 }  // namespace
 
 std::vector<TermStage> parse_termseq(const std::string& spec) {
@@ -82,9 +75,9 @@ std::vector<TermStage> parse_termseq(const std::string& spec) {
 }
 
 SignalCoordinator::SignalCoordinator() {
-  if (pipe(pipe_fds_) != 0) throw util::SystemError("signal self-pipe", errno);
-  set_nonblocking_cloexec(pipe_fds_[0]);
-  set_nonblocking_cloexec(pipe_fds_[1]);
+  if (pipe2(pipe_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    throw util::SystemError("signal self-pipe", errno);
+  }
 }
 
 SignalCoordinator::~SignalCoordinator() {

@@ -421,13 +421,9 @@ void LocalExecutor::enable_self_pipe() {
   if (use_self_pipe_) return;
   if (g_self_pipe_users == 0) {
     int fds[2];
-    if (pipe(fds) != 0) return;  // degraded: periodic sweeps still reap
+    if (pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) return;  // degraded: sweeps still reap
     g_self_pipe_read = fds[0];
     g_self_pipe_write = fds[1];
-    set_nonblocking(g_self_pipe_read);
-    set_nonblocking(g_self_pipe_write);
-    set_cloexec(g_self_pipe_read);
-    set_cloexec(g_self_pipe_write);
     struct sigaction action {};
     action.sa_handler = sigchld_self_pipe_handler;
     sigemptyset(&action.sa_mask);

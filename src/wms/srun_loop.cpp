@@ -17,10 +17,13 @@ SrunLoopResult run_srun_loop(sim::Simulation& sim, slurm::SlurmSim& slurm,
   auto rng_ptr = std::make_shared<util::Rng>(rng);
   auto config_ptr = std::make_shared<SrunLoopConfig>(config);
 
-  // The bash loop body, one iteration per task.
+  // The bash loop body, one iteration per task. The next iteration's event
+  // holds the body weakly: a strong self-reference would keep the body, and
+  // everything it captures, alive after the loop ends.
   auto submit = std::make_shared<std::function<void(std::size_t)>>();
+  std::weak_ptr<std::function<void(std::size_t)>> next = submit;
   *submit = [&sim, &slurm, result, completed, last_end, rng_ptr, config_ptr,
-             submit](std::size_t index) {
+             next](std::size_t index) {
     slurm.srun([&sim, result, completed, last_end, rng_ptr, config_ptr, index] {
       // Task launched: it now runs for its sampled duration.
       result->submission_window = sim.now();
@@ -34,8 +37,9 @@ SrunLoopResult run_srun_loop(sim::Simulation& sim, slurm::SlurmSim& slurm,
     // The loop sleeps, then submits the next task (submission does not wait
     // for the srun to finish: Listing 4 backgrounds each srun with `&`).
     if (index + 1 < config_ptr->tasks) {
-      sim.schedule(config_ptr->sleep_between,
-                   [submit, index] { (*submit)(index + 1); });
+      sim.schedule(config_ptr->sleep_between, [next, index] {
+        if (auto body = next.lock()) (*body)(index + 1);
+      });
     }
   };
 

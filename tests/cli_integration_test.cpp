@@ -295,6 +295,25 @@ TEST(ParclCli, HaltSoonLetsRunningJobsFinish) {
   EXPECT_EQ(result.output.find("done-4"), std::string::npos);
 }
 
+TEST(ParclCli, HaltFailOneExitsWithTheFailingJobsStatus) {
+  // GNU Parallel's EXIT STATUS: with fail=1 the run exits with the status of
+  // the failing job, under now and soon alike; 128+N for a job killed by
+  // signal N. Other policies keep the count of failed jobs.
+  for (const char* when : {"now", "soon"}) {
+    std::string halt = std::string(" -j1 --halt ") + when + ",fail=1 ";
+    EXPECT_EQ(run_command(parcl() + halt + "'test {} -lt 2 || exit 3' ::: 1 2 3 4 5")
+                  .exit_code,
+              3)
+        << when;
+    EXPECT_EQ(run_command(parcl() + halt + "'test {} -lt 2 || kill -9 $$' ::: 1 2 3")
+                  .exit_code,
+              128 + 9)
+        << when;
+  }
+  EXPECT_EQ(run_command(parcl() + " -j1 --halt soon,fail=2 'exit {}' ::: 3 3 0").exit_code,
+            2);
+}
+
 TEST(ParclCli, SpawnFailureRetriesAndCountsAsFailure) {
   // --no-shell with a nonexistent binary: every attempt is a spawn error;
   // the run fails without hanging and exits with the failed-job count.
