@@ -7,10 +7,12 @@
 // then reads the child's ru_maxrss via wait4. Scales 10k / 100k / 1M items;
 // a materialized (vector-of-args) run at the small scales shows the O(jobs)
 // baseline the streaming path removes, and a two-stage --then chain over the
-// same stream shows that a chain keeps only its live items.
+// same stream shows that a chain keeps only its live items. A halted chain
+// (stage 2 fails under --halt now,fail=1) shows that the end of a run skips
+// the unread input without holding it.
 //
 // Self-asserts sub-linear growth — peak RSS at 1M items must stay within 2x
-// of the 10k-item run, flat and chained — and records everything in
+// of the 10k-item run, flat, chained and halted — and records everything in
 // BENCH_dispatch.json for the CI regression guard.
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -35,18 +37,23 @@ namespace {
 
 using namespace parcl;
 
-enum class Shape { kStreamed, kMaterialized, kChain };
-const char* const kShapeNames[] = {"streamed", "materialized", "chain"};
+enum class Shape { kStreamed, kMaterialized, kChain, kHaltedChain };
+const char* const kShapeNames[] = {"streamed", "materialized", "chain", "halted_chain"};
 
 /// Runs N zero-cost items through the engine in the current process (two
-/// jobs each for a chain). Returns true when every job succeeded.
+/// jobs each for a chain). Returns true when every job succeeded or, for
+/// the halted chain, when one stage-2 job failed, the run halted, and every
+/// other job ran or was skipped.
 bool drive_engine(std::size_t total_jobs, Shape shape) {
   sim::Simulation sim;
-  exec::SimExecutor executor(sim, [](const core::ExecRequest&) {
-    return exec::SimOutcome{0.0, 0, ""};
+  exec::SimExecutor executor(sim, [](const core::ExecRequest& request) {
+    exec::SimOutcome outcome;
+    if (request.command.rfind("fail", 0) == 0) outcome.exit_code = 1;
+    return outcome;
   });
   core::Options options;
   options.jobs = 128;
+  if (shape == Shape::kHaltedChain) options.halt = core::HaltPolicy::parse("now,fail=1");
   // The CLI's configuration: stream results through the collator, do not
   // retain per-job records in the summary.
   options.collect_results = false;
@@ -62,10 +69,10 @@ bool drive_engine(std::size_t total_jobs, Shape shape) {
   });
   if (shape == Shape::kStreamed) {
     summary = engine.run_source("noop {}", source);
-  } else if (shape == Shape::kChain) {
+  } else if (shape == Shape::kChain || shape == Shape::kHaltedChain) {
     std::vector<core::StageSpec> stages(2);
     stages[0].command = "fetch {}";
-    stages[1].command = "process {}";
+    stages[1].command = shape == Shape::kChain ? "process {}" : "fail {}";
     core::StageChainSource chain(source, std::move(stages));
     summary = engine.run_source("", chain);
   } else {
@@ -75,6 +82,11 @@ bool drive_engine(std::size_t total_jobs, Shape shape) {
       inputs.push_back({std::to_string(i)});
     }
     summary = engine.run("noop {}", std::move(inputs));
+  }
+  if (shape == Shape::kHaltedChain) {
+    return summary.halted && summary.failed == 1 &&
+           summary.succeeded + summary.failed + summary.killed + summary.skipped ==
+               2 * total_jobs;
   }
   const std::size_t jobs_per_item = shape == Shape::kChain ? 2 : 1;
   return summary.succeeded == jobs_per_item * total_jobs && summary.failed == 0;
@@ -127,9 +139,11 @@ int main() {
   };
 
   bench::BenchJson json("BENCH_dispatch.json");
-  util::Table table({"items", "streamed_rss", "materialized_rss", "chain_rss"});
+  util::Table table(
+      {"items", "streamed_rss", "materialized_rss", "chain_rss", "halted_chain_rss"});
   long streamed_10k = 0, streamed_1m = 0;
   long chain_10k = 0, chain_1m = 0;
+  long halted_10k = 0, halted_1m = 0;
   bool measured_all = true;
   for (const Scale& scale : scales) {
     long streamed = measure_peak_rss_kib(scale.jobs, Shape::kStreamed);
@@ -138,18 +152,21 @@ int main() {
             ? measure_peak_rss_kib(scale.jobs, Shape::kMaterialized)
             : 0;
     long chain = measure_peak_rss_kib(scale.jobs, Shape::kChain);
-    if (streamed == 0 || chain == 0) measured_all = false;
+    long halted = measure_peak_rss_kib(scale.jobs, Shape::kHaltedChain);
+    if (streamed == 0 || chain == 0 || halted == 0) measured_all = false;
     if (scale.jobs == 10'000) {
       streamed_10k = streamed;
       chain_10k = chain;
+      halted_10k = halted;
     }
     if (scale.jobs == 1'000'000) {
       streamed_1m = streamed;
       chain_1m = chain;
+      halted_1m = halted;
     }
     table.add_row({scale.label, format_kib(streamed),
                    scale.materialized_too ? format_kib(materialized) : "-",
-                   format_kib(chain)});
+                   format_kib(chain), format_kib(halted)});
     json.set("memory_footprint",
              std::string("peak_rss_kib_streamed_") + scale.label,
              static_cast<double>(streamed));
@@ -161,6 +178,9 @@ int main() {
     json.set("memory_footprint",
              std::string("peak_rss_kib_chain_") + scale.label,
              static_cast<double>(chain));
+    json.set("memory_footprint",
+             std::string("peak_rss_kib_halted_chain_") + scale.label,
+             static_cast<double>(halted));
   }
   std::cout << table.render() << '\n';
 
@@ -171,10 +191,13 @@ int main() {
   bool flat = measured_all && streamed_10k > 0 &&
               streamed_1m <= 2 * streamed_10k;
   bool chain_flat = measured_all && chain_10k > 0 && chain_1m <= 2 * chain_10k;
+  bool halted_flat = measured_all && halted_10k > 0 && halted_1m <= 2 * halted_10k;
   json.set("memory_footprint", "rss_growth_10k_to_1m",
            growth(streamed_10k, streamed_1m));
   json.set("memory_footprint", "rss_growth_chain_10k_to_1m",
            growth(chain_10k, chain_1m));
+  json.set("memory_footprint", "rss_growth_halted_chain_10k_to_1m",
+           growth(halted_10k, halted_1m));
   bench::stamp_provenance(json);
   json.write();
   std::cout << "wrote BENCH_dispatch.json (memory_footprint section)\n";
@@ -186,8 +209,11 @@ int main() {
   check.add_text("peak RSS of a 2-stage chain 10k -> 1M items", "<= 2x",
                  format_kib(chain_10k) + " -> " + format_kib(chain_1m),
                  chain_flat);
+  check.add_text("peak RSS of a halted 2-stage chain 10k -> 1M items", "<= 2x",
+                 format_kib(halted_10k) + " -> " + format_kib(halted_1m),
+                 halted_flat);
   check.print();
-  if (!flat || !chain_flat) {
+  if (!flat || !chain_flat || !halted_flat) {
     std::cerr << "memory_footprint: FAIL — peak RSS grew more than 2x from "
                  "10k to 1M items (streaming regression)\n";
     return 1;

@@ -365,6 +365,18 @@ std::vector<DepSkippedJob> StageChainSource::take_dep_skips() {
   return out;
 }
 
+std::vector<DepSkippedJob> StageChainSource::abandon(std::uint64_t seq) {
+  const std::size_t s = stage_of(seq);
+  auto it = live_.find(item_of(seq));
+  if (it == live_.end() || it->second.stage != s || !it->second.running)
+    throw util::InternalError("stage chain: abandon of job " +
+                              std::to_string(seq) + " that is not in flight");
+  std::vector<DepSkippedJob> out;
+  skip_from(it->first, it->second.args, s + 1, out);
+  live_.erase(it);
+  return out;
+}
+
 std::vector<DepSkippedJob> StageChainSource::drain_unemitted() {
   std::vector<DepSkippedJob> out;
   for (auto it = live_.begin(); it != live_.end();) {

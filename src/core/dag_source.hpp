@@ -71,6 +71,16 @@ class DagSource : public JobSource {
   /// Jobs never emitted when the run ends early (--halt, signal drain).
   virtual std::vector<DepSkippedJob> drain_unemitted() = 0;
 
+  /// The engine will never start job `seq`, which next_gated() emitted: a
+  /// run that ended early skips the rest of its input this way. Returns
+  /// the jobs that wait on it and so will never start either, seq order,
+  /// and may forget them and the job. The default returns none and leaves
+  /// them to drain_unemitted().
+  virtual std::vector<DepSkippedJob> abandon(std::uint64_t seq) {
+    (void)seq;
+    return {};
+  }
+
   /// True when next() returned nullopt but completions can still unblock
   /// jobs — the stream is waiting, not exhausted.
   virtual bool blocked() const = 0;
@@ -188,6 +198,9 @@ class StageChainSource : public DagSource {
   void note_complete(std::uint64_t seq, bool ok) override;
   std::vector<DepSkippedJob> take_dep_skips() override;
   std::vector<DepSkippedJob> drain_unemitted() override;
+  /// Forgets the item at once, so a halted run that skips the unread
+  /// input holds one item at a time.
+  std::vector<DepSkippedJob> abandon(std::uint64_t seq) override;
   bool blocked() const override {
     return !head_exhausted_ || (!live_.empty() && ready_.empty());
   }

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -19,6 +18,31 @@ namespace parcl::core {
 namespace {
 constexpr const char* kHeader =
     "Seq\tHost\tStarttime\tJobRuntime\tSend\tReceive\tExitval\tSignal\tCommand";
+
+/// Appends `ms` milliseconds as seconds with three decimals.
+void append_ms(std::string& out, std::int64_t ms) {
+  if (ms < 0) {
+    out += '-';
+    ms = -ms;
+  }
+  util::append_int(out, ms / 1000);
+  const char fraction[4] = {'.', static_cast<char>('0' + ms / 100 % 10),
+                            static_cast<char>('0' + ms / 10 % 10),
+                            static_cast<char>('0' + ms % 10)};
+  out.append(fraction, sizeof(fraction));
+}
+
+/// Whether a rounded millisecond count prints the same in whole numbers as
+/// "%.3f" prints it divided by 1000: true from +0 up to 2^43 ms (about 278
+/// years), where the double nearest ms/1000 is within 1e-6 of it, and so is
+/// the difference of two such values.
+bool exact_ms(double ms) { return !std::signbit(ms) && ms <= 0x1p43; }
+
+void start_row(std::string& out, std::uint64_t seq, std::string_view host) {
+  util::append_int(out, seq);
+  out += '\t';
+  out += host;
+}
 }  // namespace
 
 // POSIX guarantees a single write() to an O_APPEND fd is atomic with
@@ -39,6 +63,7 @@ void write_all(int fd, const std::string& data, const char* what) {
 struct JoblogWriter::Impl {
   int fd = -1;
   bool fsync_each = false;
+  std::string line;  // the row being written; keeps its capacity
   ~Impl() {
     if (fd >= 0) ::close(fd);
   }
@@ -94,17 +119,55 @@ JoblogWriter::JoblogWriter(const std::string& path, bool fsync_each)
 JoblogWriter::~JoblogWriter() = default;
 
 void JoblogWriter::record(const JobResult& result, const std::string& host) {
-  append(row(result, host));
+  std::string& line = impl_->line;
+  line.clear();
+  start_row(line, result.seq, host);
+  append_row_tail(line, result);
+  append(line);
+}
+
+void JoblogWriter::record(std::uint64_t seq, std::string_view host,
+                          std::string_view tail) {
+  std::string& line = impl_->line;
+  line.clear();
+  start_row(line, seq, host);
+  line += tail;
+  append(line);
 }
 
 std::string JoblogWriter::row(const JobResult& result, const std::string& host) {
-  const double start = round_to_ms(result.start_time);
-  std::ostringstream row;
-  row << result.seq << '\t' << host << '\t' << util::format_double(start, 3) << '\t'
-      << util::format_double(round_to_ms(result.end_time) - start, 3) << '\t' << 0 << '\t'
-      << result.stdout_data.size() << '\t' << result.exit_code << '\t'
-      << result.term_signal << '\t' << result.command << '\n';
-  return row.str();
+  std::string line;
+  line.reserve(64 + host.size() + result.command.size());
+  start_row(line, result.seq, host);
+  append_row_tail(line, result);
+  return line;
+}
+
+void JoblogWriter::append_row_tail(std::string& out, const JobResult& result) {
+  // The rounding of round_to_ms(), kept in whole milliseconds.
+  const double start_ms = std::round(result.start_time * 1000.0);
+  const double end_ms = std::round(result.end_time * 1000.0);
+  out += '\t';
+  if (exact_ms(start_ms) && exact_ms(end_ms)) {
+    const auto start = static_cast<std::int64_t>(start_ms);
+    append_ms(out, start);
+    out += '\t';
+    append_ms(out, static_cast<std::int64_t>(end_ms) - start);
+  } else {
+    const double start = round_to_ms(result.start_time);
+    out += util::format_double(start, 3);
+    out += '\t';
+    out += util::format_double(round_to_ms(result.end_time) - start, 3);
+  }
+  out += "\t0\t";
+  util::append_int(out, result.stdout_data.size());
+  out += '\t';
+  util::append_int(out, result.exit_code);
+  out += '\t';
+  util::append_int(out, result.term_signal);
+  out += '\t';
+  out += result.command;
+  out += '\n';
 }
 
 void JoblogWriter::append(const std::string& row) {
@@ -114,26 +177,52 @@ void JoblogWriter::append(const std::string& row) {
   }
 }
 
-std::vector<JoblogEntry> read_joblog_stream(std::istream& in, JoblogReadStats* stats) {
-  std::vector<JoblogEntry> entries;
+namespace {
+
+/// Calls `visit(fields)` for each data row of a joblog stream, its nine
+/// columns as views into the line (Command keeps any tabs of its own). The
+/// header and blank lines are skipped. A final line without '\n' is the
+/// signature of a write cut short by a crash (the writer ends every row
+/// with '\n'): it is skipped and counted, and --resume re-runs its seq. A
+/// row of fewer than nine columns throws ParseError with its line number.
+template <typename Visit>
+void for_each_row(std::istream& in, JoblogReadStats* stats, Visit visit) {
   std::string line;
   std::size_t line_number = 0;
+  std::string_view fields[9];
   while (std::getline(in, line)) {
     ++line_number;
-    // A final line without a trailing newline is the signature of a write
-    // cut short by a crash: the writer always terminates rows with '\n'.
-    // Skip it (the seq re-runs on --resume) instead of failing the resume.
     if (in.eof() && !line.empty()) {
       if (stats != nullptr) ++stats->torn_lines;
       break;
     }
-    if (line.empty()) continue;
-    if (line == kHeader || util::starts_with(line, "Seq\t")) continue;
-    auto fields = util::split(line, '\t');
-    if (fields.size() < 9) {
-      throw util::ParseError("joblog line " + std::to_string(line_number) +
-                             ": expected 9 tab-separated fields");
+    if (line.empty() || util::starts_with(line, "Seq\t")) continue;
+    std::string_view rest = line;
+    for (std::size_t i = 0; i < 8; ++i) {
+      std::size_t tab = rest.find('\t');
+      if (tab == std::string_view::npos) {
+        throw util::ParseError("joblog line " + std::to_string(line_number) +
+                               ": expected 9 tab-separated fields");
+      }
+      fields[i] = rest.substr(0, tab);
+      rest.remove_prefix(tab + 1);
     }
+    fields[8] = rest;
+    visit(fields);
+  }
+}
+
+std::ifstream open_joblog(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw util::SystemError("open joblog '" + path + "'", errno);
+  return in;
+}
+
+}  // namespace
+
+std::vector<JoblogEntry> read_joblog_stream(std::istream& in, JoblogReadStats* stats) {
+  std::vector<JoblogEntry> entries;
+  for_each_row(in, stats, [&](const std::string_view* fields) {
     JoblogEntry entry;
     entry.seq = static_cast<std::uint64_t>(util::parse_long(fields[0]));
     entry.host = fields[1];
@@ -143,17 +232,14 @@ std::vector<JoblogEntry> read_joblog_stream(std::istream& in, JoblogReadStats* s
     entry.bytes_received = static_cast<std::uint64_t>(util::parse_long(fields[5]));
     entry.exit_value = static_cast<int>(util::parse_long(fields[6]));
     entry.signal = static_cast<int>(util::parse_long(fields[7]));
-    // Command may itself contain tabs; rejoin the tail.
-    std::vector<std::string> tail(fields.begin() + 8, fields.end());
-    entry.command = util::join(tail, "\t");
+    entry.command = fields[8];
     entries.push_back(std::move(entry));
-  }
+  });
   return entries;
 }
 
 std::vector<JoblogEntry> read_joblog(const std::string& path, JoblogReadStats* stats) {
-  std::ifstream in(path);
-  if (!in) throw util::SystemError("open joblog '" + path + "'", errno);
+  std::ifstream in = open_joblog(path);
   return read_joblog_stream(in, stats);
 }
 
@@ -173,31 +259,16 @@ std::set<std::uint64_t> resume_skip_set(const std::vector<JoblogEntry>& entries,
 
 std::map<std::uint64_t, bool> read_resume_status(const std::string& path,
                                                  JoblogReadStats* stats) {
-  std::ifstream in(path);
-  if (!in) throw util::SystemError("open joblog '" + path + "'", errno);
+  std::ifstream in = open_joblog(path);
   // Only seq/exitval/signal matter here; parse those and drop the line,
   // keeping memory at O(distinct seqs) instead of O(log length * row size).
   std::map<std::uint64_t, bool> latest_ok;
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (in.eof() && !line.empty()) {
-      if (stats != nullptr) ++stats->torn_lines;
-      break;
-    }
-    if (line.empty()) continue;
-    if (line == kHeader || util::starts_with(line, "Seq\t")) continue;
-    auto fields = util::split(line, '\t');
-    if (fields.size() < 9) {
-      throw util::ParseError("joblog line " + std::to_string(line_number) +
-                             ": expected 9 tab-separated fields");
-    }
+  for_each_row(in, stats, [&](const std::string_view* fields) {
     auto seq = static_cast<std::uint64_t>(util::parse_long(fields[0]));
     int exit_value = static_cast<int>(util::parse_long(fields[6]));
     int signal = static_cast<int>(util::parse_long(fields[7]));
     latest_ok[seq] = (exit_value == 0 && signal == 0);
-  }
+  });
   return latest_ok;
 }
 
@@ -208,6 +279,17 @@ std::set<std::uint64_t> read_resume_skip_set(const std::string& path, bool rerun
     if (!rerun_failed || ok) skip.insert(seq);
   }
   return skip;
+}
+
+std::vector<std::uint64_t> read_logged_seqs(const std::string& path) {
+  std::ifstream in = open_joblog(path);
+  std::vector<std::uint64_t> seqs;
+  for_each_row(in, nullptr, [&](const std::string_view* fields) {
+    seqs.push_back(static_cast<std::uint64_t>(util::parse_long(fields[0])));
+  });
+  std::sort(seqs.begin(), seqs.end());
+  seqs.erase(std::unique(seqs.begin(), seqs.end()), seqs.end());
+  return seqs;
 }
 
 }  // namespace parcl::core

@@ -20,6 +20,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/job.hpp"
@@ -63,9 +64,18 @@ class JoblogWriter {
   /// from the rounded runtime by 0.001 s), so Starttime + JobRuntime keeps
   /// the real order of one job's end and another's start.
   void record(const JobResult& result, const std::string& host);
+  /// Appends the row `seq`, `host`, `tail` with one write(), where `tail`
+  /// comes from append_row_tail(): two rows of one result that differ only
+  /// in Seq and Host format their shared columns once.
+  void record(std::uint64_t seq, std::string_view host, std::string_view tail);
   /// The row record() writes, made now and committed later by append():
   /// the engine's -k rows wait for their job's output this way.
   static std::string row(const JobResult& result, const std::string& host);
+  /// Appends the columns after Host to `out`: the tab before Starttime,
+  /// Starttime to Command, and the closing '\n'. The time columns are
+  /// whole milliseconds written with three decimals, byte for byte what
+  /// "%.3f" prints for round_to_ms().
+  static void append_row_tail(std::string& out, const JobResult& result);
   void append(const std::string& row);
 
  private:
@@ -101,6 +111,11 @@ std::set<std::uint64_t> resume_skip_set(const std::vector<JoblogEntry>& entries,
 /// and counted, SystemError when the file cannot be opened.
 std::set<std::uint64_t> read_resume_skip_set(const std::string& path, bool rerun_failed,
                                              JoblogReadStats* stats = nullptr);
+
+/// Every seq `path` logs, sorted and unique: the --resume skip set of
+/// read_resume_skip_set(path, false) in 8 bytes a seq. Same tolerance and
+/// errors as the other readers.
+std::vector<std::uint64_t> read_logged_seqs(const std::string& path);
 
 /// The per-seq Exitval marker the joblog uses for a dependency-skipped job
 /// (its predecessor failed and exhausted retries; the job never started).

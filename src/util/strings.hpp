@@ -1,6 +1,8 @@
-// String helpers used throughout parcl. All functions are pure.
+// String helpers used throughout parcl. All functions but append_int, which
+// appends to its argument, are pure.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +53,14 @@ long parse_long(std::string_view text);
 
 /// Parses a double; throws ParseError on anything else.
 double parse_double(std::string_view text);
+
+/// Appends `value` in decimal to `out`, as std::to_chars writes it: no
+/// locale and no temporary string.
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
 
 /// Formats with fixed precision, e.g. format_double(1.5, 2) == "1.50".
 std::string format_double(double value, int precision);

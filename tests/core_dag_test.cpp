@@ -448,6 +448,30 @@ TEST(StageChainSource, CompletionAfterDrainMakesNothingReady) {
   }
 }
 
+TEST(StageChainSource, AbandonForgetsTheItemAndReturnsItsLaterStages) {
+  VectorSource upstream({{"x"}, {"y"}});
+  std::vector<StageSpec> stages(3);
+  stages[0].command = "a {}";
+  stages[1].command = "b {}";
+  stages[2].command = "c {}";
+  StageChainSource chain(upstream, std::move(stages));
+  ASSERT_EQ(chain.next()->seq, 1u);
+  std::vector<DepSkippedJob> later = chain.abandon(1);
+  ASSERT_EQ(later.size(), 2u);
+  EXPECT_EQ(later[0].seq, 2u);
+  EXPECT_EQ(later[0].stage, 2u);
+  EXPECT_EQ(later[0].args, (ArgVector{"x"}));
+  EXPECT_EQ(later[0].command, "b {}");
+  EXPECT_EQ(later[1].seq, 3u);
+  EXPECT_THROW(chain.abandon(1), util::InternalError);
+  EXPECT_THROW(chain.note_complete(1, true), util::InternalError);
+  // y's chain is untouched, and nothing of x is left to drain.
+  ASSERT_EQ(chain.next()->seq, 4u);
+  std::vector<std::uint64_t> drained;
+  for (const DepSkippedJob& skip : chain.drain_unemitted()) drained.push_back(skip.seq);
+  EXPECT_EQ(drained, (std::vector<std::uint64_t>{5, 6}));
+}
+
 // ---------------------------------------------------------------------------
 // Engine integration
 
@@ -655,6 +679,50 @@ TEST(EngineDag, StageCapsBoundConcurrency) {
   RunSummary summary = engine.run_source("", source);
   EXPECT_EQ(summary.succeeded, 12u);
   EXPECT_LE(fetch_peak.load(), 2);
+}
+
+// A chain halted by its first failure skips the rest of its input: every
+// job that never ran counts once, and the joblog holds the two that ran.
+TEST(EngineDag, HaltedChainSkipsEachUnreadJobOnce) {
+  const std::string joblog = temp_path("halted_chain");
+  auto task = [](const ExecRequest& request) {
+    TaskOutcome outcome;
+    if (request.command.rfind("second", 0) == 0) outcome.exit_code = 4;
+    return outcome;
+  };
+  FunctionExecutor executor(task, 1);
+  Options options;
+  options.jobs = 1;
+  options.halt = HaltPolicy::parse("now,fail=1");
+  options.joblog_path = joblog;
+  std::ostringstream out, err;
+  Engine engine(options, executor, out, err);
+  constexpr std::size_t kItems = 500;
+  std::size_t pulled = 0;
+  FunctionSource upstream([&]() -> std::optional<JobInput> {
+    if (pulled >= kItems) return std::nullopt;
+    JobInput job;
+    job.args = {std::to_string(pulled++)};
+    return job;
+  });
+  StageChainSource chain(upstream, two_stages(/*barrier=*/false));
+  RunSummary summary = engine.run_source("", chain);
+  EXPECT_TRUE(summary.halted);
+  // Item 0's first stage, then item 1's (pulled ahead while item 0 ran),
+  // then item 0's second stage, which fails.
+  EXPECT_EQ(summary.succeeded, 2u);
+  EXPECT_EQ(summary.failed, 1u);
+  EXPECT_EQ(summary.skipped, 2 * kItems - 3);
+  EXPECT_EQ(summary.dep_skipped, 0u);
+  EXPECT_EQ(summary.total, 2 * kItems);
+  EXPECT_EQ(summary.exit_status(), 4);
+  EXPECT_EQ(pulled, kItems);
+  std::vector<JoblogRow> rows = read_joblog(joblog);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].seq, 1u);
+  EXPECT_EQ(rows[1].seq, 3u);
+  EXPECT_EQ(rows[2].seq, 2u);
+  EXPECT_EQ(rows[2].exitval, 4);
 }
 
 TEST(EngineDag, KeepOrderOutputFollowsDeclarationOrder) {

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace parcl::core {
 namespace {
@@ -143,6 +149,93 @@ TEST_F(JoblogTest, FsyncEachRecordRoundTrips) {
     writer.record(make_result(2, 1), ":");
   }
   EXPECT_EQ(read_joblog(path_).size(), 2u);
+}
+
+// The row as it was formatted through an ostringstream and "%.3f": the
+// golden reference for JoblogWriter::row.
+std::string printf_row(const JobResult& result, const std::string& host) {
+  const double start = round_to_ms(result.start_time);
+  std::ostringstream row;
+  row << result.seq << '\t' << host << '\t' << util::format_double(start, 3) << '\t'
+      << util::format_double(round_to_ms(result.end_time) - start, 3) << '\t' << 0 << '\t'
+      << result.stdout_data.size() << '\t' << result.exit_code << '\t'
+      << result.term_signal << '\t' << result.command << '\n';
+  return row.str();
+}
+
+JobResult timed(double start, double end) {
+  JobResult result;
+  result.seq = 42;
+  result.start_time = start;
+  result.end_time = end;
+  result.command = "echo x";
+  result.stdout_data = "x\n";
+  return result;
+}
+
+TEST(JoblogRow, MatchesPrintfByteForByte) {
+  std::vector<JobResult> cases = {
+      // Starts on the .0005 s rounding boundary, and next to it.
+      timed(0.0005, 0.0015), timed(1.0005, 2.0015), timed(2.4995, 2.5005),
+      timed(0.0004999, 0.0005001), timed(123.4565, 123.4575),
+      // Zero and sub-millisecond runtimes.
+      timed(5.0, 5.0), timed(5.0001, 5.0004), timed(7.1234, 7.1236),
+      // Starts of 10^6 s and more, up to where printf takes over.
+      timed(1e6, 1e6 + 0.25), timed(1e6 + 0.0005, 1e6 + 1.0005),
+      timed(4.2e9 + 0.123, 4.2e9 + 3600.5), timed(8.7e9, 8.7e9 + 0.001),
+      timed(1e10 + 0.5, 1e10 + 1.5), timed(1e13, 1e13 + 2.0),
+      // Off the usual grid: negative, an end before the start.
+      timed(-0.0002, 0.0), timed(-1.5, -0.25), timed(3.0, 2.9994),
+  };
+  JobResult skipped = timed(0.0, 0.0);
+  skipped.exit_code = kDepSkippedExitval;
+  skipped.stdout_data.clear();
+  cases.push_back(skipped);
+  JobResult signaled = timed(9.87654, 19.87654);
+  signaled.exit_code = 128 + 9;
+  signaled.term_signal = 9;
+  signaled.seq = std::numeric_limits<std::uint64_t>::max() - 1;
+  cases.push_back(signaled);
+  JobResult tabs = timed(1.0, 2.0);
+  tabs.command = "awk\t'{print $1}'\tfile\twith tabs";
+  tabs.stdout_data.assign(100000, 'y');
+  cases.push_back(tabs);
+  for (const JobResult& result : cases) {
+    EXPECT_EQ(JoblogWriter::row(result, "host-1"), printf_row(result, "host-1"))
+        << "start " << result.start_time << " end " << result.end_time;
+  }
+
+  // Millions of ms-grid and off-grid times across the range a clock reads.
+  std::mt19937_64 rng(20261020);
+  std::uniform_real_distribution<double> seconds(0.0, 1e7);
+  std::uniform_int_distribution<int> ms(0, 999);
+  for (int i = 0; i < 200000; ++i) {
+    double start = i % 2 == 0 ? seconds(rng) : std::floor(seconds(rng)) + ms(rng) / 1000.0 + 0.0005;
+    double end = start + (i % 3 == 0 ? seconds(rng) / 1e4 : ms(rng) / 1000.0);
+    JobResult result = timed(start, end);
+    ASSERT_EQ(JoblogWriter::row(result, ":"), printf_row(result, ":"))
+        << "start " << start << " end " << end;
+  }
+}
+
+TEST_F(JoblogTest, SharedTailRowsMatchWholeRows) {
+  JobResult result = make_result(7, 3);
+  result.term_signal = 15;
+  result.start_time = 1.0005;
+  std::string tail;
+  JoblogWriter::append_row_tail(tail, result);
+  {
+    JoblogWriter writer(path_);
+    writer.record(result.seq, "tenant-a", tail);
+    writer.record(99, ":", tail);
+  }
+  std::ifstream in(path_, std::ios::binary);
+  std::string written((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  JobResult relabelled = result;
+  relabelled.seq = 99;
+  EXPECT_EQ(written,
+            "Seq\tHost\tStarttime\tJobRuntime\tSend\tReceive\tExitval\tSignal\tCommand\n" +
+                printf_row(result, "tenant-a") + printf_row(relabelled, ":"));
 }
 
 TEST(JoblogStream, MalformedLineThrowsWithLineNumber) {
