@@ -8,13 +8,17 @@
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
+#include <sys/ptrace.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -294,6 +298,65 @@ TEST(LocalExecutor, ReadinessFdPollsReadableAtExitOnly) {
   EXPECT_EQ(result->exit_code, 0);
   EXPECT_FALSE(executor.wait_any(0.0).has_value());
   EXPECT_EQ(poll(&pfd, 1, 0), 0) << "still readable with nothing left to reap";
+}
+
+// A tracer that is not the job's parent (strace -f, gdb) takes the job's
+// exit first: the pidfd turns readable at the exit, but the parent's
+// waitpid finds nothing until the tracer reaps and so hands the exit on,
+// which wakes the pidfd a second time. That wake must still reap the job.
+TEST(LocalExecutor, ExitHeldByATracerIsStillReaped) {
+  const std::string pid_file =
+      ::testing::TempDir() + "parcl_traced_" + std::to_string(getpid());
+  std::remove(pid_file.c_str());
+  // The executor runs in a child of this process, so that this process,
+  // the job's grandparent, is its tracer: Yama's default scope lets a
+  // process trace its descendants only.
+  pid_t parent = fork();
+  ASSERT_GE(parent, 0);
+  if (parent == 0) {
+    alarm(10);  // a job that is never reaped ends this process by SIGALRM
+    LocalExecutor executor;
+    ExecRequest request;
+    request.job_id = 1;
+    request.command = "echo $$ > " + pid_file + "; exec /bin/sleep 0.5";
+    executor.start(request);
+    std::optional<core::ExecResult> result = executor.wait_any(8.0);
+    _exit(!result ? 2 : result->exit_code == 0 ? 0 : 3);
+  }
+  pid_t job = 0;
+  for (int i = 0; i < 5000 && job <= 0; ++i) {
+    std::ifstream in(pid_file);
+    std::string line;
+    if (std::getline(in, line) && !in.eof()) job = std::atoi(line.c_str());
+    if (job <= 0) usleep(1000);
+  }
+  std::remove(pid_file.c_str());
+  int status = 0;
+  if (job <= 0 || ptrace(PTRACE_SEIZE, job, nullptr, nullptr) != 0) {
+    const int error = errno;
+    ::kill(parent, SIGKILL);
+    waitpid(parent, &status, 0);
+    ASSERT_GT(job, 0) << "the job never wrote its pid";
+    GTEST_SKIP() << "cannot trace the job: " << std::strerror(error);
+  }
+  // Let stops pass until the job has exited, without reaping it; then hold
+  // the exit a while before reaping it as its tracer.
+  while (true) {
+    siginfo_t info{};
+    ASSERT_EQ(waitid(P_PID, static_cast<id_t>(job), &info,
+                     WEXITED | WSTOPPED | WNOWAIT | __WALL),
+              0);
+    if (info.si_code != CLD_TRAPPED && info.si_code != CLD_STOPPED) break;
+    ASSERT_EQ(waitpid(job, &status, __WALL), job);
+    const int sig = WSTOPSIG(status) == SIGTRAP ? 0 : WSTOPSIG(status);
+    ptrace(PTRACE_CONT, job, nullptr, reinterpret_cast<void*>(std::intptr_t{sig}));
+  }
+  usleep(200 * 1000);
+  ASSERT_EQ(waitpid(job, &status, __WALL), job);
+  ASSERT_EQ(waitpid(parent, &status, 0), parent);
+  ASSERT_FALSE(WIFSIGNALED(status)) << "the executor never reaped the job";
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "2: wait_any timed out; 3: wrong exit code";
 }
 
 TEST(LocalExecutor, BackgroundWriterDoesNotHoldTheJob) {
