@@ -297,6 +297,7 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       throw util::ParseError("unknown option '" + arg + "'");
     } else {
+      option_flags.pop_back();  // the command's first word, not an option
       phase = Phase::kCommand;
       command_tokens.push_back(arg);
     }
@@ -347,6 +348,18 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
   if (plan.service.server && plan.service.client) {
     throw util::ConfigError("--server and --client are mutually exclusive");
   }
+  // A service mode applies only the options it names in `applied`; any
+  // other is refused by name, never accepted and ignored. -jN is --jobs.
+  auto refuse_unapplied = [&option_flags](const char* mode,
+                                          const std::set<std::string>& applied,
+                                          const char* to_what) {
+    for (const std::string& flag : option_flags) {
+      if (!applied.count(flag) && !util::starts_with(flag, "-j")) {
+        throw util::ConfigError(std::string(mode) + " cannot apply " + flag + " " +
+                                to_what);
+      }
+    }
+  };
   if (plan.service.server) {
     if (!command_tokens.empty() || !plan.sources.empty()) {
       throw util::ConfigError(
@@ -355,12 +368,6 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
     if (plan.service.state_dir.empty()) {
       throw util::ConfigError("--server requires --state-dir DIR");
     }
-    if (!plan.sshlogins.empty() || plan.semaphore || plan.worker_mode ||
-        plan.options.pilot || !plan.graph_file.empty()) {
-      throw util::ConfigError(
-          "--server cannot combine with --sshlogin, --semaphore, --pilot, "
-          "--worker, or --graph");
-    }
     // Service jobs run through the engine's loop with the run options
     // listed here; the others shape a local run's input, output or hosts,
     // which a service job does not have.
@@ -368,11 +375,7 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
         "--server", "--state-dir", "--socket", "--listen", "--token", "--max-queue",
         "--max-queue-global", "--orphans", "--jobs", "--retries", "--retry-delay",
         "--timeout", "--delay", "--memfree", "--load", "--joblog-fsync"};
-    for (const std::string& flag : option_flags) {
-      if (!kServerFlags.count(flag) && !util::starts_with(flag, "-j")) {
-        throw util::ConfigError("--server cannot apply " + flag + " to service jobs");
-      }
-    }
+    refuse_unapplied("--server", kServerFlags, "to service jobs");
     // A TCP listener beyond loopback hands arbitrary command execution (as
     // the server user) to anyone who can reach the port: refuse it without
     // a shared secret. parse_ipv4_endpoint() also validates the spec here,
@@ -392,13 +395,13 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
     if (command_tokens.empty()) {
       throw util::ConfigError("--client needs a command to submit");
     }
-    if (!plan.sshlogins.empty() || plan.semaphore || plan.worker_mode ||
-        plan.options.pilot || !plan.graph_file.empty() ||
-        !plan.then_stages.empty()) {
-      throw util::ConfigError(
-          "--client submits a flat job stream; --sshlogin, --semaphore, "
-          "--pilot, --worker, --graph, and --then do not apply");
-    }
+    // The client reads its input, expands each command, submits it and
+    // collates the output; the server runs the jobs under its own options.
+    static const std::set<std::string> kClientFlags = {
+        "--client", "--socket", "--connect", "--tenant", "--token", "--tenant-weight",
+        "--jobs", "-k", "--keep-order", "--group", "--no-quote", "-0", "--null",
+        "-a", "--arg-file", "--link"};
+    refuse_unapplied("--client", kClientFlags, "to submitted jobs");
   }
   if (!plan.service.server) {
     if (!plan.service.listen.empty()) {

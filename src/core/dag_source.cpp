@@ -173,27 +173,21 @@ std::optional<JobInput> GraphSource::next_gated(
     return allow(node_stage_[static_cast<std::size_t>(seq - 1)]);
   });
   if (!id) return std::nullopt;
-  const GraphNode& node = spec_.nodes[static_cast<std::size_t>(*id - 1)];
-  JobInput job;
-  job.args = {node.name};
-  job.seq = *id;
-  job.stage = node_stage_[static_cast<std::size_t>(*id - 1)];
-  job.command = node.command;
-  return job;
+  return describe(*id);
 }
 
 void GraphSource::note_complete(std::uint64_t seq, bool ok) {
   tracker_.complete(seq, ok);
 }
 
-DepSkippedJob GraphSource::describe(std::uint64_t seq) const {
+JobInput GraphSource::describe(std::uint64_t seq) const {
   const GraphNode& node = spec_.nodes[static_cast<std::size_t>(seq - 1)];
-  DepSkippedJob skip;
-  skip.seq = seq;
-  skip.stage = node_stage_[static_cast<std::size_t>(seq - 1)];
-  skip.args = {node.name};
-  skip.command = node.command;
-  return skip;
+  JobInput job;
+  job.args = {node.name};
+  job.seq = seq;
+  job.stage = node_stage_[static_cast<std::size_t>(seq - 1)];
+  job.command = node.command;
+  return job;
 }
 
 std::vector<DepSkippedJob> GraphSource::take_dep_skips() {
@@ -288,16 +282,20 @@ void StageChainSource::note_resolved(std::size_t stage) {
   if (stage < stages_.size()) lift(stage + 1);
 }
 
+JobInput StageChainSource::job(std::uint64_t seq, const ArgVector& args) const {
+  JobInput job;
+  job.args = args;
+  job.seq = seq;
+  job.stage = stage_of(seq);
+  job.command = stages_[job.stage - 1].command;
+  return job;
+}
+
 void StageChainSource::skip_from(std::uint64_t item, const ArgVector& args,
                                  std::size_t stage,
                                  std::vector<DepSkippedJob>& out) {
   for (std::size_t s = stage; s <= stages_.size(); ++s) {
-    DepSkippedJob skip;
-    skip.seq = seq_of(item, s);
-    skip.stage = s;
-    skip.args = args;
-    skip.command = stages_[s - 1].command;
-    out.push_back(std::move(skip));
+    out.push_back(job(seq_of(item, s), args));
     --unemitted_;
   }
 }
@@ -307,16 +305,12 @@ std::optional<JobInput> StageChainSource::next_gated(
   for (;;) {
     for (auto it = ready_.begin(); it != ready_.end(); ++it) {
       if (!allow(stage_of(*it))) continue;
-      JobInput job;
-      job.seq = *it;
+      const std::uint64_t seq = *it;
       ready_.erase(it);
-      Item& item = live_.at(item_of(job.seq));
+      Item& item = live_.at(item_of(seq));
       item.running = true;
       --unemitted_;
-      job.args = item.args;
-      job.stage = item.stage;
-      job.command = stages_[job.stage - 1].command;
-      return job;
+      return job(seq, item.args);
     }
     // Nothing ready: try materializing the next input item, whose stage-1
     // job is ready by construction — but only if stage 1 has capacity,

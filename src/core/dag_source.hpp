@@ -37,15 +37,11 @@
 
 namespace parcl::core {
 
-/// A job cancelled by failure propagation: its predecessor failed (and
-/// exhausted retries), so it must never start. Carries everything the
-/// engine needs to write an honest joblog row for it.
-struct DepSkippedJob {
-  std::uint64_t seq = 0;
-  std::size_t stage = 0;
-  ArgVector args;
-  std::string command;
-};
+/// A job cancelled by failure propagation (its predecessor failed and
+/// exhausted retries), or never emitted by a run that ended early: it must
+/// never start. It is the JobInput the source would have emitted, which
+/// carries everything the engine needs to write an honest joblog row.
+using DepSkippedJob = JobInput;
 
 /// JobSource with a completion-event back-channel.
 class DagSource : public JobSource {
@@ -160,7 +156,8 @@ class GraphSource : public DagSource {
   std::size_t node_count() const noexcept { return spec_.nodes.size(); }
 
  private:
-  DepSkippedJob describe(std::uint64_t seq) const;
+  /// Node `seq`'s job, as emitted or as skipped.
+  JobInput describe(std::uint64_t seq) const;
 
   GraphSpec spec_;
   DependencyTracker tracker_;
@@ -236,6 +233,8 @@ class StageChainSource : public DagSource {
   bool stage_resolved(std::size_t stage) const {
     return head_exhausted_ && resolved_[stage] == items_;
   }
+  /// Job `seq` of the item whose args are `args`, as emitted or skipped.
+  JobInput job(std::uint64_t seq, const ArgVector& args) const;
   bool pull_item();  // take the next input item; false when dry
   void lift(std::size_t stage);  // ready a barrier stage's jobs once due
   void note_resolved(std::size_t stage);

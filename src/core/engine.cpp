@@ -162,8 +162,14 @@ struct Engine::Run {
   const bool collect = options_.collect_results;
 
   std::vector<std::pair<std::string, CommandTemplate>> env_templates;
-  std::set<std::uint64_t> skip;  // --resume: seqs the joblog already holds
-  std::map<std::uint64_t, bool> resume_status;
+  // --resume: each seq the joblog already holds -> its latest row succeeded.
+  std::map<std::uint64_t, bool> logged;
+  // --resume skips every logged seq, --resume-failed only the successes.
+  bool resumed(std::uint64_t seq) const {
+    if (logged.empty()) return false;
+    auto it = logged.find(seq);
+    return it != logged.end() && (it->second || !options_.resume_failed);
+  }
   std::unique_ptr<JoblogWriter> joblog;
   // An `out` without a stream buffer (the job service's) takes no output:
   // nothing is collated, and results reach only the result callback.
@@ -226,24 +232,32 @@ struct Engine::Run {
     if (stage < stage_done.size()) ++stage_done[stage];
   }
 
+  // The one place a result joins summary.results, when the run collects.
+  void keep(JobResult&& result) {
+    if (!collect) return;
+    if (summary.results.size() < result.seq) summary.results.resize(result.seq);
+    summary.results[result.seq - 1] = std::move(result);
+  }
+
+  // A job that will never run, accounted as skipped; returns its result.
   // `abandoned` marks queued work the run gave up on (the end-of-run drain
   // after a halt or starved stop), as opposed to --resume skips of jobs a
   // prior run already completed. Only the abandoned tail of a *starved*
   // stop bills exit_status().
-  void note_skip(PendingJob job, bool abandoned = false) {
+  JobResult skipped(JobInput& job, bool abandoned) {
+    max_seq = std::max(max_seq, job.seq);
     ++summary.skipped;
     if (abandoned && summary.starved) ++summary.starved_skipped;
     note_stage_done(job.stage);
     note_absent(job.seq);
-    if (collect) {
-      if (summary.results.size() < job.seq) summary.results.resize(job.seq);
-      JobResult& result = summary.results[job.seq - 1];
-      result.seq = job.seq;
-      result.stage = job.stage;
-      result.args = std::move(job.args);
-      result.status = JobStatus::kSkipped;
-    }
+    JobResult result;
+    result.seq = job.seq;
+    result.stage = job.stage;
+    result.args = std::move(job.args);
+    result.status = JobStatus::kSkipped;
+    return result;
   }
+  void note_skip(JobInput job, bool abandoned = false) { keep(skipped(job, abandoned)); }
 
   // Per-stage dispatch gate: the scheduler's stage caps.
   const std::function<bool(std::size_t)> stage_gate = [this](std::size_t stage) {
@@ -262,58 +276,39 @@ struct Engine::Run {
       if (live == nullptr && (dag == nullptr || dag->exhausted())) exhausted = true;
       return std::nullopt;
     }
-    PendingJob job;
-    job.seq = item->seq != 0 ? item->seq : next_seq++;
+    PendingJob job{std::move(*item)};
+    if (job.seq == 0) job.seq = next_seq++;
     max_seq = std::max(max_seq, job.seq);
-    job.args = std::move(item->args);
-    job.stdin_data = std::move(item->stdin_data);
-    job.has_stdin = item->has_stdin;
-    job.stage = item->stage;
-    job.command = std::move(item->command);
     return job;
   }
 
   // A dependency-skipped job gets a real joblog row (Seq/Host filled,
   // Exitval = kDepSkippedExitval) so --resume never re-runs it, and honest
-  // RunSummary accounting (dep_skipped bills exit_status). A seq the
-  // resume skip set already holds keeps its existing row and is accounted
-  // as a plain resume skip instead — not billed twice across restarts.
-  void record_dep_skip(DepSkippedJob skipped) {
-    max_seq = std::max(max_seq, skipped.seq);
-    ++summary.skipped;
+  // RunSummary accounting (dep_skipped bills exit_status). A seq --resume
+  // skips keeps its existing row and is accounted as a plain resume skip
+  // instead — not billed twice across restarts.
+  void record_dep_skip(DepSkippedJob& job) {
+    JobResult result = skipped(job, /*abandoned=*/false);
     ++summary.dep_skipped;
-    note_stage_done(skipped.stage);
-    note_absent(skipped.seq);
-    JobResult result;
-    result.seq = skipped.seq;
-    result.stage = skipped.stage;
-    result.args = std::move(skipped.args);
     result.status = JobStatus::kDepSkipped;
     result.exit_code = kDepSkippedExitval;
     CommandTemplate::Context context{result.seq, 0};
-    result.command = template_for(skipped.command)
-                         .expand(result.args, context, options_.quote_args);
+    result.command =
+        template_for(job.command).expand(result.args, context, options_.quote_args);
     if (joblog && !options_.dry_run) {
       joblog->record(result, kLocalHost);
     }
     if (on_result_) on_result_(result);
-    if (collect) {
-      if (summary.results.size() < result.seq) summary.results.resize(result.seq);
-      summary.results[result.seq - 1] = std::move(result);
-    }
+    keep(std::move(result));
   }
 
   void drain_dep_skips() {
     if (dag == nullptr) return;
-    for (DepSkippedJob& skipped : dag->take_dep_skips()) {
-      if (!skip.empty() && skip.count(skipped.seq) != 0) {
-        PendingJob job;
-        job.seq = skipped.seq;
-        job.stage = skipped.stage;
-        job.args = std::move(skipped.args);
+    for (DepSkippedJob& job : dag->take_dep_skips()) {
+      if (resumed(job.seq)) {
         note_skip(std::move(job));
       } else {
-        record_dep_skip(std::move(skipped));
+        record_dep_skip(job);
       }
     }
   }
@@ -324,33 +319,32 @@ struct Engine::Run {
   const bool buffer_all = options_.shuffle || options_.halt.percent > 0.0;
   std::deque<PendingJob> buffered;
 
-  // Next runnable job; --resume skips are recorded as they stream past.
-  std::optional<PendingJob> pull_runnable() {
-    if (buffer_all) {
-      if (buffered.empty()) return std::nullopt;
-      PendingJob job = std::move(buffered.front());
-      buffered.pop_front();
-      return job;
-    }
+  // Next job from the source that --resume does not skip; skips are
+  // recorded as they stream past.
+  std::optional<PendingJob> pull_unlogged() {
     while (auto job = pull_raw()) {
-      if (!skip.empty() && skip.count(job->seq) != 0) {
-        std::uint64_t seq = job->seq;
-        note_skip(std::move(*job));
-        if (dag != nullptr) {
-          // Replay the logged outcome as a completion event: a completed
-          // predecessor in the joblog is satisfied on restart; a failed one
-          // re-propagates its skip (the descendants' rows already exist, so
-          // drain_dep_skips re-accounts without re-logging them).
-          auto logged = resume_status.find(seq);
-          dag->note_complete(seq,
-                             logged != resume_status.end() && logged->second);
-          drain_dep_skips();
-        }
-        continue;
+      if (!resumed(job->seq)) return job;
+      const std::uint64_t seq = job->seq;
+      note_skip(std::move(*job));
+      if (dag != nullptr) {
+        // Replay the logged outcome as a completion event: a completed
+        // predecessor in the joblog is satisfied on restart; a failed one
+        // re-propagates its skip (the descendants' rows already exist, so
+        // drain_dep_skips re-accounts without re-logging them).
+        dag->note_complete(seq, logged.at(seq));
+        drain_dep_skips();
       }
-      return job;
     }
     return std::nullopt;
+  }
+
+  // Next runnable job: the buffered list's front, or the source's next.
+  std::optional<PendingJob> pull_runnable() {
+    if (!buffer_all) return pull_unlogged();
+    if (buffered.empty()) return std::nullopt;
+    PendingJob job = std::move(buffered.front());
+    buffered.pop_front();
+    return job;
   }
 
   // --dry-run: compose and print, never execute. A DAG dry run assumes
@@ -358,19 +352,16 @@ struct Engine::Run {
   RunSummary dry_run() {
     while (auto job = pull_runnable()) {
       CommandTemplate::Context context{job->seq, 1};
-      std::string cmd =
+      JobResult result;
+      result.command =
           template_for(job->command).expand(job->args, context, options_.quote_args);
-      out_ << cmd << '\n';
+      out_ << result.command << '\n';
       ++summary.succeeded;
-      if (collect) {
-        if (summary.results.size() < job->seq) summary.results.resize(job->seq);
-        JobResult& result = summary.results[job->seq - 1];
-        result.seq = job->seq;
-        result.stage = job->stage;
-        result.args = std::move(job->args);
-        result.status = JobStatus::kSuccess;
-        result.command = std::move(cmd);
-      }
+      result.seq = job->seq;
+      result.stage = job->stage;
+      result.args = std::move(job->args);
+      result.status = JobStatus::kSuccess;
+      keep(std::move(result));
       if (dag != nullptr) {
         dag->note_complete(job->seq, /*ok=*/true);
         drain_dep_skips();
@@ -464,12 +455,35 @@ struct Engine::Run {
     double median = running_median();
     return median * options_.timeout_percent / 100.0;
   }
+  // --hedge: the runtime past which an attempt is a straggler; 0 while
+  // hedging is off, the median unarmed, or the run draining or stopped.
+  double hedge_threshold() const {
+    if (options_.hedge_multiplier <= 0.0 || drain_stage != 0 || scheduler.stopped()) {
+      return 0.0;
+    }
+    return running_median() * options_.hedge_multiplier;
+  }
+  // An attempt --hedge may still duplicate: an unpaired primary that no
+  // timeout kill or partner's win has touched.
+  static bool hedgeable(const ActiveAttempt& attempt) {
+    return !attempt.is_hedge && attempt.hedge_partner == 0 && !attempt.kill_sent &&
+           !attempt.discard_on_completion;
+  }
 
   // Signal drain/escalation state (set_signal_coordinator).
   const std::vector<TermStage> term_stages = parse_termseq(options_.term_seq);
   int drain_stage = 0;         // 0 normal, 1 draining, 2 escalating
   std::size_t term_index = 0;  // current --termseq stage while escalating
   double next_stage_at = 0.0;
+  // Sends --termseq stage `term_index` to every running attempt and times
+  // the next stage.
+  void signal_term_stage() {
+    for (const auto& entry : active) {
+      executor_.kill_signal(entry.first, term_stages[term_index].signal);
+      ++summary.dispatch.escalated;
+    }
+    next_stage_at = executor_.now() + term_stages[term_index].delay_ms / 1000.0;
+  }
   static constexpr double kSignalPollInterval = 0.1;
 
   double first_start = std::numeric_limits<double>::infinity();
@@ -604,10 +618,7 @@ struct Engine::Run {
     }
     print_progress();
     if (on_result_) on_result_(result);
-    if (collect) {
-      if (summary.results.size() < result.seq) summary.results.resize(result.seq);
-      summary.results[result.seq - 1] = std::move(result);
-    }
+    keep(std::move(result));
     if (dag != nullptr) {
       // This is the job's FINAL outcome — retries were exhausted upstream
       // of record_final and hedge losers never reach it — so this is the
@@ -621,7 +632,7 @@ struct Engine::Run {
   // Kills in-flight attempts for good: job `seq`'s, or all of them (0).
   void kill_active(bool force, std::uint64_t seq = 0) {
     for (auto& [id, running] : active) {
-      if (seq != 0 && running.seq != seq) continue;
+      if (seq != 0 && running.job.seq != seq) continue;
       running.killed_for_good = true;
       executor_.kill(id, force);
     }
@@ -642,19 +653,27 @@ struct Engine::Run {
     if (action == Scheduler::HaltAction::kKillRunning) kill_active(/*force=*/false);
   }
 
-  // A retry or a host-failure requeue goes back into pending form; the
-  // args, stdin block and command template move out of `attempt`.
-  static PendingJob to_pending(ActiveAttempt& attempt) {
-    PendingJob job;
-    job.seq = attempt.seq;
-    job.args = std::move(attempt.args);
-    job.stdin_data = std::move(attempt.stdin_data);
-    job.has_stdin = attempt.has_stdin;
-    job.attempts = attempt.attempts;
-    job.stage = attempt.stage;
-    job.command = std::move(attempt.command_tmpl);
-    job.reschedules = attempt.reschedules;
-    return job;
+  // The one place an attempt becomes its job's final result. `ended` is
+  // the executor's completion, or the exit 127 made up for a spawn that
+  // failed; its Exitval then goes to the --halt policy.
+  void record_attempt(ActiveAttempt& attempt, JobStatus status, ExecResult& ended) {
+    JobResult result;
+    result.seq = attempt.job.seq;
+    result.stage = attempt.job.stage;
+    result.args = std::move(attempt.job.args);
+    result.slot = attempt.slot;
+    result.status = status;
+    result.exit_code = ended.exit_code;
+    result.term_signal = ended.term_signal;
+    result.attempts = attempt.job.attempts;
+    result.start_time = ended.start_time;
+    result.end_time = ended.end_time;
+    result.command = std::move(attempt.command);
+    result.stdout_data = std::move(ended.stdout_data);
+    result.stderr_data = std::move(ended.stderr_data);
+    result.host = std::move(ended.host);
+    record_final(std::move(result));
+    apply_halt_policy(ended.exit_code);
   }
 
   // The one attempt-launch path, for starts and hedges alike: expands
@@ -663,9 +682,10 @@ struct Engine::Run {
   // Returns its job id. On a spawn failure it warns, releases the slot and
   // stage, and returns 0; `attempt` then stays with the caller.
   std::uint64_t launch(ActiveAttempt& attempt, double now) {
-    CommandTemplate::Context context{attempt.seq, attempt.slot};
-    attempt.command = template_for(attempt.command_tmpl)
-                          .expand(attempt.args, context, options_.quote_args);
+    const PendingJob& job = attempt.job;
+    CommandTemplate::Context context{job.seq, attempt.slot};
+    attempt.command =
+        template_for(job.command).expand(job.args, context, options_.quote_args);
 
     ExecRequest request;
     request.job_id = next_job_id++;
@@ -673,10 +693,10 @@ struct Engine::Run {
     request.slot = attempt.slot;
     request.use_shell = options_.use_shell;
     request.capture_output = capture;
-    request.stdin_data = attempt.stdin_data;
-    request.has_stdin = attempt.has_stdin;
+    request.stdin_data = job.stdin_data;
+    request.has_stdin = job.has_stdin;
     for (const auto& [key, value_tmpl] : env_templates) {
-      request.env[key] = value_tmpl.expand(attempt.args, context, /*quote=*/false);
+      request.env[key] = value_tmpl.expand(job.args, context, /*quote=*/false);
     }
 
     attempt.start_time = now;
@@ -692,9 +712,9 @@ struct Engine::Run {
       executor_.start(request);
     } catch (const util::SystemError& error) {
       PARCL_WARN() << (attempt.is_hedge ? "hedge spawn failed" : "spawn failed")
-                   << " for seq " << attempt.seq << ": " << error.what();
+                   << " for seq " << job.seq << ": " << error.what();
       scheduler.release_slot(attempt.slot);
-      scheduler.note_stage_end(attempt.stage);
+      scheduler.note_stage_end(job.stage);
       return 0;
     }
     active.emplace(request.job_id, std::move(attempt));
@@ -703,39 +723,24 @@ struct Engine::Run {
 
   void start_one(PendingJob job) {
     ActiveAttempt attempt;
-    attempt.seq = job.seq;
-    attempt.args = std::move(job.args);
-    attempt.stdin_data = std::move(job.stdin_data);
-    attempt.has_stdin = job.has_stdin;
+    attempt.job = std::move(job);
+    ++attempt.job.attempts;  // counts this attempt while it runs
     attempt.slot = scheduler.acquire_slot();
-    attempt.attempts = job.attempts + 1;
-    attempt.stage = job.stage;
-    attempt.command_tmpl = std::move(job.command);
-    attempt.reschedules = job.reschedules;
-    scheduler.note_stage_start(attempt.stage);
+    scheduler.note_stage_start(attempt.job.stage);
     const double now = executor_.now();
     scheduler.note_start(now);
     if (launch(attempt, now) != 0) return;
     // Spawn failure counts as a failed attempt with exit code 127. It
     // flows through the same retry budget and halt accounting as a
     // nonzero exit: only an exhausted job becomes a final result.
-    if (ledger.retryable(attempt.attempts) && !scheduler.stopped()) {
-      ledger.park(to_pending(attempt), /*front=*/false);
+    if (ledger.retryable(attempt.job.attempts) && !scheduler.stopped()) {
+      ledger.park(std::move(attempt.job), /*front=*/false);
       return;
     }
-    JobResult result;
-    result.seq = attempt.seq;
-    result.stage = attempt.stage;
-    result.args = std::move(attempt.args);
-    result.slot = attempt.slot;
-    result.command = std::move(attempt.command);
-    result.attempts = attempt.attempts;
-    result.status = JobStatus::kFailed;
-    result.exit_code = 127;
-    result.start_time = now;
-    result.end_time = now;
-    record_final(std::move(result));
-    apply_halt_policy(127);
+    ExecResult spawn_failed;
+    spawn_failed.exit_code = 127;
+    spawn_failed.start_time = spawn_failed.end_time = now;
+    record_attempt(attempt, JobStatus::kFailed, spawn_failed);
   }
 
   // --hedge: launch a speculative duplicate of a straggling attempt on a
@@ -749,18 +754,11 @@ struct Engine::Run {
     ActiveAttempt& primary = pit->second;
     std::optional<std::size_t> slot = scheduler.acquire_slot_distinct(primary.slot);
     if (!slot) return false;
-    scheduler.note_stage_start(primary.stage);
+    scheduler.note_stage_start(primary.job.stage);
 
     ActiveAttempt hedge;
-    hedge.seq = primary.seq;
-    hedge.args = primary.args;
-    hedge.stdin_data = primary.stdin_data;
-    hedge.has_stdin = primary.has_stdin;
+    hedge.job = primary.job;
     hedge.slot = *slot;
-    hedge.attempts = primary.attempts;
-    hedge.stage = primary.stage;
-    hedge.command_tmpl = primary.command_tmpl;
-    hedge.reschedules = primary.reschedules;
     hedge.is_hedge = true;
     hedge.hedge_partner = primary_id;
     // Hedges bypass the --delay gate: the primary already paid it for this
@@ -812,23 +810,13 @@ struct Engine::Run {
         term_index = 0;
         err_ << "parcl: second interrupt; escalating --termseq " << options_.term_seq
              << " to " << active.size() << " running job(s)\n";
-        for (auto& [id, running] : active) {
-          (void)running;
-          executor_.kill_signal(id, term_stages[term_index].signal);
-          ++summary.dispatch.escalated;
-        }
-        next_stage_at = executor_.now() + term_stages[term_index].delay_ms / 1000.0;
+        signal_term_stage();
       }
     }
     if (drain_stage == 2 && term_index + 1 < term_stages.size() && !active.empty() &&
         executor_.now() >= next_stage_at) {
       ++term_index;
-      for (auto& [id, running] : active) {
-        (void)running;
-        executor_.kill_signal(id, term_stages[term_index].signal);
-        ++summary.dispatch.escalated;
-      }
-      next_stage_at = executor_.now() + term_stages[term_index].delay_ms / 1000.0;
+      signal_term_stage();
     }
 
     // Release backoff'd retries whose delay has elapsed.
@@ -878,22 +866,16 @@ struct Engine::Run {
     // input is drained. Bounded: at most one hedge per running straggler.
     // Candidate ids are collected first: launch_hedge inserts into
     // `active`, which would invalidate a live iteration.
-    if (options_.hedge_multiplier > 0.0 && drain_stage == 0 &&
-        !scheduler.stopped() && starved_since < 0.0) {
-      if (double median = running_median(); median > 0.0) {
-        const double threshold = median * options_.hedge_multiplier;
-        const double now_hedge = executor_.now();
-        std::vector<std::uint64_t> candidates;
-        for (const auto& [id, running] : active) {
-          if (running.is_hedge || running.hedge_partner != 0 ||
-              running.kill_sent || running.discard_on_completion) {
-            continue;
-          }
-          if (now_hedge - running.start_time > threshold) candidates.push_back(id);
+    if (double threshold = hedge_threshold(); threshold > 0.0 && starved_since < 0.0) {
+      const double now_hedge = executor_.now();
+      std::vector<std::uint64_t> candidates;
+      for (const auto& [id, running] : active) {
+        if (hedgeable(running) && now_hedge - running.start_time > threshold) {
+          candidates.push_back(id);
         }
-        for (std::uint64_t id : candidates) {
-          if (!launch_hedge(id)) break;  // no distinct-domain slot free
-        }
+      }
+      for (std::uint64_t id : candidates) {
+        if (!launch_hedge(id)) break;  // no distinct-domain slot free
       }
     }
 
@@ -979,21 +961,13 @@ struct Engine::Run {
         cap_wait(starved_since + options_.min_hosts_grace_seconds - now);
       }
     }
-    if (options_.hedge_multiplier > 0.0 && drain_stage == 0 &&
-        !scheduler.stopped()) {
-      if (double median = running_median(); median > 0.0) {
-        // Wake when the earliest unpaired primary crosses the hedge
-        // threshold. Overdue candidates (blocked on slots) deliberately do
-        // not cap the wait — they retry when a completion frees a slot.
-        const double threshold = median * options_.hedge_multiplier;
-        for (const auto& [id, running] : active) {
-          if (running.is_hedge || running.hedge_partner != 0 ||
-              running.kill_sent || running.discard_on_completion) {
-            continue;
-          }
-          double due = running.start_time + threshold;
-          if (due > now) cap_wait(due - now);
-        }
+    if (double threshold = hedge_threshold(); threshold > 0.0) {
+      // Wake when the earliest unpaired primary crosses the hedge
+      // threshold. Overdue candidates (blocked on slots) deliberately do
+      // not cap the wait — they retry when a completion frees a slot.
+      for (const auto& [id, running] : active) {
+        double due = running.start_time + threshold;
+        if (hedgeable(running) && due > now) cap_wait(due - now);
       }
     }
     if (signals_ != nullptr && !active.empty()) {
@@ -1048,7 +1022,7 @@ struct Engine::Run {
     ActiveAttempt attempt = std::move(it->second);
     active.erase(it);
     scheduler.release_slot(attempt.slot);
-    scheduler.note_stage_end(attempt.stage);
+    scheduler.note_stage_end(attempt.job.stage);
 
     JobStatus status;
     if (attempt.killed_for_good) {
@@ -1116,10 +1090,9 @@ struct Engine::Run {
     if (completion->host_failure) {
       ++summary.dispatch.host_failures;
       if (!attempt.killed_for_timeout && !attempt.killed_for_good &&
-          !scheduler.stopped() && attempt.reschedules < kMaxReschedules) {
-        PendingJob job = to_pending(attempt);
-        --job.attempts;  // the attempt never counted
-        ledger.reschedule(std::move(job));
+          !scheduler.stopped() && attempt.job.reschedules < kMaxReschedules) {
+        --attempt.job.attempts;  // the attempt never counted
+        ledger.reschedule(std::move(attempt.job));
         ++summary.dispatch.rescheduled;
         return Step::kReaped;
       }
@@ -1127,33 +1100,16 @@ struct Engine::Run {
 
     bool retryable = status == JobStatus::kFailed || status == JobStatus::kSignaled ||
                      status == JobStatus::kTimedOut;
-    if (retryable && ledger.retryable(attempt.attempts) && !scheduler.stopped()) {
+    if (retryable && ledger.retryable(attempt.job.attempts) && !scheduler.stopped()) {
       // Re-queue ahead of untouched pending work (newest first — the order
       // the engine has always produced), or into the backoff heap when
       // --retry-delay applies.
-      ledger.park(to_pending(attempt), /*front=*/true);
+      ledger.park(std::move(attempt.job), /*front=*/true);
       return Step::kReaped;
     }
 
-    JobResult result;
-    result.seq = attempt.seq;
-    result.stage = attempt.stage;
-    result.args = std::move(attempt.args);
-    result.slot = attempt.slot;
-    result.status = status;
-    result.exit_code = completion->exit_code;
-    result.term_signal = completion->term_signal;
-    result.attempts = attempt.attempts;
-    result.start_time = completion->start_time;
-    result.end_time = completion->end_time;
-    result.command = std::move(attempt.command);
-    result.stdout_data = std::move(completion->stdout_data);
-    result.stderr_data = std::move(completion->stderr_data);
-    result.host = std::move(completion->host);
-    record_final(std::move(result));
-
-    // Phase 5: halt policy.
-    apply_halt_policy(completion->exit_code);
+    // Phase 5: the final result, then the halt policy.
+    record_attempt(attempt, status, *completion);
     return Step::kReaped;
   }
 
@@ -1179,14 +1135,14 @@ Engine::Run::Run(Engine& owner, const CommandTemplate& command, JobSource& input
     env_templates.emplace_back(key, CommandTemplate::parse(value));
   }
 
-  // --resume: fold the joblog into the skip set before opening it for
-  // append. The set is keyed on seq alone, so it needs no knowledge of the
-  // (still unknown) total job count.
+  // --resume: read each logged seq's outcome once, before opening the
+  // joblog for append. The map is keyed on seq alone, so it needs no
+  // knowledge of the (still unknown) total job count; a DAG run also
+  // replays the outcomes as completion events (pull_unlogged).
   if (options_.resume || options_.resume_failed) {
     try {
       JoblogReadStats log_stats;
-      skip = read_resume_skip_set(options_.joblog_path, options_.resume_failed,
-                                  &log_stats);
+      logged = read_resume_status(options_.joblog_path, &log_stats);
       if (log_stats.torn_lines != 0) {
         PARCL_WARN() << "joblog '" << options_.joblog_path
                      << "': final line torn (crash mid-write); skipping it so "
@@ -1196,29 +1152,13 @@ Engine::Run::Run(Engine& owner, const CommandTemplate& command, JobSource& input
       // No joblog yet: nothing to skip.
     }
   }
-  // DAG resume additionally needs each logged seq's outcome: a completed
-  // predecessor in the joblog is replayed as a completion event, so its
-  // successors count it as satisfied (ok) or re-propagate its failure
-  // (not ok) without re-running it.
-  if (dag != nullptr && !skip.empty()) {
-    try {
-      resume_status = read_resume_status(options_.joblog_path);
-    } catch (const util::SystemError&) {
-    }
-  }
   if (!options_.joblog_path.empty()) {
     joblog = std::make_unique<JoblogWriter>(options_.joblog_path, options_.joblog_fsync);
   }
 
   if (buffer_all) {
     std::vector<PendingJob> all;
-    while (auto job = pull_raw()) {
-      if (!skip.empty() && skip.count(job->seq) != 0) {
-        note_skip(std::move(*job));
-      } else {
-        all.push_back(std::move(*job));
-      }
-    }
+    while (auto job = pull_unlogged()) all.push_back(std::move(*job));
     if (options_.shuffle) {
       // Randomize execution order (seq numbers, and therefore -k output
       // order, stay bound to the original inputs).
@@ -1254,19 +1194,13 @@ RunSummary Engine::Run::finish() {
   // the jobs it would have run count as given-up work. A DAG source hands
   // back each skipped job's successors at once, so a halted --then chain
   // skips its unread input one item at a time.
-  auto skip_never_ran = [this](DepSkippedJob& never_ran) {
-    max_seq = std::max(max_seq, never_ran.seq);
-    PendingJob job;
-    job.seq = never_ran.seq;
-    job.stage = never_ran.stage;
-    job.args = std::move(never_ran.args);
-    note_skip(std::move(job), /*abandoned=*/true);
-  };
   while (auto job = pull_runnable()) {
     const std::uint64_t seq = job->seq;
     note_skip(std::move(*job), /*abandoned=*/true);
     if (dag != nullptr) {
-      for (DepSkippedJob& successor : dag->abandon(seq)) skip_never_ran(successor);
+      for (DepSkippedJob& successor : dag->abandon(seq)) {
+        note_skip(std::move(successor), /*abandoned=*/true);
+      }
     }
   }
   if (dag != nullptr) {
@@ -1274,7 +1208,9 @@ RunSummary Engine::Run::finish() {
     // emitted at all (their predecessors were abandoned mid-graph): both
     // must surface in skip accounting, not silently vanish.
     drain_dep_skips();
-    for (DepSkippedJob& never_ran : dag->drain_unemitted()) skip_never_ran(never_ran);
+    for (DepSkippedJob& never_ran : dag->drain_unemitted()) {
+      note_skip(std::move(never_ran), /*abandoned=*/true);
+    }
   }
 
   if (collate) collator.finish();

@@ -32,7 +32,9 @@
 
 namespace parcl::core {
 
-/// One job's worth of input, produced by a JobSource pull.
+/// One job's worth of input, produced by a JobSource pull. The engine
+/// keeps it as the job's record until its final result (PendingJob adds
+/// the retry bookkeeping, and ActiveAttempt holds that while it runs).
 struct JobInput {
   ArgVector args;          // input arguments ({}, {n})
   std::string stdin_data;  // --pipe block

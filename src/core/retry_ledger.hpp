@@ -10,25 +10,20 @@
 #include <cstdint>
 #include <deque>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "core/executor.hpp"
-#include "core/input.hpp"
+#include "core/job_source.hpp"
 #include "core/options.hpp"
 
 namespace parcl::core {
 
 /// A job that is not currently running: fresh from the source, or a failed
-/// attempt parked for retry.
-struct PendingJob {
-  std::uint64_t seq = 0;
-  ArgVector args;            // input arguments ({}, {n})
-  std::string stdin_data;    // --pipe block
-  bool has_stdin = false;
+/// attempt parked for retry. It is the JobInput it was pulled as (with its
+/// seq assigned) plus its retry bookkeeping; the same record rides in its
+/// ActiveAttempt while it runs and moves back here for a retry.
+struct PendingJob : JobInput {
   std::size_t attempts = 0;  // completed attempts (0 for fresh jobs)
-  std::size_t stage = 0;     // DAG stage id (0 = flat stream / unstaged)
-  std::string command;       // per-job command template ("" = engine's base)
   double not_before = 0.0;   // --retry-delay backoff gate (executor clock)
   /// Host-failure requeues so far. Unlike `attempts`, these never count
   /// against --retries: losing a node is not the job's fault.

@@ -14,33 +14,25 @@
 #include <vector>
 
 #include "core/executor.hpp"
-#include "core/input.hpp"
 #include "core/options.hpp"
+#include "core/retry_ledger.hpp"
 #include "core/slot_pool.hpp"
 
 namespace parcl::core {
 
-/// In-flight attempt bookkeeping (one entry per started attempt).
+/// In-flight attempt bookkeeping (one entry per started attempt): the job
+/// it runs, whose `attempts` counts this attempt, and what only an attempt
+/// has. A retry or a host-failure requeue moves `job` back to the ledger.
 struct ActiveAttempt {
-  std::uint64_t seq = 0;
-  ArgVector args;
-  std::string stdin_data;
-  bool has_stdin = false;
+  PendingJob job;
   std::size_t slot = 0;
-  std::size_t attempts = 0;  // attempts including this one
-  std::size_t stage = 0;     // DAG stage id (0 = flat stream / unstaged)
-  /// Per-job command template override ("" = the engine's base template);
-  /// preserved so a retry or host-failure requeue re-expands the right one.
-  std::string command_tmpl;
-  std::string command;
+  std::string command;      // job.command (the template) expanded for `slot`
   double start_time = 0.0;  // dispatch instant (for adaptive timeouts)
   double deadline = 0.0;    // 0 = no timeout
   bool kill_sent = false;   // timeout SIGTERM sent
   bool force_sent = false;  // timeout SIGKILL sent
   bool killed_for_timeout = false;
   bool killed_for_good = false;  // halt now or Engine::kill: final, kKilled
-  /// Host-failure requeues this job has survived (never charged to --retries).
-  std::size_t reschedules = 0;
   /// --hedge pairing: job id of the racing duplicate/primary (0 = unpaired).
   std::uint64_t hedge_partner = 0;
   bool is_hedge = false;  // this attempt IS the speculative duplicate

@@ -20,7 +20,7 @@ double monotonic_seconds() {
 }  // namespace
 
 FunctionExecutor::FunctionExecutor(TaskFn task, std::size_t threads)
-    : task_(std::move(task)), pool_(threads), epoch_(monotonic_seconds()) {
+    : task_(std::move(task)), epoch_(monotonic_seconds()), pool_(threads) {
   ready_fd_ = eventfd(0, EFD_SEMAPHORE | EFD_NONBLOCK | EFD_CLOEXEC);
   if (ready_fd_ < 0) throw util::SystemError("eventfd", errno);
 }
@@ -64,32 +64,28 @@ void FunctionExecutor::start(const core::ExecRequest& request) {
         result.exit_code = 128 + it->second;
         kill_signals_.erase(it);
       }
+      completions_.push_back(std::move(result));
+      eventfd_write(ready_fd_, 1);
     }
-    // Count before queueing, so a pop always finds its count to take.
-    eventfd_write(ready_fd_, 1);
-    completions_.push(std::move(result));
+    completed_.notify_one();
   });
 }
 
 std::optional<core::ExecResult> FunctionExecutor::wait_any(double timeout_seconds) {
-  std::optional<core::ExecResult> result;
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto queued = [this] { return !completions_.empty(); };
   if (timeout_seconds < 0.0) {
-    bool anything_active;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      anything_active = active_ > 0;
-    }
-    if (!anything_active) return std::nullopt;
-    result = completions_.pop();
-  } else {
-    result = completions_.pop_for(timeout_seconds);
+    if (active_ == 0) return std::nullopt;
+    completed_.wait(lock, queued);
+  } else if (!completed_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
+                                  queued)) {
+    return std::nullopt;
   }
-  if (result) {
-    eventfd_t count = 0;
-    eventfd_read(ready_fd_, &count);  // takes one: EFD_SEMAPHORE
-    std::lock_guard<std::mutex> lock(mutex_);
-    --active_;
-  }
+  core::ExecResult result = std::move(completions_.front());
+  completions_.pop_front();
+  eventfd_t count = 0;
+  eventfd_read(ready_fd_, &count);  // takes one: EFD_SEMAPHORE
+  --active_;
   return result;
 }
 

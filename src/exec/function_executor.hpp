@@ -6,12 +6,13 @@
 // the "last-mile parallelizing driver" pattern from the paper's conclusion.
 #pragma once
 
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 
 #include "core/executor.hpp"
-#include "util/blocking_queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parcl::exec {
@@ -41,21 +42,22 @@ class FunctionExecutor final : public core::Executor {
   void kill(std::uint64_t job_id, bool force) override;
   std::size_t active_count() const override;
   double now() const override;
-  /// An eventfd (EFD_SEMAPHORE) holding one count per queued completion,
-  /// so it polls readable while wait_any(0) would return one. A worker
-  /// counts just before it queues: the fd may turn readable a moment
-  /// early, never late.
+  /// An eventfd (EFD_SEMAPHORE) holding one count per queued completion.
+  /// A worker queues and counts under one lock, and wait_any() takes both
+  /// under it, so the fd polls readable exactly while wait_any(0) would
+  /// return a completion.
   int readiness_fd() const override { return ready_fd_; }
 
  private:
   TaskFn task_;
-  util::ThreadPool pool_;
-  util::BlockingQueue<core::ExecResult> completions_;
   mutable std::mutex mutex_;
+  std::condition_variable completed_;
+  std::deque<core::ExecResult> completions_;   // guarded by mutex_
   std::map<std::uint64_t, int> kill_signals_;  // job_id -> pending signal
   std::size_t active_ = 0;
   double epoch_;
   int ready_fd_ = -1;
+  util::ThreadPool pool_;  // last: its workers stop before the state they use
 };
 
 }  // namespace parcl::exec

@@ -4,10 +4,12 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -55,22 +57,33 @@ sockaddr_in ipv4_address(const Ipv4Endpoint& endpoint, bool for_listen) {
 }  // namespace
 
 int unix_listen(const std::string& path, int backlog) {
+  // The socket is bound under a sibling name and renamed onto `path` only
+  // once it listens, so a client that connects the moment `path` exists
+  // is never refused. The sibling differs in the first byte of the last
+  // component, so it is as long as `path`. A rename replaces a stale
+  // socket file at `path`.
   sockaddr_un addr = unix_address(path);
-  // A stale socket file from a killed daemon blocks bind() with EADDRINUSE
-  // even though nobody is listening; restarting in place is the service's
-  // whole crash-tolerance story, so clear it unconditionally.
-  ::unlink(path.c_str());
+  const std::size_t slash = path.rfind('/');
+  const std::size_t first = slash == std::string::npos ? 0 : slash + 1;
+  if (first < path.size()) addr.sun_path[first] = path[first] == '~' ? '#' : '~';
+  const char* temp = addr.sun_path;
+  // A stale socket file from a daemon killed mid-start blocks bind() with
+  // EADDRINUSE even though nobody is listening; restarting in place is the
+  // service's whole crash-tolerance story, so clear it.
+  struct stat st {};
+  if (::lstat(temp, &st) == 0 && S_ISSOCK(st.st_mode)) ::unlink(temp);
   int fd = cloexec_socket(AF_UNIX);
+  auto fail = [&](const std::string& what, bool bound) {
+    int saved = errno;
+    if (bound) ::unlink(temp);
+    ::close(fd);
+    throw SystemError(what, saved);
+  };
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    int saved = errno;
-    ::close(fd);
-    throw SystemError("bind unix socket '" + path + "'", saved);
+    fail("bind unix socket '" + path + "'", false);
   }
-  if (::listen(fd, backlog) < 0) {
-    int saved = errno;
-    ::close(fd);
-    throw SystemError("listen on '" + path + "'", saved);
-  }
+  if (::listen(fd, backlog) < 0) fail("listen on '" + path + "'", true);
+  if (::rename(temp, path.c_str()) < 0) fail("rename onto '" + path + "'", true);
   return fd;
 }
 

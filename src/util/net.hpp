@@ -11,9 +11,11 @@
 
 namespace parcl::util {
 
-/// Binds and listens on a unix-domain stream socket at `path`. An existing
-/// socket file at `path` is unlinked first (a daemon restarting after a
-/// crash must be able to rebind its own address). Throws SystemError.
+/// Binds and listens on a unix-domain stream socket at `path`. `path`
+/// appears only once the socket listens, so a client may connect as soon
+/// as it exists; an existing socket file there is replaced (a daemon
+/// restarting after a crash must be able to rebind its own address).
+/// Throws SystemError.
 int unix_listen(const std::string& path, int backlog = 64);
 
 /// Connects to the unix-domain socket at `path`. Throws SystemError when

@@ -640,6 +640,56 @@ TEST(ParclService, ConfigErrorsExit255) {
   EXPECT_EQ(run_command(parcl() + " --token s 'echo x' ::: a").exit_code, 255);
 }
 
+TEST(ParclCli, ClientRefusesRunOptionsItCannotApply) {
+  // The client reads its input, expands each command, submits it and
+  // collates the output. Every other run option is refused by name (exit
+  // 255) before anything is submitted, never accepted and ignored.
+  const std::vector<std::string> refused = {
+      "--dry-run", "-n 2", "-X", "--max-chars 100", "-u", "--tag", "--tagstring x",
+      "--env FOO=bar", "--no-shell", "--halt now,fail=1", "--joblog /tmp/j",
+      "--joblog-fsync", "--results /tmp/r", "--resume", "--resume-failed",
+      "--retries 2", "--retry-delay 1", "--timeout 1", "--termseq INT,100,KILL",
+      "--delay 0.1", "--memfree 1M", "--load 8", "--hedge 2", "--shuf", "--progress",
+      "--pipe", "--block 1k", "--colsep ,", "--trim lr", "--then echo",
+      "--graph /tmp/g", "-S 2/:", "--pilot -S 2/:", "--sem", "--sshlogin-file /tmp/h",
+      "--min-hosts 1", "--heartbeat-interval 1", "--reconnect 2"};
+  for (const std::string& flags : refused) {
+    const std::string flag = flags.substr(0, flags.find(' '));
+    CommandResult result = run_command(
+        parcl() + " --client --socket /nonexistent.sock " + flags + " 'echo x' ::: a");
+    EXPECT_EQ(result.exit_code, 255) << flags << ": " << result.output;
+    EXPECT_NE(result.output.find("--client cannot apply " + flag + " "),
+              std::string::npos)
+        << flags << ": " << result.output;
+  }
+
+  // Against a live server: a refused --dry-run starts no job, and every
+  // accepted option runs and shapes the client's side as a local run would.
+  CommandResult result = run_command(
+      "D=$(mktemp -d); " + parcl() + " --server --state-dir \"$D\" -j2 "
+      "2>\"$D/server.log\" & S=$!; "
+      "for i in $(seq 100); do [ -S \"$D/parcl.sock\" ] && break; sleep 0.05; done; "
+      "C=\"" + parcl() + " --client --socket $D/parcl.sock\"; "
+      "printf 'p\\0q\\0' >\"$D/nul\"; "
+      "$C --dry-run \"echo {} >> $D/F\" ::: a b 2>/dev/null; echo \"dry-run=$?\"; R=; "
+      "$C -j2 -k echo ::: a b; R=$R$?; "
+      "$C --jobs 2 --keep-order echo ::: c d; R=$R$?; "
+      "$C --group echo ::: e; R=$R$?; "
+      "$C -k --no-quote echo ::: 'f;echo g'; R=$R$?; "
+      "$C -k -0 -a \"$D/nul\" echo nul-{}; R=$R$?; "
+      "$C -k --null --arg-file \"$D/nul\" echo null-{}; R=$R$?; "
+      "$C -k --link echo {1}{2} ::: h i ::: 1 2; R=$R$?; "
+      "$C --tenant t --tenant-weight 2 echo ::: j; R=$R$?; "
+      "kill -TERM $S; wait $S; echo \"accepted=$R\"; "
+      "[ -e \"$D/F\" ] && echo ran-F || echo no-F; rm -rf \"$D\"");
+  for (const char* expected :
+       {"dry-run=255\n", "a\nb\nc\nd\ne\nf\ng\n", "nul-p\nnul-q\nnull-p\nnull-q\n",
+        "h1\ni2\nj\n", "accepted=00000000\n", "no-F\n"}) {
+    EXPECT_NE(result.output.find(expected), std::string::npos)
+        << "missing '" << expected << "' in:\n" << result.output;
+  }
+}
+
 TEST(ParclService, TokenGatesAdmission) {
   // Server with a token: a tokenless client is rejected (122, protocol/auth)
   // before any job runs; a matching client is served normally.

@@ -649,6 +649,36 @@ TEST(EngineDag, DepSkipsGetJoblogRowsAndResumeHonoursThem) {
   EXPECT_EQ(retry_summary.dep_skipped, 2u);
 }
 
+TEST(EngineDag, ResumedDepSkipsCountTowardTheTotal) {
+  // The joblog holds the failure and its dep-skipped child: a --resume run
+  // skips both, and the child, seen only as a dep-skip, still counts in
+  // the total and keeps its collected result.
+  const std::string joblog = temp_path("resume_total");
+  GraphSpec spec = parse_text(
+      "bad :: run bad!\n"
+      "child after=bad :: run child\n");
+  OrderRecorder recorder;
+  FunctionExecutor executor(recorder.task(), 2);
+  Options options;
+  options.jobs = 2;
+  options.joblog_path = joblog;
+  std::ostringstream out, err;
+  {
+    Engine engine(options, executor, out, err);
+    GraphSource source(spec);
+    EXPECT_EQ(engine.run_source("", source).dep_skipped, 1u);
+  }
+  options.resume = true;
+  Engine engine(options, executor, out, err);
+  GraphSource source(spec);
+  RunSummary summary = engine.run_source("", source);
+  EXPECT_EQ(summary.skipped, 2u);
+  EXPECT_EQ(summary.total, 2u);
+  ASSERT_EQ(summary.results.size(), 2u);
+  EXPECT_EQ(summary.results[1].seq, 2u);
+  EXPECT_EQ(summary.results[1].status, JobStatus::kSkipped);
+}
+
 TEST(EngineDag, StageCapsBoundConcurrency) {
   std::atomic<int> fetch_inflight{0};
   std::atomic<int> fetch_peak{0};

@@ -90,6 +90,28 @@ TEST(FunctionExecutor, ReadinessFdIsReadableExactlyWhileACompletionIsQueued) {
   EXPECT_FALSE(readable(0));
 }
 
+// A caller that sleeps on the fd and then asks for exactly one completion
+// must get it: the fd may never turn readable before its completion is
+// queued. Each job runs alone, so the queue is empty while it runs.
+TEST(FunctionExecutor, ReadableFdAlwaysYieldsACompletion) {
+  FunctionExecutor executor([](const ExecRequest&) { return TaskOutcome{}; }, 2);
+  pollfd pfd{executor.readiness_fd(), POLLIN, 0};
+  ASSERT_GE(pfd.fd, 0);
+  std::size_t missed = 0;
+  for (std::uint64_t id = 1; id <= 2000; ++id) {
+    ExecRequest request;
+    request.job_id = id;
+    executor.start(request);
+    ASSERT_EQ(poll(&pfd, 1, 5000), 1) << "job " << id << " never completed";
+    if (!executor.wait_any(0.0)) {
+      ++missed;
+      ASSERT_TRUE(executor.wait_any(5.0).has_value());
+    }
+  }
+  EXPECT_EQ(missed, 0u) << "readable fd with no completion queued";
+  EXPECT_EQ(executor.active_count(), 0u);
+}
+
 TEST(Engine, RunsEveryJobAndCapturesOutput) {
   Options options;
   options.jobs = 4;

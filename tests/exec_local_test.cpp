@@ -4,17 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <linux/audit.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
 #include <poll.h>
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/ptrace.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -357,6 +363,126 @@ TEST(LocalExecutor, ExitHeldByATracerIsStillReaped) {
   ASSERT_FALSE(WIFSIGNALED(status)) << "the executor never reaped the job";
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0) << "2: wait_any timed out; 3: wrong exit code";
+}
+
+// Installs, in the calling process, a seccomp filter under which the
+// kernel looks as if it had no pidfds: pidfd_open(2), and a clone(2) whose
+// flags ask for CLONE_PIDFD, fail with ENOSYS. Returns 0, or the errno that
+// kept the filter out.
+int deny_pidfds() {
+#if (defined(__x86_64__) || defined(__aarch64__)) && defined(SYS_pidfd_open)
+#if defined(__x86_64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_X86_64;
+#else
+  constexpr std::uint32_t kArch = AUDIT_ARCH_AARCH64;
+#endif
+  constexpr std::uint32_t kClonePidfd = 0x00001000;
+  sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, arch)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, kArch, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, SYS_pidfd_open, 3, 0),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, SYS_clone, 0, 3),
+      // The flags' low word (both arches are little-endian).
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, args[0])),
+      BPF_JUMP(BPF_JMP | BPF_JSET | BPF_K, kClonePidfd, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | ENOSYS),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+  };
+  sock_fprog program{static_cast<unsigned short>(std::size(filter)), filter};
+  if (prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) != 0) return errno;
+  if (prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &program) != 0) return errno;
+  return 0;
+#else
+  return ENOTSUP;
+#endif
+}
+
+// Without pidfds (kernels before 5.3) LocalExecutor spawns with posix_spawn
+// and waits on a SIGCHLD self-pipe; that is its only wait there. A child
+// process denies itself pidfds and runs 100 short jobs four at a time, then
+// kills one: every job must end as it would with pidfds, and about as fast
+// as the pidfd run here, not at the fallback's 100 ms wait caps.
+TEST(LocalExecutor, SelfPipeFallbackRunsEveryJobWithoutPidfds) {
+  auto run_sleeps = [](LocalExecutor& executor, RunSummary& summary) {
+    Options options;
+    options.jobs = 4;
+    std::ostringstream out, err;
+    Engine engine(options, executor, out, err);
+    const double start = executor.now();
+    summary = engine.run_raw("/bin/sleep 0.02", 100);
+    return executor.now() - start;
+  };
+  int report[2];
+  ASSERT_EQ(pipe(report), 0);
+  pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    close(report[0]);
+    char line[256];
+    if (int error = deny_pidfds(); error != 0) {
+      std::snprintf(line, sizeof(line), "skip %d", error);
+    } else {
+      alarm(30);  // a wait that never wakes ends this process by SIGALRM
+      LocalExecutor executor;
+      RunSummary summary;
+      const double wall = run_sleeps(executor, summary);
+      ExecRequest request;
+      request.job_id = 1000;
+      request.command = "/bin/sleep 30";
+      executor.start(request);
+      executor.kill(request.job_id, /*force=*/true);
+      std::optional<core::ExecResult> killed = executor.wait_any(10.0);
+      const core::DispatchCounters& counters = executor.counters();
+      std::snprintf(line, sizeof(line),
+                    "ok %zu failed %zu signal %d clone_vm %llu sweeps %llu wall %.3f",
+                    summary.succeeded, summary.failed, killed ? killed->term_signal : -1,
+                    static_cast<unsigned long long>(counters.clone_vm_spawns),
+                    static_cast<unsigned long long>(counters.reap_sweeps), wall);
+    }
+    [[maybe_unused]] ssize_t n = write(report[1], line, std::strlen(line));
+    _exit(0);
+  }
+  close(report[1]);
+  std::string line;
+  char buffer[256];
+  ssize_t n = 0;
+  while ((n = read(report[0], buffer, sizeof(buffer))) > 0) {
+    line.append(buffer, static_cast<std::size_t>(n));
+  }
+  close(report[0]);
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "the child ended with status " << status << "; report: " << line;
+  int error = 0;
+  if (std::sscanf(line.c_str(), "skip %d", &error) == 1) {
+    GTEST_SKIP() << "cannot install a seccomp filter: " << std::strerror(error);
+  }
+  std::size_t ok = 0, failed = 0;
+  int signal = 0;
+  unsigned long long clone_vm = 0, sweeps = 0;
+  double wall = 0.0;
+  ASSERT_EQ(std::sscanf(line.c_str(),
+                        "ok %zu failed %zu signal %d clone_vm %llu sweeps %llu wall %lf",
+                        &ok, &failed, &signal, &clone_vm, &sweeps, &wall),
+            6)
+      << line;
+  EXPECT_EQ(ok, 100u) << line;
+  EXPECT_EQ(failed, 0u) << line;
+  EXPECT_EQ(signal, SIGKILL) << line;
+  EXPECT_EQ(clone_vm, 0u) << "a CLONE_VM spawn without CLONE_PIDFD: " << line;
+  EXPECT_GT(sweeps, 0u) << "the self-pipe never swept: " << line;
+
+  LocalExecutor executor;
+  RunSummary summary;
+  const double pidfd_wall = run_sleeps(executor, summary);
+  EXPECT_EQ(summary.succeeded, 100u);
+  // 25 rounds of 20 ms jobs: about 0.5 s either way, and 2.5 s if each
+  // round's exits were seen only at a 100 ms cap.
+  EXPECT_LT(wall, 2.0 * pidfd_wall + 0.25)
+      << "self-pipe " << wall << " s, pidfd " << pidfd_wall << " s";
 }
 
 TEST(LocalExecutor, BackgroundWriterDoesNotHoldTheJob) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <vector>
+#include <sys/stat.h>
+#include <unistd.h>
 
-#include "util/blocking_queue.hpp"
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+
 #include "util/error.hpp"
+#include "util/net.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parcl::util {
@@ -47,98 +51,39 @@ TEST(ThreadPool, TasksRunConcurrently) {
   EXPECT_EQ(peak.load(), 2);
 }
 
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> queue;
-  for (int i = 0; i < 10; ++i) queue.push(i);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(queue.pop().value(), i);
-}
-
-TEST(BlockingQueue, CloseDrainsThenStops) {
-  BlockingQueue<int> queue;
-  queue.push(1);
-  queue.push(2);
-  queue.close();
-  EXPECT_FALSE(queue.push(3));
-  EXPECT_EQ(queue.pop().value(), 1);
-  EXPECT_EQ(queue.pop().value(), 2);
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(BlockingQueue, PopForTimesOut) {
-  BlockingQueue<int> queue;
-  auto result = queue.pop_for(0.02);
-  EXPECT_FALSE(result.has_value());
-}
-
-TEST(BlockingQueue, TryPop) {
-  BlockingQueue<int> queue;
-  EXPECT_FALSE(queue.try_pop().has_value());
-  queue.push(9);
-  EXPECT_EQ(queue.try_pop().value(), 9);
-}
-
-TEST(BlockingQueue, BoundedCapacityBlocksProducer) {
-  BlockingQueue<int> queue(2);
-  queue.push(1);
-  queue.push(2);
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    queue.push(3);
-    third_pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(third_pushed.load());  // full queue blocks
-  EXPECT_EQ(queue.pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(BlockingQueue, TryPushNeverBlocks) {
-  BlockingQueue<int> queue(2);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_FALSE(queue.try_push(3));  // full: refuse instead of blocking
-  EXPECT_EQ(queue.pop().value(), 1);
-  EXPECT_TRUE(queue.try_push(3));  // space again
-  EXPECT_EQ(queue.pop().value(), 2);
-  EXPECT_EQ(queue.pop().value(), 3);
-}
-
-TEST(BlockingQueue, TryPushRefusedAfterClose) {
-  BlockingQueue<int> queue(4);
-  EXPECT_TRUE(queue.try_push(1));
-  queue.close();
-  EXPECT_FALSE(queue.try_push(2));
-  EXPECT_EQ(queue.pop().value(), 1);  // close still drains
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(BlockingQueue, TryPushUnboundedOnlyRefusesWhenClosed) {
-  BlockingQueue<int> queue;
-  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(queue.try_push(i));
-  queue.close();
-  EXPECT_FALSE(queue.try_push(1000));
-}
-
-TEST(BlockingQueue, ManyProducersManyConsumers) {
-  BlockingQueue<int> queue(16);
-  std::atomic<long> sum{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < 4; ++p) {
-    threads.emplace_back([&queue] {
-      for (int i = 1; i <= 250; ++i) queue.push(i);
+// A client that connects the moment the socket path appears must be
+// accepted: the path may not exist before the socket listens. The service
+// tests wait for the server exactly so, with `[ -S sock ]`.
+TEST(UnixListen, PathAcceptsTheMomentItExists) {
+  const std::string path =
+      ::testing::TempDir() + "parcl_listen_" + std::to_string(getpid()) + ".sock";
+  int refused = 0;
+  for (int round = 0; round < 500; ++round) {
+    ::unlink(path.c_str());
+    std::atomic<bool> watching{false};
+    int client = -2;  // -2: the path never appeared
+    std::thread connector([&] {
+      watching.store(true);
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      struct stat st {};
+      while (::lstat(path.c_str(), &st) != 0) {
+        if (std::chrono::steady_clock::now() > give_up) return;
+      }
+      client = unix_connect(path);
     });
+    while (!watching.load()) std::this_thread::yield();
+    const int listener = unix_listen(path);
+    connector.join();
+    ::close(listener);
+    ASSERT_NE(client, -2) << "round " << round << ": the socket path never appeared";
+    if (client < 0) {
+      ++refused;
+    } else {
+      ::close(client);
+    }
   }
-  for (int c = 0; c < 4; ++c) {
-    threads.emplace_back([&] {
-      while (auto v = queue.pop()) sum.fetch_add(*v);
-    });
-  }
-  for (int p = 0; p < 4; ++p) threads[static_cast<std::size_t>(p)].join();
-  queue.close();
-  for (int c = 4; c < 8; ++c) threads[static_cast<std::size_t>(c)].join();
-  EXPECT_EQ(sum.load(), 4L * 250 * 251 / 2);
+  ::unlink(path.c_str());
+  EXPECT_EQ(refused, 0) << "connects refused in 500 rounds";
 }
 
 }  // namespace
