@@ -1,9 +1,7 @@
 #include "core/client.hpp"
 
-#include <poll.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <iostream>
 #include <map>
@@ -76,21 +74,32 @@ class ServiceClient {
            << " (is the server running?)\n";
       return kExitConnectionLost;
     }
-
     transport::ClientHelloFrame hello;
     hello.tenant = service.tenant;
     hello.weight = service.tenant_weight;
     hello.token = service.token;
-    if (!send(transport::encode_client_hello(hello))) return kExitConnectionLost;
+    // A failed write shows as the read's end of stream, or as the REJECT
+    // the server sent before it closed.
+    transport::write_all(fd_, transport::encode_client_hello(hello));
+    // A malformed frame or payload from the server, or a RESULT whose
+    // output chunks never came, ends the run as a protocol error.
+    try {
+      return session();
+    } catch (const transport::ProtocolError& error) {
+      return finish(kExitProtocol, error.what());
+    }
+  }
+
+ private:
+  int session() {
     std::optional<transport::Frame> reply = read_frame();
-    if (!reply) return kExitConnectionLost;
+    if (!reply) return finish(kExitConnectionLost);
     if (reply->type == transport::FrameType::kReject) {
       transport::RejectFrame reject = transport::decode_reject(*reply);
       err_ << "parcl: --client: server refused: " << reject.message << "\n";
       return reject.code == RejectCode::kBadRequest ? kExitProtocol : kExitRefused;
     }
-    if (reply->type != transport::FrameType::kHelloAck) return kExitProtocol;
-    transport::decode_hello_ack(*reply);
+    transport::decode_hello_ack(*reply);  // throws unless it is a HELLO_ACK
 
     CommandTemplate tmpl = CommandTemplate::parse(plan_.command_template);
     tmpl.ensure_input_placeholder();
@@ -101,7 +110,7 @@ class ServiceClient {
     while (true) {
       // Fill the submission window from the input stream (stopping for
       // good once the server said no-more: drain or eviction).
-      std::vector<transport::JobSpec> batch;
+      transport::SubmitFrame batch;
       while (!fatal_ && !inputs_done_ && pending_.size() < window) {
         std::optional<JobInput> input = source->next();
         if (!input) {
@@ -116,20 +125,22 @@ class ServiceClient {
         job.command = tmpl.expand(input->args, context, plan_.options.quote_args);
         job.stdin_data = std::move(input->stdin_data);
         job.has_stdin = input->has_stdin;
-        batch.push_back(make_spec(seq, job));
+        batch.jobs.push_back(make_spec(seq, job));
         pending_.emplace(seq, std::move(job));
-        if (batch.size() >= kSubmitBatch) {
+        if (batch.jobs.size() >= kSubmitBatch) {
           if (!submit(batch)) return finish(kExitConnectionLost);
-          batch.clear();
+          batch.jobs.clear();
         }
       }
-      if (!batch.empty() && !submit(batch)) return finish(kExitConnectionLost);
+      if (!batch.jobs.empty() && !submit(batch)) return finish(kExitConnectionLost);
 
       // Re-submit backpressure-rejected jobs once their hint expires.
       if (!retry_.empty() && !fatal_) {
         std::this_thread::sleep_for(std::chrono::duration<double>(retry_wait_));
-        std::vector<transport::JobSpec> again;
-        for (std::uint64_t seq : retry_) again.push_back(make_spec(seq, pending_.at(seq)));
+        transport::SubmitFrame again;
+        for (std::uint64_t seq : retry_) {
+          again.jobs.push_back(make_spec(seq, pending_.at(seq)));
+        }
         retry_.clear();
         retry_wait_ = 0.0;
         if (!submit(again)) return finish(kExitConnectionLost);
@@ -144,14 +155,13 @@ class ServiceClient {
         return pending_.empty() && inputs_done_ ? finish(0)
                                                 : finish(kExitConnectionLost);
       }
-      if (!handle(*frame)) return finish(lost_code_);
+      if (!handle(*frame)) return finish(pending_.empty() ? 0 : kExitConnectionLost);
     }
 
-    send(transport::encode_bye());
+    transport::write_all(fd_, transport::encode_bye());
     return finish(0);
   }
 
- private:
   transport::JobSpec make_spec(std::uint64_t seq, const PendingJob& job) const {
     transport::JobSpec spec;
     spec.seq = seq;
@@ -163,13 +173,11 @@ class ServiceClient {
     return spec;
   }
 
-  bool submit(const std::vector<transport::JobSpec>& jobs) {
-    transport::SubmitFrame frame;
-    frame.jobs = jobs;
-    return send(transport::encode_submit(frame));
+  bool submit(const transport::SubmitFrame& frame) {
+    return transport::write_all(fd_, transport::encode_submit(frame));
   }
 
-  /// Processes one inbound frame; false = stop the run with lost_code_.
+  /// Processes one inbound frame; false once the server said BYE.
   bool handle(const transport::Frame& frame) {
     switch (frame.type) {
       case transport::FrameType::kAck: {
@@ -182,22 +190,22 @@ class ServiceClient {
       case transport::FrameType::kReject:
         return handle_reject(transport::decode_reject(frame));
       case transport::FrameType::kStdout:
-      case transport::FrameType::kStderr: {
-        transport::ChunkFrame chunk = transport::decode_chunk(frame);
-        JobResult& arrived = arrived_[chunk.seq];
-        (frame.type == transport::FrameType::kStdout ? arrived.stdout_data
-                                                     : arrived.stderr_data) +=
-            chunk.data;
+      case transport::FrameType::kStderr:
+        assembler_.add(frame.type, transport::decode_chunk(frame));
         return true;
-      }
       case transport::FrameType::kResult: {
         transport::ResultFrame result = transport::decode_result(frame);
+        // The server writes a job's chunks before its RESULT, on one
+        // stream: one still missing here will never come.
+        std::optional<transport::JobOutput> output = assembler_.take(result);
+        if (!output) throw transport::ProtocolError("RESULT before its output chunks");
         if (result.exit_code != 0 || result.term_signal != 0) ++failures_;
         pending_.erase(result.seq);
-        JobResult& arrived = arrived_[result.seq];
+        JobResult arrived;
         arrived.seq = result.seq;
+        arrived.stdout_data = std::move(output->stdout_data);
+        arrived.stderr_data = std::move(output->stderr_data);
         collator_.deliver(std::move(arrived));
-        arrived_.erase(result.seq);
         out_.flush();
         return true;
       }
@@ -220,13 +228,12 @@ class ServiceClient {
         out_.flush();
         return true;
       case transport::FrameType::kBye:
-        lost_code_ = pending_.empty() ? 0 : kExitConnectionLost;
         return false;
       case transport::FrameType::kHeartbeat:
         return true;
       default:
-        lost_code_ = kExitProtocol;
-        return false;
+        throw transport::ProtocolError(std::string("unexpected frame for client: ") +
+                                       transport::to_string(frame.type));
     }
   }
 
@@ -259,7 +266,7 @@ class ServiceClient {
     return true;
   }
 
-  int finish(int transport_code) {
+  int finish(int transport_code, const char* why = "connection to server lost") {
     collator_.finish();
     out_.flush();
     err_.flush();
@@ -273,42 +280,19 @@ class ServiceClient {
       return fatal_code_;
     }
     if (transport_code != 0) {
-      err_ << "parcl: --client: connection to server lost\n";
+      err_ << "parcl: --client: " << why << "\n";
       return transport_code;
     }
     return static_cast<int>(std::min<std::size_t>(failures_, 101));
   }
 
-  bool send(const std::string& bytes) {
-    std::size_t done = 0;
-    while (done < bytes.size()) {
-      ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      done += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
   /// Blocking read of the next complete frame (nullopt on EOF/error).
   std::optional<transport::Frame> read_frame() {
-    try {
-      while (true) {
-        if (std::optional<transport::Frame> frame = decoder_.next()) return frame;
-        char buffer[65536];
-        ssize_t n = ::read(fd_, buffer, sizeof(buffer));
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          return std::nullopt;
-        }
-        if (n == 0) return std::nullopt;
-        decoder_.feed(buffer, static_cast<std::size_t>(n));
+    while (true) {
+      if (std::optional<transport::Frame> frame = decoder_.next()) return frame;
+      if (transport::read_some(fd_, decoder_) != transport::ReadStatus::kData) {
+        return std::nullopt;
       }
-    } catch (const transport::ProtocolError&) {
-      lost_code_ = kExitProtocol;
-      return std::nullopt;
     }
   }
 
@@ -325,10 +309,9 @@ class ServiceClient {
   bool fatal_ = false;
   int fatal_code_ = kExitRefused;
   std::string fatal_message_;
-  int lost_code_ = kExitConnectionLost;
   std::map<std::uint64_t, PendingJob> pending_;
-  /// Output of running jobs, reassembled from chunk frames until RESULT.
-  std::map<std::uint64_t, JobResult> arrived_;
+  /// Output of running jobs, held from their chunk frames until RESULT.
+  transport::OutputAssembler assembler_;
   /// -k holds a finished job until every earlier seq is out; a seq that
   /// will never produce output this session (permanently rejected, or
   /// checkpointed by a drain) is marked absent so it cannot wedge it.

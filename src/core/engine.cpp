@@ -1024,8 +1024,10 @@ struct Engine::Run {
     scheduler.release_slot(attempt.slot);
     scheduler.note_stage_end(attempt.job.stage);
 
+    // Killed for good ends kKilled only when the kill ended it; an exit that
+    // beat the kill keeps its status. Neither is retried or requeued.
     JobStatus status;
-    if (attempt.killed_for_good) {
+    if (attempt.killed_for_good && completion->term_signal != 0) {
       status = JobStatus::kKilled;
     } else if (attempt.killed_for_timeout) {
       status = JobStatus::kTimedOut;
@@ -1098,8 +1100,9 @@ struct Engine::Run {
       }
     }
 
-    bool retryable = status == JobStatus::kFailed || status == JobStatus::kSignaled ||
-                     status == JobStatus::kTimedOut;
+    bool retryable = !attempt.killed_for_good &&
+                     (status == JobStatus::kFailed || status == JobStatus::kSignaled ||
+                      status == JobStatus::kTimedOut);
     if (retryable && ledger.retryable(attempt.job.attempts) && !scheduler.stopped()) {
       // Re-queue ahead of untouched pending work (newest first — the order
       // the engine has always produced), or into the backoff heap when

@@ -112,7 +112,8 @@ class Engine {
   RunSummary finish();
   /// Attempts in flight, plus parked retries the run will still start.
   std::size_t running() const;
-  /// Kills the in-flight attempts of job `seq` for good: kKilled, no retry.
+  /// Kills the in-flight attempts of job `seq` for good: never retried, and
+  /// kKilled unless one exited on its own before the kill reached it.
   void kill(std::uint64_t seq, bool force);
   /// Stops starting jobs and kills every in-flight attempt for good.
   void kill_running(bool force);

@@ -18,6 +18,10 @@
 namespace parcl::core {
 
 /// What the engine hands to an executor.
+/// Every Executor takes job ids below this: LocalExecutor tags its epoll
+/// events with the id shifted past two bits.
+constexpr std::uint64_t kJobIdLimit = 1ull << 62;
+
 struct ExecRequest {
   std::uint64_t job_id = 0;  // engine-chosen, unique per attempt
   std::string command;       // expanded command line

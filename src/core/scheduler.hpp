@@ -32,7 +32,7 @@ struct ActiveAttempt {
   bool kill_sent = false;   // timeout SIGTERM sent
   bool force_sent = false;  // timeout SIGKILL sent
   bool killed_for_timeout = false;
-  bool killed_for_good = false;  // halt now or Engine::kill: final, kKilled
+  bool killed_for_good = false;  // halt now or Engine::kill: final, no retry
   /// --hedge pairing: job id of the racing duplicate/primary (0 = unpaired).
   std::uint64_t hedge_partner = 0;
   bool is_hedge = false;  // this attempt IS the speculative duplicate

@@ -733,37 +733,27 @@ class ServiceLoop {
     }
   }
 
-  /// Reads until a read comes back short: the set is level-triggered, so a
-  /// connection whose bytes did not fit the buffer wakes it again anyway,
-  /// but one that sent less needs no second read to learn it is empty.
+  /// One read per wake: the set is level-triggered, so a connection whose
+  /// bytes did not fit the read wakes it again, and one that sent less
+  /// needs no second read to learn it is empty.
   void read_frames(Connection& connection) {
-    char buffer[65536];
-    while (connection.fd >= 0) {
-      ssize_t n = ::read(connection.fd, buffer, sizeof(buffer));
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
-        drop(connection, /*orphaned=*/true);
+    try {
+      transport::ReadStatus got = transport::read_some(connection.fd, connection.decoder);
+      if (got == transport::ReadStatus::kWouldBlock) return;
+      if (got != transport::ReadStatus::kData) {
+        drop(connection, /*orphaned=*/got == transport::ReadStatus::kError ||
+                             !connection.clean_bye);
         return;
       }
-      if (n == 0) {
-        drop(connection, /*orphaned=*/!connection.clean_bye);
-        return;
+      while (auto frame = connection.decoder.next()) {
+        handle_frame(connection, *frame);
+        if (connection.fd < 0 || connection.closing) return;
       }
-      try {
-        connection.decoder.feed(buffer, static_cast<std::size_t>(n));
-        while (auto frame = connection.decoder.next()) {
-          handle_frame(connection, *frame);
-          if (connection.fd < 0 || connection.closing) return;
-        }
-      } catch (const transport::ProtocolError&) {
-        // Oversized length prefix, unknown type, torn payload: the stream
-        // is unrecoverable. The misbehaving client is cut loose; everyone
-        // else is untouched.
-        drop(connection, /*orphaned=*/true);
-        return;
-      }
-      if (static_cast<std::size_t>(n) < sizeof(buffer)) return;
+    } catch (const transport::ProtocolError&) {
+      // Oversized length prefix, unknown type, torn payload: the stream
+      // is unrecoverable. The misbehaving client is cut loose; everyone
+      // else is untouched.
+      drop(connection, /*orphaned=*/true);
     }
   }
 
@@ -845,7 +835,6 @@ class ServiceLoop {
     for (TenantEvent& event : core_.take_events()) {
       auto it = by_tenant_.find(event.tenant);
       if (it == by_tenant_.end()) continue;  // orphan: the joblog is delivery
-      Connection& connection = *it->second;
       const JobResult& result = event.result;
       transport::ResultFrame frame;
       frame.seq = result.seq;
@@ -853,26 +842,9 @@ class ServiceLoop {
       frame.term_signal = result.term_signal;
       frame.start_time = result.start_time;
       frame.end_time = result.end_time;
-      frame.stdout_chunks = send_chunks(connection, transport::FrameType::kStdout,
-                                        result.seq, result.stdout_data);
-      frame.stderr_chunks = send_chunks(connection, transport::FrameType::kStderr,
-                                        result.seq, result.stderr_data);
-      send(connection, transport::encode_result(frame));
+      transport::append_job_frames(it->second->outbuf, frame, result.stdout_data,
+                                   result.stderr_data);
     }
-  }
-
-  std::uint64_t send_chunks(Connection& connection, transport::FrameType type,
-                            std::uint64_t seq, const std::string& data) {
-    std::uint64_t index = 0;
-    for (std::size_t offset = 0; offset < data.size();
-         offset += transport::kChunkBytes) {
-      transport::ChunkFrame chunk;
-      chunk.seq = seq;
-      chunk.index = index++;
-      chunk.data = data.substr(offset, transport::kChunkBytes);
-      send(connection, transport::encode_chunk(type, chunk));
-    }
-    return index;
   }
 
   void reject(Connection& connection, std::uint64_t seq, RejectCode code,
@@ -899,11 +871,9 @@ class ServiceLoop {
   /// for EPOLLOUT only while bytes remain, and for EPOLLIN unless closing.
   void flush_writes(Connection& connection) {
     while (connection.fd >= 0 && !connection.outbuf.empty()) {
-      ssize_t n = ::write(connection.fd, connection.outbuf.data(),
-                          connection.outbuf.size());
+      ssize_t n = transport::write_some(connection.fd, connection.outbuf);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
         drop(connection, /*orphaned=*/!connection.clean_bye);
         return;
       }

@@ -215,8 +215,8 @@ double LocalExecutor::now() const { return monotonic_seconds() - epoch_; }
 void LocalExecutor::start(const core::ExecRequest& request) {
   util::require(children_.find(request.job_id) == children_.end(),
                 "duplicate job id in LocalExecutor::start");
-  util::require(request.job_id >> (64 - kKindBits) == 0,
-                "job id too large for LocalExecutor");
+  static_assert((core::kJobIdLimit - 1) >> (64 - kKindBits) == 0);
+  util::require(request.job_id < core::kJobIdLimit, "job id too large for LocalExecutor");
   double t0 = monotonic_seconds();
 
   // Shell-mode commands with no metacharacters skip /bin/sh when the shell

@@ -132,7 +132,7 @@ bool MultiExecutor::same_failure_domain(std::size_t a, std::size_t b) const {
 
 std::string MultiExecutor::wrap_command(const Host& host,
                                         const std::string& command) const {
-  if (host.spec.wrapper.empty()) return command;
+  if (!wraps(host)) return command;
   // The wrapper receives the command as one quoted argument, like parallel
   // composing `ssh host "cmd"`.
   return host.spec.wrapper + " " + util::shell_quote(command);
@@ -175,9 +175,7 @@ void MultiExecutor::start(const core::ExecRequest& request) {
     return;
   }
   core::ExecRequest routed = request;
-  // Pilot channels carry the command to the remote agent themselves; only
-  // wrapper hosts pay a per-job "ssh host" composition.
-  if (host.pilot == nullptr) routed.command = wrap_command(host, request.command);
+  routed.command = wrap_command(host, request.command);
   try {
     host.executor->start(routed);
   } catch (const util::SystemError&) {
@@ -409,19 +407,24 @@ void MultiExecutor::pump_probes() {
     }
     if (host.probe_job_id != 0) continue;  // one probe per host at a time
     if (!health_.take_due_probe(k, t)) continue;
-    core::ExecRequest probe;
-    probe.job_id = next_probe_id_++;
-    probe.command = wrap_command(host, health_.policy().probe_command);
-    probe.slot = host.first_slot;
-    probe.use_shell = true;
-    probe.capture_output = true;
-    try {
-      host.executor->start(probe);
-      host.probe_job_id = probe.job_id;
-    } catch (const util::SystemError&) {
-      health_.record_probe_result(k, /*ok=*/false, t);
-    }
+    if (!start_probe(host)) health_.record_probe_result(k, /*ok=*/false, t);
   }
+}
+
+bool MultiExecutor::start_probe(Host& host) {
+  core::ExecRequest probe;
+  probe.job_id = next_probe_id_++;
+  probe.command = wrap_command(host, health_.policy().probe_command);
+  probe.slot = host.first_slot;
+  probe.use_shell = true;
+  probe.capture_output = true;
+  try {
+    host.executor->start(probe);
+  } catch (const util::SystemError&) {
+    return false;
+  }
+  host.probe_job_id = probe.job_id;
+  return true;
 }
 
 void MultiExecutor::finalize(core::ExecResult& result, std::size_t host_index) {
@@ -440,9 +443,8 @@ void MultiExecutor::finalize(core::ExecResult& result, std::size_t host_index) {
   bool deliberate = deliberate_kills_.erase(result.job_id) > 0;
   bool was_lost = lost_.erase(result.job_id) > 0;
   // Transport-level death: the wrapper (ssh) exits 255 when the connection
-  // fails, so with a wrapper present the job likely never ran.
-  bool transport = result.term_signal == 0 && result.exit_code == 255 &&
-                   !host.spec.wrapper.empty();
+  // fails, so with a wrapper in use the job likely never ran.
+  bool transport = result.term_signal == 0 && result.exit_code == 255 && wraps(host);
   if (was_lost) {
     result.host_failure = true;  // killed by quarantine, requeue free
   } else if (deliberate) {
@@ -525,37 +527,28 @@ std::size_t MultiExecutor::active_count() const {
 }
 
 std::vector<std::string> MultiExecutor::filter_hosts(double timeout_seconds) {
-  struct Outstanding {
-    std::size_t host;
-    std::uint64_t id;
-  };
   std::vector<std::size_t> down;
-  std::vector<Outstanding> outstanding;
+  std::vector<std::size_t> outstanding;  // hosts whose probe job runs
   for (std::size_t k = 0; k < hosts_.size(); ++k) {
     Host& host = hosts_[k];
-    core::ExecRequest probe;
-    probe.job_id = next_probe_id_++;
-    probe.command = wrap_command(host, health_.policy().probe_command);
-    probe.slot = host.first_slot;
-    probe.use_shell = true;
-    probe.capture_output = true;
-    try {
-      host.executor->start(probe);
-      host.probe_job_id = probe.job_id;
-      outstanding.push_back({k, probe.job_id});
-    } catch (const util::SystemError&) {
+    if (host.pilot != nullptr) {
+      // As in pump_probes: a pilot host proves itself by attaching.
+      if (!host.pilot->probe_transport()) down.push_back(k);
+    } else if (start_probe(host)) {
+      outstanding.push_back(k);
+    } else {
       down.push_back(k);
     }
   }
   double deadline = now() + timeout_seconds;
   while (!outstanding.empty() && now() < deadline) {
     for (auto it = outstanding.begin(); it != outstanding.end();) {
-      Host& host = hosts_[it->host];
+      Host& host = hosts_[*it];
       std::optional<core::ExecResult> result = host.executor->wait_any(0.0);
-      if (result && result->job_id == it->id) {
+      if (result && result->job_id == host.probe_job_id) {
         bool ok = result->term_signal == 0 && result->exit_code == 0;
         host.probe_job_id = 0;
-        if (!ok) down.push_back(it->host);
+        if (!ok) down.push_back(*it);
         it = outstanding.erase(it);
       } else {
         ++it;
@@ -566,7 +559,7 @@ std::vector<std::string> MultiExecutor::filter_hosts(double timeout_seconds) {
   }
   // Hosts still silent at the deadline count as down. Their probe stays in
   // flight; a late success reinstates through the normal probe loop.
-  for (const Outstanding& o : outstanding) down.push_back(o.host);
+  down.insert(down.end(), outstanding.begin(), outstanding.end());
   std::vector<std::string> names;
   for (std::size_t k : down) {
     health_.quarantine(k, now());

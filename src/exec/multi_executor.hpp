@@ -167,10 +167,13 @@ class MultiExecutor final : public core::Executor {
     return health_.counters();
   }
 
-  /// --filter-hosts: synchronously probe every host through its wrapper and
-  /// quarantine those that fail or exceed `timeout_seconds`. Returns the
-  /// names of the quarantined hosts. A timed-out probe stays in flight; if
-  /// it eventually succeeds the normal probe loop reinstates the host.
+  /// --filter-hosts: synchronously probe every host and quarantine those
+  /// that fail. A wrapper host runs a probe job through its wrapper, and
+  /// fails past `timeout_seconds`; a pilot host (re)attaches its channel,
+  /// one host at a time, each bounded by the pilot's handshake timeout.
+  /// Returns the names of the quarantined hosts. A timed-out probe job stays
+  /// in flight; if it eventually succeeds the normal probe loop reinstates
+  /// the host.
   std::vector<std::string> filter_hosts(double timeout_seconds = 10.0);
 
  private:
@@ -204,7 +207,15 @@ class MultiExecutor final : public core::Executor {
   const Host& host_of(std::size_t flat_slot) const;
   std::size_t host_index_of_slot(std::size_t flat_slot) const;
 
+  /// Whether `host` runs commands through its spec's wrapper. A pilot host
+  /// does not: its channel carries them to the worker as they are.
+  static bool wraps(const Host& host) {
+    return host.pilot == nullptr && !host.spec.wrapper.empty();
+  }
   std::string wrap_command(const Host& host, const std::string& command) const;
+  /// Starts a probe job through a wrapper host's wrapper. False when the
+  /// backend refused it.
+  bool start_probe(Host& host);
   /// Queues a synthetic exit-255 host-failure completion for a job that
   /// never reached (or never survived on) its host.
   void queue_synthetic_loss(const core::ExecRequest& request, const Host& host);
@@ -266,9 +277,10 @@ class MultiExecutor final : public core::Executor {
   std::set<std::uint64_t> lost_;              // killed by quarantine: host failure
   std::deque<core::ExecResult> synthetic_;    // spawn-failure completions
   std::size_t rr_cursor_ = 0;  // wait_any fairness cursor
-  /// Probe job ids live far above the engine's 1-based ids so the two
-  /// streams can never collide.
-  std::uint64_t next_probe_id_ = 1ull << 62;
+  /// Probe job ids count up from 2^61 (start_probe): far above the
+  /// engine's 1-based ids, so the two streams never collide, and below
+  /// the limit every backend takes.
+  std::uint64_t next_probe_id_ = core::kJobIdLimit / 2;
 };
 
 }  // namespace parcl::exec

@@ -33,25 +33,6 @@ void close_quiet(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
-/// SIGPIPE-safe write of the full buffer: MSG_NOSIGNAL on sockets, plain
-/// write on pipes (the ssh path; PilotExecutor's constructor parks SIGPIPE
-/// at SIG_IGN for that case).
-bool write_all_fd(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -228,13 +209,6 @@ PilotExecutor::PilotExecutor(std::unique_ptr<WorkerTransport> transport,
   stall_after_ = settings_.stall_after > 0.0
                      ? settings_.stall_after
                      : 5.0 * settings_.heartbeat_interval;
-  // The ssh-pipe write path can raise SIGPIPE; park it like LocalExecutor
-  // does so a dying worker surfaces as a write error, not a process kill.
-  struct sigaction ignore {};
-  ignore.sa_handler = SIG_IGN;
-  if (::sigaction(SIGPIPE, &ignore, &saved_sigpipe_) == 0) {
-    sigpipe_saved_ = true;
-  }
   last_inbound_ = now();
 }
 
@@ -251,9 +225,6 @@ PilotExecutor::~PilotExecutor() {
   }
   detach();
   transport_.reset();
-  if (sigpipe_saved_ && saved_sigpipe_.sa_handler != SIG_IGN) {
-    ::sigaction(SIGPIPE, &saved_sigpipe_, nullptr);
-  }
 }
 
 double PilotExecutor::now() const { return monotonic_seconds(); }
@@ -295,7 +266,7 @@ void PilotExecutor::start(const core::ExecRequest& request) {
 
 bool PilotExecutor::write_frame(const std::string& bytes) {
   if (fd_ < 0) return false;
-  if (!write_all_fd(fd_, bytes)) {
+  if (!transport::write_all(fd_, bytes)) {
     detach();
     return false;
   }
@@ -331,34 +302,24 @@ bool PilotExecutor::attach_once() {
   fd_ = fd;
   decoder_ = transport::FrameDecoder{};
   double deadline = now() + settings_.handshake_timeout;
-  char buffer[64 * 1024];
   while (now() < deadline) {
     struct pollfd pfd{fd_, POLLIN, 0};
     int rc = ::poll(&pfd, 1, 10);
     if (rc < 0 && errno != EINTR) break;
     if (rc <= 0 || (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    ssize_t n = ::read(fd_, buffer, sizeof(buffer));
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      break;
-    }
     try {
-      decoder_.feed(buffer, static_cast<std::size_t>(n));
+      transport::ReadStatus got = transport::read_some(fd_, decoder_);
+      if (got == transport::ReadStatus::kWouldBlock) continue;
+      if (got != transport::ReadStatus::kData) break;
       std::optional<transport::Frame> frame = decoder_.next();
       if (!frame) continue;  // HELLO still partial
-      if (frame->type != transport::FrameType::kHello) {
-        throw transport::ProtocolError("expected HELLO, got " +
-                                       std::string(transport::to_string(frame->type)));
-      }
-      transport::HelloFrame hello = transport::decode_hello(*frame);
+      transport::HelloFrame hello = transport::decode_hello(*frame);  // or throws
       if (hello.version != transport::kProtocolVersion) {
         // Version skew cannot heal by reconnecting; poison the channel.
         version_rejected_ = true;
         break;
       }
-      transport::HelloAckFrame ack;
-      if (!write_all_fd(fd_, transport::encode_hello_ack(ack))) break;
+      if (!transport::write_all(fd_, transport::encode_hello_ack({}))) break;
       attached_ = true;
       last_inbound_ = now();
       clock_offset_ = now() - hello.worker_now;
@@ -373,10 +334,7 @@ bool PilotExecutor::attach_once() {
       break;
     }
   }
-  close_quiet(fd_);
-  fd_ = -1;
-  decoder_ = transport::FrameDecoder{};
-  transport_->disconnect();
+  detach();
   ++counters_.connect_failures;
   return false;
 }
@@ -440,6 +398,7 @@ void PilotExecutor::surface_lost(std::uint64_t seq) {
   completed_.push_back(std::move(result));
   delivered_.insert(seq);
   inflight_.erase(seq);
+  assembler_.forget(seq);
   unsent_.erase(std::remove(unsent_.begin(), unsent_.end(), seq), unsent_.end());
   ++counters_.jobs_reconciled_lost;
 }
@@ -457,14 +416,10 @@ void PilotExecutor::handle_chunk(const transport::Frame& frame) {
     ++counters_.duplicate_chunks;
     return;
   }
-  auto it = inflight_.find(chunk.seq);
-  if (it == inflight_.end()) return;  // alien seq: ignore defensively
-  auto& map = frame.type == transport::FrameType::kStdout
-                  ? it->second.out_chunks
-                  : it->second.err_chunks;
-  auto [pos, inserted] = map.emplace(chunk.index, std::move(chunk.data));
-  if (!inserted) ++counters_.duplicate_chunks;
-  try_deliver(it->first);
+  if (inflight_.count(chunk.seq) == 0) return;  // alien seq: ignore defensively
+  std::uint64_t seq = chunk.seq;
+  if (!assembler_.add(frame.type, std::move(chunk))) ++counters_.duplicate_chunks;
+  try_deliver(seq);
 }
 
 void PilotExecutor::handle_result(const transport::Frame& frame) {
@@ -493,25 +448,17 @@ void PilotExecutor::handle_result(const transport::Frame& frame) {
 void PilotExecutor::try_deliver(std::uint64_t seq) {
   auto it = inflight_.find(seq);
   if (it == inflight_.end() || !it->second.result) return;
-  Inflight& entry = it->second;
-  const transport::ResultFrame& rf = *entry.result;
-  auto complete = [](const std::map<std::uint64_t, std::string>& chunks,
-                     std::uint64_t count) {
-    if (chunks.size() != count) return false;
-    return count == 0 || chunks.rbegin()->first == count - 1;
-  };
-  if (!complete(entry.out_chunks, rf.stdout_chunks) ||
-      !complete(entry.err_chunks, rf.stderr_chunks)) {
-    return;  // chunks still in flight; the journal retransmit closes gaps
-  }
+  const transport::ResultFrame& rf = *it->second.result;
+  std::optional<transport::JobOutput> output = assembler_.take(rf);
+  if (!output) return;  // chunks still in flight; the journal retransmit closes gaps
   core::ExecResult result;
   result.job_id = seq;
   result.exit_code = rf.exit_code;
   result.term_signal = rf.term_signal;
   result.start_time = rf.start_time + clock_offset_;
   result.end_time = rf.end_time + clock_offset_;
-  for (auto& [index, data] : entry.out_chunks) result.stdout_data += data;
-  for (auto& [index, data] : entry.err_chunks) result.stderr_data += data;
+  result.stdout_data = std::move(output->stdout_data);
+  result.stderr_data = std::move(output->stderr_data);
   completed_.push_back(std::move(result));
   delivered_.insert(seq);
   inflight_.erase(it);
@@ -551,49 +498,34 @@ void PilotExecutor::pump_once(double poll_seconds) {
   std::vector<transport::Frame> ready;
   fault_filter_.release_due(now(), ready);
 
-  // Frames may already be buffered from the handshake read (journal replay
-  // rides right behind HELLO): drain them before deciding whether to block.
-  try {
+  auto filter_decoded = [&] {
     while (std::optional<transport::Frame> frame = decoder_.next()) {
       ++counters_.frames_received;
       fault_filter_.filter(std::move(*frame), now(), ready);
     }
-  } catch (const transport::ProtocolError&) {
-    ++counters_.protocol_errors;
-    detach();
-  }
-  if (!attached_) return;
-
-  struct pollfd pfd{fd_, POLLIN, 0};
-  int timeout_ms = static_cast<int>(poll_seconds * 1000.0);
-  if (timeout_ms < 0) timeout_ms = 0;
-  // Held (delayed/reordered) frames need timely release even on a silent
-  // link; never sleep long while the filter holds traffic.
-  int rc = ::poll(&pfd, 1, ready.empty() ? timeout_ms : 0);
-  if (rc < 0 && errno != EINTR) {
-    detach();
-  } else if (rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-    char buffer[64 * 1024];
-    ssize_t n = ::read(fd_, buffer, sizeof(buffer));
-    if (n == 0) {
-      detach();
-    } else if (n < 0) {
-      if (errno != EINTR && errno != EAGAIN) detach();
-    } else {
-      try {
-        decoder_.feed(buffer, static_cast<std::size_t>(n));
-        while (std::optional<transport::Frame> frame = decoder_.next()) {
-          ++counters_.frames_received;
-          fault_filter_.filter(std::move(*frame), now(), ready);
-        }
-      } catch (const transport::ProtocolError&) {
-        ++counters_.protocol_errors;
-        detach();
-      }
-    }
-  }
-
+  };
   try {
+    // Frames may already be buffered from the handshake read (journal
+    // replay rides right behind HELLO): take them before deciding whether
+    // to block.
+    filter_decoded();
+    struct pollfd pfd{fd_, POLLIN, 0};
+    int timeout_ms = std::max(0, static_cast<int>(poll_seconds * 1000.0));
+    // Held (delayed/reordered) frames need timely release even on a silent
+    // link; never sleep long while the filter holds traffic.
+    int rc = ::poll(&pfd, 1, ready.empty() ? timeout_ms : 0);
+    if (rc < 0 && errno != EINTR) {
+      detach();
+      return;
+    }
+    if (rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      transport::ReadStatus got = transport::read_some(fd_, decoder_);
+      if (got == transport::ReadStatus::kEnd || got == transport::ReadStatus::kError) {
+        detach();
+        return;
+      }
+      filter_decoded();
+    }
     for (transport::Frame& frame : ready) {
       if (!attached_) break;  // a BYE or loss mid-batch ends processing
       process_frame(frame);

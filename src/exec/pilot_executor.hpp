@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include <signal.h>
+#include <sys/types.h>
 
 #include "core/executor.hpp"
 #include "exec/transport.hpp"
@@ -195,10 +195,7 @@ class PilotExecutor final : public core::Executor {
   struct Inflight {
     transport::JobSpec spec;  // retained until sent (batch flush)
     bool sent = false;
-    std::map<std::uint64_t, std::string> out_chunks;
-    std::map<std::uint64_t, std::string> err_chunks;
     std::optional<transport::ResultFrame> result;
-    bool killed_locally = false;  // killed while still queued
   };
 
   bool write_frame(const std::string& bytes);
@@ -234,6 +231,7 @@ class PilotExecutor final : public core::Executor {
   transport::FrameFaultFilter fault_filter_;
 
   std::map<std::uint64_t, Inflight> inflight_;
+  transport::OutputAssembler assembler_;  // in-flight jobs' chunks
   std::deque<std::uint64_t> unsent_;  // seqs queued for the next SUBMIT batch
   std::deque<core::ExecResult> completed_;
   std::set<std::uint64_t> delivered_;  // surfaced to the engine (dedupe)
@@ -245,9 +243,6 @@ class PilotExecutor final : public core::Executor {
   bool bye_received_ = false;    // worker drained gracefully
 
   TransportCounters counters_;
-
-  struct sigaction saved_sigpipe_ {};
-  bool sigpipe_saved_ = false;
 };
 
 }  // namespace parcl::exec

@@ -1,5 +1,9 @@
 #include "exec/transport.hpp"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "util/rng.hpp"
@@ -44,19 +48,25 @@ bool known_type(std::uint8_t byte) noexcept {
          byte <= static_cast<std::uint8_t>(FrameType::kReject);
 }
 
-/// Wraps a payload into a full frame: u32 length + u8 type + payload.
+/// Appends the low `bytes` bytes of `v`, little-endian.
+void append_le(std::string& out, std::uint64_t v, std::size_t bytes) {
+  char le[8];
+  for (std::size_t i = 0; i < bytes; ++i) le[i] = static_cast<char>(v >> (8 * i));
+  out.append(le, bytes);
+}
+
+/// Appends a frame's header: u32 payload length + u8 type.
+void append_header(std::string& out, FrameType type, std::size_t payload_size) {
+  util::require(payload_size <= kMaxFramePayload, "frame payload over limit");
+  append_le(out, payload_size, 4);
+  out += static_cast<char>(type);
+}
+
+/// Wraps a payload into a full frame: header + payload.
 std::string frame_bytes(FrameType type, const std::string& payload) {
-  util::require(payload.size() <= kMaxFramePayload, "frame payload over limit");
   std::string out;
   out.reserve(5 + payload.size());
-  std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  char prefix[5];
-  prefix[0] = static_cast<char>(len & 0xff);
-  prefix[1] = static_cast<char>((len >> 8) & 0xff);
-  prefix[2] = static_cast<char>((len >> 16) & 0xff);
-  prefix[3] = static_cast<char>((len >> 24) & 0xff);
-  prefix[4] = static_cast<char>(type);
-  out.append(prefix, 5);
+  append_header(out, type, payload.size());
   out += payload;
   return out;
 }
@@ -69,17 +79,9 @@ std::string frame_bytes(FrameType type, const std::string& payload) {
 
 void WireWriter::u8(std::uint8_t v) { out_ += static_cast<char>(v); }
 
-void WireWriter::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out_ += static_cast<char>((v >> shift) & 0xff);
-  }
-}
+void WireWriter::u32(std::uint32_t v) { append_le(out_, v, 4); }
 
-void WireWriter::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out_ += static_cast<char>((v >> shift) & 0xff);
-  }
-}
+void WireWriter::u64(std::uint64_t v) { append_le(out_, v, 8); }
 
 void WireWriter::f64(double v) {
   std::uint64_t bits = 0;
@@ -293,14 +295,32 @@ SubmitFrame decode_submit(const Frame& frame) {
   return f;
 }
 
-std::string encode_chunk(FrameType type, const ChunkFrame& f) {
+namespace {
+
+void append_chunk(std::string& out, FrameType type, std::uint64_t seq,
+                  std::uint64_t index, std::string_view data) {
   util::require(type == FrameType::kStdout || type == FrameType::kStderr,
                 "chunk frames are STDOUT or STDERR");
+  append_header(out, type, 20 + data.size());
+  append_le(out, seq, 8);
+  append_le(out, index, 8);
+  append_le(out, data.size(), 4);
+  out.append(data);
+}
+
+void append_result(std::string& out, const ResultFrame& f) {
   WireWriter w;
-  w.u64(f.seq);
-  w.u64(f.index);
-  w.str(f.data);
-  return frame_bytes(type, w.take());
+  put_result(w, f);
+  append_header(out, FrameType::kResult, w.bytes().size());
+  out += w.bytes();
+}
+
+}  // namespace
+
+std::string encode_chunk(FrameType type, const ChunkFrame& f) {
+  std::string out;
+  append_chunk(out, type, f.seq, f.index, f.data);
+  return out;
 }
 
 ChunkFrame decode_chunk(const Frame& frame) {
@@ -318,9 +338,9 @@ ChunkFrame decode_chunk(const Frame& frame) {
 }
 
 std::string encode_result(const ResultFrame& f) {
-  WireWriter w;
-  put_result(w, f);
-  return frame_bytes(FrameType::kResult, w.take());
+  std::string out;
+  append_result(out, f);
+  return out;
 }
 
 ResultFrame decode_result(const Frame& frame) {
@@ -487,6 +507,94 @@ std::optional<Frame> FrameDecoder::next() {
   consumed_ += 5 + len;
   compact();
   return frame;
+}
+
+// ---------------------------------------------------------------------------
+// The link
+// ---------------------------------------------------------------------------
+
+ssize_t write_some(int fd, std::string_view bytes) {
+  while (true) {
+    ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK) n = ::write(fd, bytes.data(), bytes.size());
+    if (n >= 0 || errno != EINTR) return n;
+  }
+}
+
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    ssize_t n = write_some(fd, bytes);
+    if (n < 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+ReadStatus read_some(int fd, FrameDecoder& decoder) {
+  char buffer[64 * 1024];
+  while (true) {
+    ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n > 0) {
+      decoder.feed(buffer, static_cast<std::size_t>(n));
+      return ReadStatus::kData;
+    }
+    if (n == 0) return ReadStatus::kEnd;
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? ReadStatus::kWouldBlock
+                                                   : ReadStatus::kError;
+  }
+}
+
+namespace {
+
+/// Appends `data` as `type` chunk frames of `seq`; returns how many.
+std::uint64_t append_chunks(std::string& out, FrameType type, std::uint64_t seq,
+                            std::string_view data) {
+  std::uint64_t index = 0;
+  for (std::size_t offset = 0; offset < data.size(); offset += kChunkBytes, ++index) {
+    append_chunk(out, type, seq, index, data.substr(offset, kChunkBytes));
+  }
+  return index;
+}
+
+/// The chunks joined in index order.
+std::string join(std::map<std::uint64_t, std::string>& chunks) {
+  if (chunks.size() == 1) return std::move(chunks.begin()->second);
+  std::string out;
+  for (auto& [index, data] : chunks) out += data;
+  return out;
+}
+
+}  // namespace
+
+void append_job_frames(std::string& out, ResultFrame& result,
+                       std::string_view stdout_data, std::string_view stderr_data) {
+  result.stdout_chunks = append_chunks(out, FrameType::kStdout, result.seq, stdout_data);
+  result.stderr_chunks = append_chunks(out, FrameType::kStderr, result.seq, stderr_data);
+  append_result(out, result);
+}
+
+bool OutputAssembler::add(FrameType type, ChunkFrame chunk) {
+  Chunks& job = jobs_[chunk.seq];
+  auto& stream = type == FrameType::kStdout ? job.out : job.err;
+  return stream.try_emplace(chunk.index, std::move(chunk.data)).second;
+}
+
+std::optional<JobOutput> OutputAssembler::take(const ResultFrame& result) {
+  // Held indices are distinct, so `count` of them ending at count - 1 are
+  // exactly 0 .. count - 1.
+  auto complete = [](const std::map<std::uint64_t, std::string>& chunks,
+                     std::uint64_t count) {
+    return chunks.size() == count && (count == 0 || chunks.rbegin()->first == count - 1);
+  };
+  Chunks& job = jobs_[result.seq];
+  if (!complete(job.out, result.stdout_chunks) ||
+      !complete(job.err, result.stderr_chunks)) {
+    return std::nullopt;
+  }
+  JobOutput output{join(job.out), join(job.err)};
+  jobs_.erase(result.seq);
+  return output;
 }
 
 // ---------------------------------------------------------------------------

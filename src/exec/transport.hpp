@@ -42,11 +42,15 @@
 // tests/transport_protocol_test.cpp holds it to that under ASan).
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,7 +68,8 @@ constexpr std::uint32_t kProtocolVersion = 2;
 /// hostile stream and is rejected before any allocation.
 constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
-/// Worker-side output chunking granularity.
+/// The most output bytes one STDOUT/STDERR chunk frame carries
+/// (append_job_frames).
 constexpr std::size_t kChunkBytes = 64 * 1024;
 
 /// A malformed frame or payload: truncated, oversized, unknown type, or a
@@ -323,11 +328,54 @@ class FrameDecoder {
   bool poisoned_ = false;
 };
 
-/// Appends one encoded frame to `out` (already length-prefixed by the
-/// encode_* helpers; this exists for symmetry/readability at call sites).
-inline void append_frame(std::string& out, const std::string& encoded) {
-  out += encoded;
-}
+// ---------------------------------------------------------------------------
+// The link: the server, the client, the pilot and the worker write, read
+// and carry a job's output only through these; each keeps its own wait
+// and its own frame dispatch.
+// ---------------------------------------------------------------------------
+
+/// Writes what `fd` takes now, and never raises SIGPIPE on a socket: send()
+/// with MSG_NOSIGNAL, or write() when `fd` is not a socket (a pipe: the
+/// worker's stdio under ssh, where worker_agent_main ignores SIGPIPE).
+/// Retries EINTR. Returns the bytes written, or -1 with errno set.
+ssize_t write_some(int fd, std::string_view bytes);
+
+/// Writes all of `bytes` to a blocking fd. False once a write fails.
+bool write_all(int fd, std::string_view bytes);
+
+enum class ReadStatus { kData, kWouldBlock, kEnd, kError };
+
+/// One read() of up to 64 KiB from `fd` into `decoder`, retrying EINTR.
+ReadStatus read_some(int fd, FrameDecoder& decoder);
+
+/// Appends a finished job's STDOUT chunks, then its STDERR chunks
+/// (kChunkBytes each, indexed from 0), then `result` with the chunk counts
+/// it fills in.
+void append_job_frames(std::string& out, ResultFrame& result,
+                       std::string_view stdout_data, std::string_view stderr_data);
+
+struct JobOutput {
+  std::string stdout_data;
+  std::string stderr_data;
+};
+
+/// Rebuilds jobs' output from chunks keyed by (seq, stream, index), in
+/// whatever order and however often they arrive.
+class OutputAssembler {
+ public:
+  /// False, holding nothing, when the chunk is already held.
+  bool add(FrameType type, ChunkFrame chunk);
+  /// The job's output once every chunk `result` counts is held (they are
+  /// then dropped); nullopt while one is missing.
+  std::optional<JobOutput> take(const ResultFrame& result);
+  void forget(std::uint64_t seq) { jobs_.erase(seq); }
+
+ private:
+  struct Chunks {
+    std::map<std::uint64_t, std::string> out, err;
+  };
+  std::map<std::uint64_t, Chunks> jobs_;
+};
 
 // ---------------------------------------------------------------------------
 // Deterministic transport-fault injection (the chaos rig's frame layer).

@@ -3,7 +3,6 @@
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -37,25 +36,9 @@ WorkerAgent::~WorkerAgent() = default;
 
 double WorkerAgent::now() const { return monotonic_seconds(); }
 
-bool WorkerAgent::write_all(int fd, const std::string& bytes) {
-  if (broken_pipe_) return false;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    // The link is a socket locally and a pipe under ssh; MSG_NOSIGNAL
-    // suppresses SIGPIPE on the former, falling back to plain write on the
-    // latter (worker_agent_main ignores SIGPIPE process-wide for that).
-    ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      broken_pipe_ = true;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
+bool WorkerAgent::write_frames(int fd, const std::string& bytes) {
+  if (!broken_pipe_ && !transport::write_all(fd, bytes)) broken_pipe_ = true;
+  return !broken_pipe_;
 }
 
 bool WorkerAgent::send_hello(int fd) {
@@ -68,26 +51,7 @@ bool WorkerAgent::send_hello(int fd) {
     hello.completed_unacked.push_back(entry.result);
     entry.last_sent = 0.0;  // fresh link: replay everything after HELLO
   }
-  return write_all(fd, transport::encode_hello(hello));
-}
-
-bool WorkerAgent::send_entry(int fd, JournalEntry& entry) {
-  std::string batch;
-  transport::ChunkFrame chunk;
-  chunk.seq = entry.result.seq;
-  for (std::size_t i = 0; i < entry.out_chunks.size(); ++i) {
-    chunk.index = i;
-    chunk.data = entry.out_chunks[i];
-    batch += transport::encode_chunk(transport::FrameType::kStdout, chunk);
-  }
-  for (std::size_t i = 0; i < entry.err_chunks.size(); ++i) {
-    chunk.index = i;
-    chunk.data = entry.err_chunks[i];
-    batch += transport::encode_chunk(transport::FrameType::kStderr, chunk);
-  }
-  batch += transport::encode_result(entry.result);
-  entry.last_sent = now();
-  return write_all(fd, batch);
+  return write_frames(fd, transport::encode_hello(hello));
 }
 
 bool WorkerAgent::send_unacked(int fd, bool force) {
@@ -95,7 +59,9 @@ bool WorkerAgent::send_unacked(int fd, bool force) {
   for (auto& [seq, entry] : journal_) {
     bool due = entry.last_sent == 0.0 || force ||
                now() - entry.last_sent >= resend_age;
-    if (due && !send_entry(fd, entry)) return false;
+    if (!due) continue;
+    entry.last_sent = now();
+    if (!write_frames(fd, entry.frames)) return false;
   }
   return true;
 }
@@ -117,18 +83,8 @@ void WorkerAgent::journal_completion(core::ExecResult&& result) {
   entry.result.term_signal = result.term_signal;
   entry.result.start_time = result.start_time;
   entry.result.end_time = result.end_time;
-  for (std::size_t off = 0; off < result.stdout_data.size();
-       off += transport::kChunkBytes) {
-    entry.out_chunks.push_back(
-        result.stdout_data.substr(off, transport::kChunkBytes));
-  }
-  for (std::size_t off = 0; off < result.stderr_data.size();
-       off += transport::kChunkBytes) {
-    entry.err_chunks.push_back(
-        result.stderr_data.substr(off, transport::kChunkBytes));
-  }
-  entry.result.stdout_chunks = entry.out_chunks.size();
-  entry.result.stderr_chunks = entry.err_chunks.size();
+  transport::append_job_frames(entry.frames, entry.result, result.stdout_data,
+                               result.stderr_data);
   journal_[entry.result.seq] = std::move(entry);
   publish_journal_size();
 }
@@ -219,7 +175,6 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
 
   if (!hung() && !send_hello(write_fd)) return ServeOutcome::kConnectionLost;
 
-  char buffer[64 * 1024];
   while (true) {
     pump_inner();
     if (crash_due()) {
@@ -235,7 +190,7 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
         beat.beat = ++beat_;
         beat.worker_now = now();
         beat.running = running_.size();
-        if (!write_all(write_fd, transport::encode_heartbeat(beat))) {
+        if (!write_frames(write_fd, transport::encode_heartbeat(beat))) {
           return ServeOutcome::kConnectionLost;
         }
         last_beat_at = now();
@@ -245,7 +200,7 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
         if (!send_unacked(write_fd, /*force=*/true)) {
           return ServeOutcome::kConnectionLost;
         }
-        write_all(write_fd, transport::encode_bye());
+        write_frames(write_fd, transport::encode_bye());
         return ServeOutcome::kDrained;
       }
     }
@@ -261,16 +216,12 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
     int rc = ::poll(fds, 2, timeout_ms);
     if (rc < 0 && errno != EINTR) return ServeOutcome::kConnectionLost;
     if (rc <= 0 || (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    ssize_t n = ::read(read_fd, buffer, sizeof(buffer));
-    if (n == 0) return ServeOutcome::kConnectionLost;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return ServeOutcome::kConnectionLost;
-    }
-    if (hung()) continue;  // wedged agent: bytes vanish into the void
 
     try {
-      decoder.feed(buffer, static_cast<std::size_t>(n));
+      transport::ReadStatus got = transport::read_some(read_fd, decoder);
+      if (got == transport::ReadStatus::kWouldBlock) continue;
+      if (got != transport::ReadStatus::kData) return ServeOutcome::kConnectionLost;
+      if (hung()) continue;  // wedged agent: frames pile up unread
       while (std::optional<transport::Frame> frame = decoder.next()) {
         switch (frame->type) {
           case transport::FrameType::kHelloAck: {

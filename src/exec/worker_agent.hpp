@@ -27,7 +27,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "core/executor.hpp"
 #include "exec/transport.hpp"
@@ -85,19 +84,17 @@ class WorkerAgent {
   /// readers on other threads while serve() runs.
   std::uint64_t total_starts() const noexcept { return total_starts_.load(); }
   std::size_t journal_size() const noexcept { return journal_size_.load(); }
-  std::size_t running_count() const noexcept { return running_.size(); }
 
  private:
   struct JournalEntry {
-    transport::ResultFrame result;
-    std::vector<std::string> out_chunks;
-    std::vector<std::string> err_chunks;
+    transport::ResultFrame result;  // carried in HELLO as well
+    std::string frames;             // the chunk frames and RESULT, as sent
     double last_sent = 0.0;  // agent clock; 0 = never sent on this link
   };
 
-  bool write_all(int fd, const std::string& bytes);
+  /// transport::write_all until a write fails; false from then on.
+  bool write_frames(int fd, const std::string& bytes);
   bool send_hello(int fd);
-  bool send_entry(int fd, JournalEntry& entry);
   bool send_unacked(int fd, bool force);
   /// Seconds until the next heartbeat or journal resend is due (0: now).
   double seconds_until_due(double last_beat_at) const;

@@ -3,14 +3,21 @@
 // analog to running the paper's shell one-liners.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "exec/transport.hpp"
+#include "util/net.hpp"
 #include "util/strings.hpp"
 
 #ifndef PARCL_BINARY_PATH
@@ -501,6 +508,18 @@ TEST(ParclCli, PilotTransportKeepsTheJoblogExactlyOnce) {
   std::remove(log_path.c_str());
 }
 
+TEST(ParclCli, FilterHostsKeepsAHostThatAnswers) {
+  // --filter-hosts probes each host before the run: a probe job on a
+  // wrapper host, a channel attach on a pilot host. The local host answers
+  // either way, and both jobs run on it.
+  for (const std::string pilot : {"", " --pilot"}) {
+    CommandResult result =
+        run_command(parcl() + pilot + " --filter-hosts -S 1/: echo ::: a b");
+    EXPECT_EQ(result.exit_code, 0) << pilot << ": " << result.output;
+    EXPECT_EQ(result.output, "a\nb\n") << pilot;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Service mode (--server / --client)
 // ---------------------------------------------------------------------------
@@ -589,6 +608,44 @@ TEST(ParclService, ClientExits120WhenServerAbsent) {
       parcl() + " --client --socket /nonexistent-parcl.sock 'echo x' ::: a");
   EXPECT_EQ(result.exit_code, 120) << result.output;
   EXPECT_NE(result.output.find("is the server running?"), std::string::npos);
+}
+
+TEST(ParclService, ClientExits120WhenTheServerClosesWhileItWrites) {
+  // A listener that answers CLIENT_HELLO with HELLO_ACK and closes: the
+  // client's SUBMIT then writes to a closed link. The client inherits
+  // SIGPIPE's default action from this process (an ignored SIGPIPE would
+  // be inherited too and hide the fault), and must report the lost
+  // connection instead of dying of the signal.
+  namespace transport = parcl::exec::transport;
+  struct sigaction deflt {}, saved {};
+  deflt.sa_handler = SIG_DFL;
+  ASSERT_EQ(::sigaction(SIGPIPE, &deflt, &saved), 0);
+  const std::string path = ::testing::TempDir() + "parcl_cli_closing_" +
+                           std::to_string(::getpid()) + ".sock";
+  int listener = parcl::util::unix_listen(path);
+  std::thread server([listener] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    transport::FrameDecoder decoder;
+    std::optional<transport::Frame> hello;
+    while (!(hello = decoder.next()) &&
+           transport::read_some(fd, decoder) == transport::ReadStatus::kData) {
+    }
+    if (hello && hello->type == transport::FrameType::kClientHello) {
+      transport::write_all(fd, transport::encode_hello_ack({}));
+    }
+    ::close(fd);
+  });
+  CommandResult result =
+      run_command(parcl() + " --client --socket " + path + " echo ::: 1 2 3");
+  ::shutdown(listener, SHUT_RDWR);  // wakes the accept if the client never came
+  server.join();
+  ::close(listener);
+  ::unlink(path.c_str());
+  ::sigaction(SIGPIPE, &saved, nullptr);
+  EXPECT_EQ(result.exit_code, 120) << result.output;
+  EXPECT_NE(result.output.find("connection to server lost"), std::string::npos)
+      << result.output;
 }
 
 TEST(ParclService, Kill9ThenRestartReplaysEveryAckedJob) {

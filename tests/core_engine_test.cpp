@@ -248,6 +248,79 @@ TEST(Engine, HaltSoonStopsNewJobs) {
   EXPECT_EQ(summary.results[2].status, JobStatus::kSkipped);
 }
 
+/// Holds every started job as already exited with the status `exit N` in
+/// its command names, and returns the failures first. kill() cannot reach
+/// a job that has exited: it only counts.
+class ExitedJobsExecutor final : public Executor {
+ public:
+  void start(const ExecRequest& request) override {
+    ExecResult result;
+    result.job_id = request.job_id;
+    result.exit_code = std::stoi(request.command.substr(request.command.rfind(' ')));
+    exited_.push_back(std::move(result));
+  }
+  std::optional<ExecResult> wait_any(double) override {
+    if (exited_.empty()) return std::nullopt;
+    auto next = std::find_if(exited_.begin(), exited_.end(),
+                             [](const ExecResult& r) { return r.exit_code != 0; });
+    if (next == exited_.end()) next = exited_.begin();
+    ExecResult result = std::move(*next);
+    exited_.erase(next);
+    return result;
+  }
+  void kill(std::uint64_t, bool) override { ++kills; }
+  std::size_t active_count() const override { return exited_.size(); }
+  double now() const override { return 0.0; }
+
+  std::size_t kills = 0;
+
+ private:
+  std::vector<ExecResult> exited_;
+};
+
+// --halt now kills what still runs. A job whose exit-0 completion is only
+// waiting to be returned when the halt fires was not killed: it ends as
+// its exit says, and the summary counts no kill.
+TEST(Engine, HaltNowKeepsTheStatusOfAJobThatAlreadyExited) {
+  Options options;
+  options.jobs = 2;
+  options.halt = HaltPolicy::parse("now,fail=1");
+  ExitedJobsExecutor executor;
+  std::ostringstream out, err;
+  Engine engine(options, executor, out, err);
+  RunSummary summary = engine.run("exit {}", values({"0", "1"}));
+  EXPECT_TRUE(summary.halted);
+  EXPECT_EQ(executor.kills, 1u) << "the halt sent its kill";
+  ASSERT_EQ(summary.results.size(), 2u);
+  EXPECT_EQ(summary.results[0].status, JobStatus::kSuccess);
+  EXPECT_EQ(summary.results[1].status, JobStatus::kFailed);
+  EXPECT_EQ(summary.killed, 0u);
+  EXPECT_EQ(summary.succeeded, 1u);
+  EXPECT_EQ(summary.exit_status(), 1);
+}
+
+// Engine::kill (the server's orphan-cancel) on a job that already exited
+// 3: it ends kFailed with its own Exitval, and --retries does not rerun it.
+TEST(Engine, KilledJobThatExitedFirstIsNeverRetried) {
+  Options options;
+  options.retries = 3;
+  ExitedJobsExecutor executor;
+  std::ostringstream out, err;
+  Engine engine(options, executor, out, err);
+  VectorSource source(values({"3"}));
+  engine.begin(CommandTemplate::parse("exit {}"), source);
+  engine.fill();
+  engine.kill(1, /*force=*/false);
+  while (engine.step(0.0) != Engine::Step::kIdle) {
+  }
+  RunSummary summary = engine.finish();
+  ASSERT_EQ(summary.results.size(), 1u);
+  EXPECT_EQ(summary.results[0].status, JobStatus::kFailed);
+  EXPECT_EQ(summary.results[0].exit_code, 3);
+  EXPECT_EQ(summary.results[0].attempts, 1u);
+  EXPECT_EQ(summary.killed, 0u);
+}
+
 TEST(Engine, DryRunPrintsWithoutExecuting) {
   std::atomic<int> calls{0};
   auto task = [&](const ExecRequest&) {

@@ -31,6 +31,7 @@
 #include "core/joblog.hpp"
 #include "core/scheduler.hpp"
 #include "core/signal_coordinator.hpp"
+#include "exec/function_executor.hpp"
 #include "exec/local_executor.hpp"
 #include "util/error.hpp"
 #include "util/net.hpp"
@@ -923,6 +924,82 @@ TEST_F(ServerCoreTest, ServeWaitsOnTheExecutorOnceForEachCompletion) {
   EXPECT_LE(executor.counters().polls, kJobs + 8) << executor.counters().render();
 }
 
+// serve() writes with the transport writer, which raises no SIGPIPE: a
+// client that submits and closes at once costs the server that connection,
+// not its life. Nothing here parks SIGPIPE at SIG_IGN for the server (a
+// LocalExecutor would), and the first connection is closed before serve()
+// accepts it, so the HELLO_ACK and ACK writes find its peer gone.
+TEST_F(ServerCoreTest, ServeOutlivesAClientThatClosesAtOnce) {
+  namespace transport = exec::transport;
+  struct sigaction deflt {}, saved {};
+  deflt.sa_handler = SIG_DFL;
+  ASSERT_EQ(::sigaction(SIGPIPE, &deflt, &saved), 0);
+  exec::FunctionExecutor executor(
+      [](const ExecRequest& request) {
+        exec::TaskOutcome outcome;
+        outcome.stdout_data = "ran " + request.command + "\n";
+        return outcome;
+      },
+      2);
+  ServerCore core(config(), executor);
+  const std::string socket_path = dir_ + "/parcl.sock";
+  std::vector<int> listeners{util::unix_listen(socket_path)};
+  util::set_nonblocking(listeners[0]);
+  auto hello_and_submit = [](const std::string& tenant, const std::string& command) {
+    transport::ClientHelloFrame hello;
+    hello.tenant = tenant;
+    transport::SubmitFrame submit;
+    transport::JobSpec& job = submit.jobs.emplace_back();
+    job.seq = 1;
+    job.command = command;
+    return transport::encode_client_hello(hello) + transport::encode_submit(submit);
+  };
+  int gone = util::unix_connect(socket_path);
+  ASSERT_GE(gone, 0);
+  ASSERT_TRUE(transport::write_all(gone, hello_and_submit("alice", "first")));
+  ::close(gone);
+
+  SignalCoordinator signals;
+  std::optional<transport::JobOutput> output;
+  std::thread client([&] {
+    int fd = util::unix_connect(socket_path);
+    transport::write_all(fd, hello_and_submit("bob", "second"));
+    transport::FrameDecoder decoder;
+    transport::OutputAssembler assembler;
+    auto read_frame = [&]() -> std::optional<transport::Frame> {
+      while (true) {
+        if (std::optional<transport::Frame> frame = decoder.next()) return frame;
+        if (transport::read_some(fd, decoder) != transport::ReadStatus::kData) {
+          return std::nullopt;
+        }
+      }
+    };
+    while (std::optional<transport::Frame> frame = read_frame()) {
+      if (frame->type == transport::FrameType::kStdout) {
+        assembler.add(frame->type, transport::decode_chunk(*frame));
+      } else if (frame->type == transport::FrameType::kResult) {
+        output = assembler.take(transport::decode_result(*frame));
+        break;
+      }
+    }
+    transport::write_all(fd, transport::encode_bye());
+    while (std::optional<transport::Frame> frame = read_frame()) {
+      if (frame->type == transport::FrameType::kBye) break;
+    }
+    ::close(fd);
+    signals.notify(SIGTERM);  // the first signal drains the idle server
+  });
+  int code = serve(core, executor, std::move(listeners), "", signals);
+  client.join();
+  ::unlink(socket_path.c_str());
+  ::sigaction(SIGPIPE, &saved, nullptr);
+  EXPECT_EQ(code, 0);
+  ASSERT_TRUE(output) << "the second client got no RESULT";
+  EXPECT_EQ(output->stdout_data, "ran second\n");
+  EXPECT_EQ(core.stats().accepted, 2u);
+  EXPECT_EQ(core.stats().completed, 2u) << "the first client's job still ran";
+}
+
 // The loop sleeps on the executor's readiness fd: an executor without one
 // is refused, and the listeners it was handed are closed.
 TEST_F(ServerCoreTest, ServeRefusesAnExecutorWithoutAReadinessFd) {
@@ -1180,6 +1257,48 @@ TEST(ServiceClient, KeepOrderFlushesPastPermanentRejection) {
   EXPECT_EQ(code, 1);
   EXPECT_EQ(out.str(), "first\nthird\n");
   EXPECT_NE(err.str().find("scripted rejection"), std::string::npos);
+}
+
+// What the server sends after HELLO_ACK decides the exit: a payload that
+// does not decode, or a RESULT whose chunks never came (the server writes
+// them first, on one stream), is a protocol error, 122.
+TEST(ServiceClient, MalformedServerFramesExit122) {
+  namespace transport = exec::transport;
+  std::string bad_ack;  // an ACK claiming five seqs and carrying none
+  bad_ack.append("\x04\x00\x00\x00", 4);
+  bad_ack += static_cast<char>(transport::FrameType::kAck);
+  bad_ack.append("\x05\x00\x00\x00", 4);
+  transport::ResultFrame orphan;  // counts one stdout chunk, sent none
+  orphan.seq = 1;
+  orphan.stdout_chunks = 1;
+  for (const std::string& reply : {bad_ack, transport::encode_result(orphan)}) {
+    const std::string path = ::testing::TempDir() + "client_bad_" +
+                             std::to_string(getpid()) + ".sock";
+    int listener = util::unix_listen(path);
+    ASSERT_GE(listener, 0);
+    std::thread server([&] {
+      int fd = ::accept(listener, nullptr, nullptr);
+      if (fd < 0) return;
+      transport::FrameDecoder decoder;
+      while (!decoder.next() &&
+             transport::read_some(fd, decoder) == transport::ReadStatus::kData) {
+      }
+      transport::write_all(fd, transport::encode_hello_ack({}) + reply);
+      while (transport::read_some(fd, decoder) == transport::ReadStatus::kData) {
+      }
+      ::close(fd);
+    });
+    RunPlan plan = parse_cli({"--client", "--socket", path, "echo", ":::", "a"});
+    std::istringstream in;
+    std::ostringstream out, err;
+    int code = run_client(plan, in, out, err);
+    ::shutdown(listener, SHUT_RDWR);  // wakes the accept if the client never came
+    server.join();
+    ::close(listener);
+    ::unlink(path.c_str());
+    EXPECT_EQ(code, 122) << err.str();
+    EXPECT_NE(err.str().find("protocol error"), std::string::npos) << err.str();
+  }
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <unistd.h>
+
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -300,6 +303,85 @@ TEST(MultiExecutor, TransportDeathsQuarantineAndAProbeReinstates) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->exit_code, 0);
   EXPECT_FALSE(result->host_failure);
+}
+
+// The probe cases above run over FunctionExecutor hosts, which take any
+// job id. These run real processes through LocalExecutor hosts, as the CLI
+// does, so a probe id LocalExecutor refuses would show here.
+TEST(MultiExecutor, FilterHostsKeepsAnAnsweringHostAndDropsAFailingOne) {
+  auto multi = MultiExecutor::local_cluster(
+      {{"good", 1, "sh -c"}, {"bad", 1, "sh -c 'exit 255'"}});
+  EXPECT_EQ(multi->filter_hosts(10.0), std::vector<std::string>{"bad"});
+  EXPECT_EQ(multi->host_state("good"), HostState::kHealthy);
+  EXPECT_EQ(multi->host_state("bad"), HostState::kQuarantined);
+
+  Options options;
+  options.jobs = multi->total_slots();
+  std::ostringstream out, err;
+  Engine engine(options, *multi, out, err);
+  RunSummary summary = engine.run("echo {}", numbered(4));
+  EXPECT_EQ(summary.succeeded, 4u);
+  EXPECT_EQ(multi->starts_by_host().count("bad"), 0u);
+}
+
+TEST(MultiExecutor, QuarantinedLocalHostIsReinstatedByItsProbe) {
+  // The wrapper fails like a dead ssh (exit 255) until the flag file
+  // exists, then runs the command it wraps.
+  const std::string flag =
+      ::testing::TempDir() + "multi_probe_flag_" + std::to_string(::getpid());
+  std::remove(flag.c_str());
+  HealthPolicy policy;
+  policy.quarantine_after = 1;
+  policy.probe_interval = 0.05;
+  auto multi = MultiExecutor::local_cluster(
+      {{"flaky", 1, "sh -c '[ -e " + flag + " ] || exit 255; eval \"$0\"'"}}, policy);
+  multi->start(simple_request(1, 1, "true"));
+  std::optional<core::ExecResult> result = multi->wait_any(5.0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->host_failure);
+  EXPECT_EQ(multi->host_state("flaky"), HostState::kQuarantined);
+
+  std::ofstream(flag) << "up\n";
+  for (int i = 0; i < 200 && multi->host_state("flaky") != HostState::kHealthy; ++i) {
+    multi->wait_any(0.02);  // wait_any pumps the probe loop
+  }
+  std::remove(flag.c_str());
+  EXPECT_EQ(multi->host_state("flaky"), HostState::kHealthy);
+  EXPECT_EQ(multi->health_counters().reinstatements, 1u);
+}
+
+// A pilot host's channel carries its commands unwrapped, so the wrapper its
+// spec still names plays no part: a job's own exit 255 is the job's
+// failure, charged to --retries, and --filter-hosts probes the channel, not
+// a `ssh n1 true` job run on the worker.
+TEST(MultiExecutor, PilotHostIgnoresItsSpecsWrapper) {
+  PilotSettings settings;
+  settings.heartbeat_interval = 0.1;
+  auto multi = MultiExecutor::pilot_cluster(
+      {{"n1", 1, "ssh n1"}}, [](const HostSpec&) { return std::vector<std::string>{}; },
+      settings);
+  EXPECT_TRUE(multi->filter_hosts(10.0).empty());
+  EXPECT_EQ(multi->host_state("n1"), HostState::kHealthy);
+
+  multi->start(simple_request(1, 1, "exit 255"));
+  std::optional<core::ExecResult> result = multi->wait_any(10.0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->exit_code, 255);
+  EXPECT_FALSE(result->host_failure);
+
+  Options options;
+  options.jobs = 1;
+  options.retries = 2;
+  std::ostringstream out, err;
+  Engine engine(options, *multi, out, err);
+  RunSummary summary = engine.run("exit {}", {{"255"}});
+  EXPECT_EQ(summary.failed, 1u);
+  ASSERT_EQ(summary.results.size(), 1u);
+  EXPECT_EQ(summary.results[0].exit_code, 255);
+  EXPECT_EQ(summary.results[0].attempts, 2u) << "each exit 255 charged to --retries";
+  EXPECT_EQ(summary.dispatch.host_failures, 0u);
+  EXPECT_EQ(summary.dispatch.rescheduled, 0u);
+  EXPECT_EQ(multi->host_state("n1"), HostState::kHealthy);
 }
 
 TEST(MultiExecutor, QuarantineKillsInFlightJobsAndFlagsThemLost) {
