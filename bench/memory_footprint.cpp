@@ -9,11 +9,14 @@
 // baseline the streaming path removes, and a two-stage --then chain over the
 // same stream shows that a chain keeps only its live items. A halted chain
 // (stage 2 fails under --halt now,fail=1) shows that the end of a run skips
-// the unread input without holding it.
+// the unread input without holding it. A pilot run drives the same stream
+// through a PilotExecutor, its worker agent on a thread (ThreadWorkerTransport)
+// with a zero-cost FunctionExecutor inside, at 10k and 1M items: what the
+// pilot keeps per delivered job would show here.
 //
 // Self-asserts sub-linear growth — peak RSS at 1M items must stay within 2x
-// of the 10k-item run, flat, chained and halted — and records everything in
-// BENCH_dispatch.json for the CI regression guard.
+// of the 10k-item run, flat, chained, halted and through the pilot — and
+// records everything in BENCH_dispatch.json for the CI regression guard.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -30,6 +34,8 @@
 #include "core/dag_source.hpp"
 #include "core/engine.hpp"
 #include "core/job_source.hpp"
+#include "exec/function_executor.hpp"
+#include "exec/pilot_executor.hpp"
 #include "exec/sim_executor.hpp"
 #include "util/table.hpp"
 
@@ -37,8 +43,9 @@ namespace {
 
 using namespace parcl;
 
-enum class Shape { kStreamed, kMaterialized, kChain, kHaltedChain };
-const char* const kShapeNames[] = {"streamed", "materialized", "chain", "halted_chain"};
+enum class Shape { kStreamed, kMaterialized, kChain, kHaltedChain, kPilot };
+const char* const kShapeNames[] = {"streamed", "materialized", "chain", "halted_chain",
+                                   "pilot"};
 
 /// Runs N zero-cost items through the engine in the current process (two
 /// jobs each for a chain). Returns true when every job succeeded or, for
@@ -46,13 +53,25 @@ const char* const kShapeNames[] = {"streamed", "materialized", "chain", "halted_
 /// other job ran or was skipped.
 bool drive_engine(std::size_t total_jobs, Shape shape) {
   sim::Simulation sim;
-  exec::SimExecutor executor(sim, [](const core::ExecRequest& request) {
+  exec::SimExecutor sim_executor(sim, [](const core::ExecRequest& request) {
     exec::SimOutcome outcome;
     if (request.command.rfind("fail", 0) == 0) outcome.exit_code = 1;
     return outcome;
   });
+  std::unique_ptr<exec::PilotExecutor> pilot;
+  if (shape == Shape::kPilot) {
+    exec::WorkerConfig worker;
+    worker.make_inner = [] {
+      return std::make_unique<exec::FunctionExecutor>(
+          [](const core::ExecRequest&) { return exec::TaskOutcome{}; }, 1);
+    };
+    pilot = std::make_unique<exec::PilotExecutor>(
+        std::make_unique<exec::ThreadWorkerTransport>(std::move(worker)));
+  }
+  core::Executor& executor =
+      pilot ? static_cast<core::Executor&>(*pilot) : sim_executor;
   core::Options options;
-  options.jobs = 128;
+  options.jobs = shape == Shape::kPilot ? 64 : 128;
   if (shape == Shape::kHaltedChain) options.halt = core::HaltPolicy::parse("now,fail=1");
   // The CLI's configuration: stream results through the collator, do not
   // retain per-job records in the summary.
@@ -67,7 +86,7 @@ bool drive_engine(std::size_t total_jobs, Shape shape) {
     job.args = {std::to_string(next++)};
     return job;
   });
-  if (shape == Shape::kStreamed) {
+  if (shape == Shape::kStreamed || shape == Shape::kPilot) {
     summary = engine.run_source("noop {}", source);
   } else if (shape == Shape::kChain || shape == Shape::kHaltedChain) {
     std::vector<core::StageSpec> stages(2);
@@ -130,20 +149,22 @@ int main() {
     const char* label;
     std::size_t jobs;
     bool materialized_too;
+    bool pilot_too;  // the pilot's per-job cost makes 100k add little but time
   };
   const Scale scales[] = {
-      {"10k", 10'000, true},
-      {"100k", 100'000, true},
-      {"1m", 1'000'000, false},  // materialized at 1M would be the O(jobs)
-                                 // blow-up this bench exists to rule out
+      {"10k", 10'000, true, true},
+      {"100k", 100'000, true, false},
+      {"1m", 1'000'000, false, true},  // materialized at 1M would be the O(jobs)
+                                       // blow-up this bench exists to rule out
   };
 
   bench::BenchJson json("BENCH_dispatch.json");
-  util::Table table(
-      {"items", "streamed_rss", "materialized_rss", "chain_rss", "halted_chain_rss"});
+  util::Table table({"items", "streamed_rss", "materialized_rss", "chain_rss",
+                     "halted_chain_rss", "pilot_rss"});
   long streamed_10k = 0, streamed_1m = 0;
   long chain_10k = 0, chain_1m = 0;
   long halted_10k = 0, halted_1m = 0;
+  long pilot_10k = 0, pilot_1m = 0;
   bool measured_all = true;
   for (const Scale& scale : scales) {
     long streamed = measure_peak_rss_kib(scale.jobs, Shape::kStreamed);
@@ -153,20 +174,26 @@ int main() {
             : 0;
     long chain = measure_peak_rss_kib(scale.jobs, Shape::kChain);
     long halted = measure_peak_rss_kib(scale.jobs, Shape::kHaltedChain);
-    if (streamed == 0 || chain == 0 || halted == 0) measured_all = false;
+    long pilot = scale.pilot_too ? measure_peak_rss_kib(scale.jobs, Shape::kPilot) : 0;
+    if (streamed == 0 || chain == 0 || halted == 0 || (scale.pilot_too && pilot == 0)) {
+      measured_all = false;
+    }
     if (scale.jobs == 10'000) {
       streamed_10k = streamed;
       chain_10k = chain;
       halted_10k = halted;
+      pilot_10k = pilot;
     }
     if (scale.jobs == 1'000'000) {
       streamed_1m = streamed;
       chain_1m = chain;
       halted_1m = halted;
+      pilot_1m = pilot;
     }
     table.add_row({scale.label, format_kib(streamed),
                    scale.materialized_too ? format_kib(materialized) : "-",
-                   format_kib(chain), format_kib(halted)});
+                   format_kib(chain), format_kib(halted),
+                   scale.pilot_too ? format_kib(pilot) : "-"});
     json.set("memory_footprint",
              std::string("peak_rss_kib_streamed_") + scale.label,
              static_cast<double>(streamed));
@@ -181,6 +208,10 @@ int main() {
     json.set("memory_footprint",
              std::string("peak_rss_kib_halted_chain_") + scale.label,
              static_cast<double>(halted));
+    if (scale.pilot_too) {
+      json.set("memory_footprint", std::string("peak_rss_kib_pilot_") + scale.label,
+               static_cast<double>(pilot));
+    }
   }
   std::cout << table.render() << '\n';
 
@@ -192,12 +223,14 @@ int main() {
               streamed_1m <= 2 * streamed_10k;
   bool chain_flat = measured_all && chain_10k > 0 && chain_1m <= 2 * chain_10k;
   bool halted_flat = measured_all && halted_10k > 0 && halted_1m <= 2 * halted_10k;
+  bool pilot_flat = measured_all && pilot_10k > 0 && pilot_1m <= 2 * pilot_10k;
   json.set("memory_footprint", "rss_growth_10k_to_1m",
            growth(streamed_10k, streamed_1m));
   json.set("memory_footprint", "rss_growth_chain_10k_to_1m",
            growth(chain_10k, chain_1m));
   json.set("memory_footprint", "rss_growth_halted_chain_10k_to_1m",
            growth(halted_10k, halted_1m));
+  json.set("memory_footprint", "rss_growth_pilot_10k_to_1m", growth(pilot_10k, pilot_1m));
   bench::stamp_provenance(json);
   json.write();
   std::cout << "wrote BENCH_dispatch.json (memory_footprint section)\n";
@@ -212,8 +245,10 @@ int main() {
   check.add_text("peak RSS of a halted 2-stage chain 10k -> 1M items", "<= 2x",
                  format_kib(halted_10k) + " -> " + format_kib(halted_1m),
                  halted_flat);
+  check.add_text("peak RSS through the pilot transport 10k -> 1M jobs", "<= 2x",
+                 format_kib(pilot_10k) + " -> " + format_kib(pilot_1m), pilot_flat);
   check.print();
-  if (!flat || !chain_flat || !halted_flat) {
+  if (!flat || !chain_flat || !halted_flat || !pilot_flat) {
     std::cerr << "memory_footprint: FAIL — peak RSS grew more than 2x from "
                  "10k to 1M items (streaming regression)\n";
     return 1;

@@ -29,8 +29,9 @@ struct ExecRequest {
   std::size_t slot = 0;      // 1-based slot, for executors that care
   bool use_shell = true;     // run via /bin/sh -c
   bool capture_output = true;
-  /// Fed to the child's stdin then closed (--pipe mode). Empty string with
-  /// has_stdin=false means stdin is /dev/null.
+  /// The child's whole stdin (--pipe mode): LocalExecutor hands it over as
+  /// a memory file read from offset 0. has_stdin=false means stdin is
+  /// /dev/null.
   std::string stdin_data;
   bool has_stdin = false;
 };

@@ -2,19 +2,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace parcl::core {
-
-/// A composed, ready-to-run job.
-struct JobSpec {
-  std::uint64_t seq = 0;                 // 1-based input order ({#})
-  std::vector<std::string> args;         // raw argument values
-  std::string command;                   // fully expanded command line
-  std::map<std::string, std::string> env;  // expanded per-job environment
-};
 
 /// Why a job attempt ended.
 enum class JobStatus {

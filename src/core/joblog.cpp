@@ -243,20 +243,6 @@ std::vector<JoblogEntry> read_joblog(const std::string& path, JoblogReadStats* s
   return read_joblog_stream(in, stats);
 }
 
-std::set<std::uint64_t> resume_skip_set(const std::vector<JoblogEntry>& entries,
-                                        bool rerun_failed) {
-  // Later entries for the same seq win (a rerun overwrites history).
-  std::map<std::uint64_t, bool> latest_ok;
-  for (const auto& entry : entries) {
-    latest_ok[entry.seq] = (entry.exit_value == 0 && entry.signal == 0);
-  }
-  std::set<std::uint64_t> skip;
-  for (const auto& [seq, ok] : latest_ok) {
-    if (!rerun_failed || ok) skip.insert(seq);
-  }
-  return skip;
-}
-
 std::map<std::uint64_t, bool> read_resume_status(const std::string& path,
                                                  JoblogReadStats* stats) {
   std::ifstream in = open_joblog(path);
@@ -270,15 +256,6 @@ std::map<std::uint64_t, bool> read_resume_status(const std::string& path,
     latest_ok[seq] = (exit_value == 0 && signal == 0);
   });
   return latest_ok;
-}
-
-std::set<std::uint64_t> read_resume_skip_set(const std::string& path, bool rerun_failed,
-                                             JoblogReadStats* stats) {
-  std::set<std::uint64_t> skip;
-  for (const auto& [seq, ok] : read_resume_status(path, stats)) {
-    if (!rerun_failed || ok) skip.insert(seq);
-  }
-  return skip;
 }
 
 std::vector<std::uint64_t> read_logged_seqs(const std::string& path) {

@@ -18,7 +18,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,23 +97,11 @@ std::vector<JoblogEntry> read_joblog(const std::string& path,
 std::vector<JoblogEntry> read_joblog_stream(std::istream& in,
                                             JoblogReadStats* stats = nullptr);
 
-/// Seqs to skip for --resume (every logged seq) or --resume-failed (only
-/// seqs whose latest entry succeeded).
-std::set<std::uint64_t> resume_skip_set(const std::vector<JoblogEntry>& entries,
-                                        bool rerun_failed);
-
-/// Streaming --resume read: folds `path` into the skip set line by line,
-/// never materializing JoblogEntry records (a long-lived joblog can dwarf
-/// the run itself). Seq-set semantics are independent of the run's total
-/// job count — seqs beyond the current input are simply never pulled.
-/// Same tolerance as read_joblog: header skipped, torn final line skipped
-/// and counted, SystemError when the file cannot be opened.
-std::set<std::uint64_t> read_resume_skip_set(const std::string& path, bool rerun_failed,
-                                             JoblogReadStats* stats = nullptr);
-
-/// Every seq `path` logs, sorted and unique: the --resume skip set of
-/// read_resume_skip_set(path, false) in 8 bytes a seq. Same tolerance and
-/// errors as the other readers.
+/// Every seq `path` logs, sorted and unique: the --resume skip set in 8
+/// bytes a seq, read line by line without materializing JoblogEntry records
+/// (a long-lived joblog can dwarf the run itself). Same tolerance as
+/// read_joblog: header skipped, torn final line skipped, SystemError when
+/// the file cannot be opened.
 std::vector<std::uint64_t> read_logged_seqs(const std::string& path);
 
 /// The per-seq Exitval marker the joblog uses for a dependency-skipped job
@@ -127,7 +114,9 @@ inline constexpr int kDepSkippedExitval = -1;
 /// Streaming per-seq outcome map: seq -> latest row succeeded (exitval 0,
 /// signal 0). The DAG resume path replays these as completion events so a
 /// predecessor already in the joblog counts as satisfied (or re-propagates
-/// its failure) without re-running it. Same tolerance as the skip-set read.
+/// its failure) without re-running it; --resume-failed skips the seqs that
+/// map to true. Seq-keyed, so it needs no knowledge of the run's total job
+/// count. Same tolerance as read_joblog, torn lines counted in `stats`.
 std::map<std::uint64_t, bool> read_resume_status(const std::string& path,
                                                  JoblogReadStats* stats = nullptr);
 

@@ -3,6 +3,8 @@
 // The runnable analog of every `parallel ...` invocation in the paper, e.g.
 //   parcl -j128 ./payload.sh {} :::: inputs.txt
 //   parcl -j8 --env 'HIP_VISIBLE_DEVICES={%}' celer-sim {} ::: *.inp.json
+#include <signal.h>
+
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -120,6 +122,12 @@ int main(int argc, char** argv) {
     if (plan.show_version) {
       std::cout << core::version_text() << '\n';
       return 0;
+    }
+    if (!plan.service.client) {
+      // Every mode that runs jobs outlives a reader that goes away (a closed
+      // stdout, a vanished pilot or client): its writes fail with EPIPE
+      // instead. Children start with the default action on both spawn paths.
+      ::signal(SIGPIPE, SIG_IGN);
     }
     if (plan.worker_mode) {
       // Pilot worker agent: serve the framed protocol on stdin/stdout until

@@ -35,11 +35,6 @@ double monotonic_seconds() {
       .count();
 }
 
-void set_nonblocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 void set_cloexec(int fd) {
   int flags = fcntl(fd, F_GETFD, 0);
   if (flags >= 0) fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
@@ -68,6 +63,26 @@ ssize_t pread_retry(int fd, char* buffer, std::size_t size, std::size_t offset) 
     n = pread(fd, buffer, size, static_cast<off_t>(offset));
   } while (n < 0 && errno == EINTR);
   return n;
+}
+
+/// A memory file holding `data` from offset 0, for a child's stdin. Throws
+/// SystemError when it cannot be made or filled.
+int memory_file_holding(const std::string& data) {
+  int fd = memfd_create("parcl-stdin", MFD_CLOEXEC);
+  if (fd < 0) throw util::SystemError("memfd_create", errno);
+  std::size_t written = 0;
+  while (written < data.size()) {
+    ssize_t n = pwrite(fd, data.data() + written, data.size() - written,
+                       static_cast<off_t>(written));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      int error = n < 0 ? errno : EIO;
+      close(fd);
+      throw util::SystemError("pwrite", error);
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return fd;
 }
 
 /// Reads a memory file whole into `sink`, then closes it. Most outputs fit
@@ -178,13 +193,6 @@ LocalExecutor::LocalExecutor(SpawnTuning tuning)
     : tuning_(tuning), epoch_(monotonic_seconds()) {
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw util::SystemError("epoll_create1", errno);
-  // A child dying while we are mid-write to a closed pipe must not kill us.
-  // Children get the default disposition back before they exec; our own
-  // prior disposition is restored on destruction.
-  struct sigaction ignore {};
-  ignore.sa_handler = SIG_IGN;
-  sigemptyset(&ignore.sa_mask);
-  if (sigaction(SIGPIPE, &ignore, &saved_sigpipe_) == 0) sigpipe_saved_ = true;
 }
 
 LocalExecutor::~LocalExecutor() {
@@ -198,7 +206,6 @@ LocalExecutor::~LocalExecutor() {
     close_fd(child.pidfd);
     close_fd(child.out_fd);
     close_fd(child.err_fd);
-    close_fd(child.in_fd);
   }
   close(epoll_fd_);
   if (self_pipe_owner_ && --g_self_pipe_users == 0) {
@@ -207,7 +214,6 @@ LocalExecutor::~LocalExecutor() {
     close(g_self_pipe_write);
     g_self_pipe_read = g_self_pipe_write = -1;
   }
-  if (sigpipe_saved_) sigaction(SIGPIPE, &saved_sigpipe_, nullptr);
 }
 
 double LocalExecutor::now() const { return monotonic_seconds() - epoch_; }
@@ -230,25 +236,34 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     direct = first.find('/') != std::string_view::npos ||
              (!first.empty() && runs_from_path(first, request.env));
   }
-  std::vector<std::string> words =
-      direct ? util::shell_split(request.command)
-             : std::vector<std::string>{"/bin/sh", "-c", request.command};
-  if (words.empty()) throw util::ConfigError("empty command");
+  std::vector<std::string> words;
+  try {
+    words = direct ? util::shell_split(request.command)
+                   : std::vector<std::string>{"/bin/sh", "-c", request.command};
+  } catch (const util::ParseError&) {
+    // An unterminated quote or a trailing backslash: no words.
+  }
+  if (words.empty()) {
+    // A --no-shell command of no words names nothing to exec: it ends as
+    // one whose words exec nothing does, with a silent exit 127.
+    end_unspawned(request.job_id);
+    return;
+  }
 
-  // The memory files and the stdin pipe are O_CLOEXEC: with LocalExecutors
-  // on several threads (the in-process pilot workers), another thread's
-  // child can exec between their creation and our spawn. An inherited stdin
-  // write end would keep this child's stdin open past our close, and an
-  // inherited memory file would outlive the job. The spawn installs the
-  // child's ends with dup, which clears CLOEXEC on the duplicate.
+  // A --pipe block goes into a memory file of its own, whole, before the
+  // spawn: the child reads it at its own pace, and only exits wake us. The
+  // memory files are O_CLOEXEC: with LocalExecutors on several threads (the
+  // in-process pilot workers), another thread's child can exec between
+  // their creation and our spawn, and an inherited one would outlive the
+  // job. The spawn installs the child's ends with dup, which clears CLOEXEC
+  // on the duplicate.
+  int in_fd = request.has_stdin ? memory_file_holding(request.stdin_data) : -1;
   int out_fd = -1;
   int err_fd = -1;
-  int in_pipe[2] = {-1, -1};
   auto close_all = [&] {
+    close_fd(in_fd);
     close_fd(out_fd);
     close_fd(err_fd);
-    close_fd(in_pipe[0]);
-    close_fd(in_pipe[1]);
   };
   if (request.capture_output) {
     out_fd = memfd_create("parcl-stdout", MFD_CLOEXEC);
@@ -258,11 +273,6 @@ void LocalExecutor::start(const core::ExecRequest& request) {
       close_all();
       throw util::SystemError("memfd_create", error);
     }
-  }
-  if (request.has_stdin && pipe2(in_pipe, O_CLOEXEC) != 0) {
-    int error = errno;
-    close_all();
-    throw util::SystemError("pipe", error);
   }
 
   // The record exists before the spawn: a CLONE_VM child reads its image
@@ -277,7 +287,7 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   lay_out_candidates(child.image);
   if (direct && request.use_shell) hand_failures_to_shell(child.image, request.command);
   ChildPlan& plan = child.image.plan;
-  plan.stdin_fd = in_pipe[0];
+  plan.stdin_fd = in_fd;
   plan.stdout_fd = out_fd;
   plan.stderr_fd = err_fd;
 
@@ -306,17 +316,14 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   if (pid < 0) {
     posix_spawn_file_actions_t actions;
     posix_spawn_file_actions_init(&actions);
+    // The memory files themselves close at exec (MFD_CLOEXEC).
     if (request.has_stdin) {
-      posix_spawn_file_actions_adddup2(&actions, in_pipe[0], STDIN_FILENO);
-      if (in_pipe[0] != STDIN_FILENO) {
-        posix_spawn_file_actions_addclose(&actions, in_pipe[0]);
-      }
+      posix_spawn_file_actions_adddup2(&actions, in_fd, STDIN_FILENO);
     } else {
       posix_spawn_file_actions_addopen(&actions, STDIN_FILENO, "/dev/null",
                                        O_RDONLY, 0);
     }
     if (request.capture_output) {
-      // The memory files themselves close at exec (MFD_CLOEXEC).
       posix_spawn_file_actions_adddup2(&actions, out_fd, STDOUT_FILENO);
       posix_spawn_file_actions_adddup2(&actions, err_fd, STDERR_FILENO);
     }
@@ -324,7 +331,7 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     posix_spawnattr_t attr;
     posix_spawnattr_init(&attr);
     // New process group (kill() signals the whole pipeline), default
-    // SIGPIPE in the child despite our own SIG_IGN, and an empty signal mask
+    // SIGPIPE in the child whatever parcl's own is, and an empty signal mask
     // as on the CLONE_VM path: an inherited blocked SIGTERM would make
     // --timeout, halt and --termseq kills wait for SIGKILL.
     sigset_t defaults;
@@ -363,24 +370,16 @@ void LocalExecutor::start(const core::ExecRequest& request) {
       // Nothing to exec, not even the shell: the job ends at once with exit
       // 127, as the CLONE_VM child's does and a shell's "command not found".
       close_all();
-      child.start_time = child.end_time = now();
-      child.reaped = true;
-      child.wait_status = W_EXITCODE(127, 0);
-      ready_.push_back(request.job_id);
+      end_unspawned(request.job_id);
       return;
     }
   }
 
   child.pid = pid;
   child.start_time = now();
+  close_fd(in_fd);  // the child holds its own copy
   child.out_fd = std::exchange(out_fd, -1);
   child.err_fd = std::exchange(err_fd, -1);
-  if (request.has_stdin) {
-    close_fd(in_pipe[0]);
-    set_nonblocking(in_pipe[1]);
-    child.in_fd = std::exchange(in_pipe[1], -1);
-    child.in_buffer = request.stdin_data;
-  }
 
   child.pidfd = pidfd;
   if (child.pidfd < 0 && !pidfd_disabled().load(std::memory_order_relaxed)) {
@@ -393,18 +392,10 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   }
   if (child.pidfd < 0) enable_self_pipe();
 
-  bool watched =
-      child.pidfd < 0 ||
-      watch(child.pidfd, EPOLLIN | EPOLLONESHOT, request.job_id, FdKind::kPidfd);
-  if (watched && child.in_fd >= 0) {
-    feed_stdin(child);  // opportunistic first write
-    if (child.in_fd >= 0) {
-      watched = watch(child.in_fd, EPOLLOUT, request.job_id, FdKind::kIn);
-    }
-  }
-  if (!watched) {
-    // Nothing would report this child's exit or drain its stdin: end it
-    // here instead of leaking a running process.
+  if (child.pidfd >= 0 &&
+      !watch(child.pidfd, EPOLLIN | EPOLLONESHOT, request.job_id, FdKind::kPidfd)) {
+    // Nothing would report this child's exit: end it here instead of
+    // leaking a running process.
     int error = errno;
     if (::kill(-pid, SIGKILL) != 0) ::kill(pid, SIGKILL);
     int status = 0;
@@ -413,7 +404,6 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     close_fd(child.pidfd);
     close_fd(child.out_fd);
     close_fd(child.err_fd);
-    close_fd(child.in_fd);
     stacks_.release(child.stack);
     children_.erase(request.job_id);
     throw util::SystemError("epoll_ctl", error);
@@ -421,6 +411,14 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   ++counters_.spawns;
   if (direct && request.use_shell) ++counters_.direct_execs;
   counters_.spawn_seconds += monotonic_seconds() - t0;
+}
+
+void LocalExecutor::end_unspawned(std::uint64_t job_id) {
+  Child& child = children_[job_id];
+  child.start_time = child.end_time = now();
+  child.reaped = true;
+  child.wait_status = W_EXITCODE(127, 0);
+  ready_.push_back(job_id);
 }
 
 bool LocalExecutor::watch(int fd, std::uint32_t events, std::uint64_t job_id,
@@ -466,11 +464,6 @@ void LocalExecutor::mark_reaped(std::uint64_t job_id, Child& child, int status) 
   stacks_.release(child.stack);  // the child is gone: nothing runs on it
   child.stack = nullptr;
   close_fd(child.pidfd);
-  if (child.in_fd >= 0) {
-    // Child exited without consuming all of its stdin.
-    close_fd(child.in_fd);
-    child.in_buffer.clear();
-  }
   // What a background process writes from here on is dropped, as GNU
   // Parallel drops what lands in a job's spool file after it is printed.
   take_memory_file(child.out_fd, child.out_buffer);
@@ -486,28 +479,6 @@ void LocalExecutor::sweep_unreaped() {
     int status = 0;
     pid_t reaped = waitpid(child.pid, &status, WNOHANG);
     if (reaped == child.pid) mark_reaped(id, child, status);
-  }
-}
-
-void LocalExecutor::feed_stdin(Child& child) {
-  while (child.in_fd >= 0) {
-    if (child.in_offset >= child.in_buffer.size()) {
-      close_fd(child.in_fd);  // EOF for the child
-      child.in_buffer.clear();
-      return;
-    }
-    ssize_t n = write(child.in_fd, child.in_buffer.data() + child.in_offset,
-                      child.in_buffer.size() - child.in_offset);
-    if (n > 0) {
-      child.in_offset += static_cast<std::size_t>(n);
-    } else {
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;  // full
-      // EPIPE (child closed stdin early) or another error: stop feeding.
-      close_fd(child.in_fd);
-      child.in_buffer.clear();
-      return;
-    }
   }
 }
 
@@ -540,20 +511,17 @@ void LocalExecutor::dispatch_event(std::uint64_t data) {
   auto it = children_.find(job_id);
   if (it == children_.end()) return;  // harvested: a closed fd's last event
   Child& child = it->second;
-  if (kind == FdKind::kIn) {
-    feed_stdin(child);
-  } else if (!child.reaped) {
-    // A pidfd polls readable only once its process has exited.
-    int status = 0;
-    pid_t reaped = waitpid(child.pid, &status, WNOHANG);
-    if (reaped == child.pid) {
-      mark_reaped(job_id, child, status);
-    } else if (!child.exit_held) {
-      // A tracer (strace -f, gdb) reaps the exit first and then passes it
-      // on, which wakes the pidfd again; the one-shot entry would drop that
-      // wake and the job would never be reaped.
-      rearm_pidfd(job_id, child);
-    }
+  if (child.reaped) return;
+  // A pidfd polls readable only once its process has exited.
+  int status = 0;
+  pid_t reaped = waitpid(child.pid, &status, WNOHANG);
+  if (reaped == child.pid) {
+    mark_reaped(job_id, child, status);
+  } else if (!child.exit_held) {
+    // A tracer (strace -f, gdb) reaps the exit first and then passes it
+    // on, which wakes the pidfd again; the one-shot entry would drop that
+    // wake and the job would never be reaped.
+    rearm_pidfd(job_id, child);
   }
 }
 
@@ -635,12 +603,8 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
     }
 
     counters_.poll_events += static_cast<std::uint64_t>(nready);
-    bool exit_event = false;
-    for (int i = 0; i < nready; ++i) {
-      if (kind_of(events[i].data.u64) != FdKind::kIn) exit_event = true;
-      dispatch_event(events[i].data.u64);
-    }
-    if (exit_event) ++counters_.exit_wakeups;
+    ++counters_.exit_wakeups;  // every event in the set is an exit's
+    for (int i = 0; i < nready; ++i) dispatch_event(events[i].data.u64);
   }
 }
 

@@ -1,9 +1,11 @@
 // LocalExecutor: runs jobs as real child processes on this machine.
 //
 // Each job gets its own process group (so kill() reaches the whole shell
-// pipeline), stdin from /dev/null, and — when capturing — a memory file
-// (memfd_create) each for stdout and stderr. The child writes them without
-// ever blocking; the dispatcher reads each whole once the child is reaped.
+// pipeline), stdin from /dev/null or, in --pipe mode, from a memory file
+// (memfd_create) holding its block, and — when capturing — a memory file
+// each for stdout and stderr. The dispatcher writes the block once before
+// the spawn; the child reads and writes its files without ever blocking,
+// and the dispatcher reads stdout and stderr whole once the child is reaped.
 // As in GNU Parallel, which spools output to files, a job is done when its
 // process exits: a background process that keeps the job's stdout open
 // does not hold the job, and what it writes after the exit is dropped.
@@ -28,17 +30,16 @@
 //     falling back to a SIGCHLD self-pipe where pidfds are unavailable, so
 //     a completion wakes wait_any() immediately and reaping costs O(exits)
 //     — not O(children) — waitpid calls per wakeup;
-//   - one edge-triggered epoll set holds the pidfds, the --pipe stdin write
-//     ends and the self-pipe; readiness_fd() returns it, so a caller can
-//     wait on job exits beside its own fds. Each fd is added once and never
-//     removed: closing it is enough (see watch()). A pidfd is armed for its
-//     one exit event only, unless a tracer holds that exit: then it stays
-//     armed for the wake that hands the exit on;
+//   - one edge-triggered epoll set holds the pidfds and the self-pipe, so
+//     every event in it is an exit; readiness_fd() returns it, so a caller
+//     can wait on job exits beside its own fds. Each fd is added once and
+//     never removed: closing it is enough (see watch()). A pidfd is armed
+//     for its one exit event only, unless a tracer holds that exit: then it
+//     stays armed for the wake that hands the exit on;
 //   - a memory file is read with one pread into a stack buffer, and fstat
 //     sizes the rest only when that fills.
 #pragma once
 
-#include <signal.h>
 #include <sys/types.h>
 
 #include <cstdint>
@@ -104,11 +105,8 @@ class LocalExecutor final : public core::Executor {
     int pidfd = -1;   // -1 when pidfds are unavailable (self-pipe fallback)
     int out_fd = -1;  // memory file the child's stdout goes to; -1 when not capturing
     int err_fd = -1;
-    int in_fd = -1;   // write end of the child's stdin pipe (--pipe mode)
     std::string out_buffer;  // the memory files' contents, read at reap
     std::string err_buffer;
-    std::string in_buffer;       // pending stdin bytes
-    std::size_t in_offset = 0;   // how much of in_buffer is already written
     double start_time = 0.0;
     double end_time = 0.0;       // recorded when the child is reaped
     bool reaped = false;
@@ -123,7 +121,7 @@ class LocalExecutor final : public core::Executor {
   };
 
   // What an epoll event's data.u64 carries below the job id.
-  enum class FdKind : std::uint64_t { kIn, kPidfd, kSelfPipe };
+  enum class FdKind : std::uint64_t { kPidfd, kSelfPipe };
   static constexpr int kKindBits = 2;
   static constexpr int kMaxEvents = 64;  // events one epoll_wait takes
   static FdKind kind_of(std::uint64_t data) noexcept {
@@ -131,11 +129,11 @@ class LocalExecutor final : public core::Executor {
   }
 
   core::ExecResult harvest(std::uint64_t job_id, Child& child);
-  /// Writes pending stdin bytes; closes the pipe when drained or broken.
-  void feed_stdin(Child& child);
+  /// Queues a job that has nothing to exec as reaped at once, with exit 127.
+  void end_unspawned(std::uint64_t job_id);
   /// Records the child's exit status and completion time, reads and closes
-  /// its memory files, closes its pidfd and any still-open stdin pipe,
-  /// returns its stack to the pool, and queues it for harvest.
+  /// its memory files, closes its pidfd, returns its stack to the pool, and
+  /// queues it for harvest.
   void mark_reaped(std::uint64_t job_id, Child& child, int status);
   /// Fallback reaper: WNOHANG-waits every unreaped child (self-pipe mode).
   void sweep_unreaped();
@@ -164,9 +162,6 @@ class LocalExecutor final : public core::Executor {
   bool self_pipe_owner_ = false;
   bool need_sweep_ = false;  // children predate the self-pipe handler
   bool events_left_ = false;  // the last epoll_wait filled its event array
-
-  struct sigaction saved_sigpipe_ {};
-  bool sigpipe_saved_ = false;
 
   SpawnTuning tuning_;
   StackPool stacks_;

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "util/error.hpp"
@@ -243,9 +244,6 @@ void PilotExecutor::start(const core::ExecRequest& request) {
   if (dead_) {
     throw util::SystemError("pilot transport dead", EHOSTDOWN);
   }
-  // A rescheduled attempt never reuses a job id (the engine allocates one
-  // per attempt), but clear any stale dedupe entry defensively.
-  delivered_.erase(request.job_id);
   transport::JobSpec spec;
   spec.seq = request.job_id;
   spec.command = request.command;
@@ -396,7 +394,6 @@ void PilotExecutor::surface_lost(std::uint64_t seq) {
   result.host_failure = true;
   result.start_time = result.end_time = now();
   completed_.push_back(std::move(result));
-  delivered_.insert(seq);
   inflight_.erase(seq);
   assembler_.forget(seq);
   unsent_.erase(std::remove(unsent_.begin(), unsent_.end(), seq), unsent_.end());
@@ -412,11 +409,10 @@ void PilotExecutor::send_ack(std::uint64_t seq) {
 
 void PilotExecutor::handle_chunk(const transport::Frame& frame) {
   transport::ChunkFrame chunk = transport::decode_chunk(frame);
-  if (delivered_.count(chunk.seq) != 0) {
-    ++counters_.duplicate_chunks;
+  if (inflight_.count(chunk.seq) == 0) {
+    ++counters_.duplicate_chunks;  // already surfaced, or never sent
     return;
   }
-  if (inflight_.count(chunk.seq) == 0) return;  // alien seq: ignore defensively
   std::uint64_t seq = chunk.seq;
   if (!assembler_.add(frame.type, std::move(chunk))) ++counters_.duplicate_chunks;
   try_deliver(seq);
@@ -425,16 +421,14 @@ void PilotExecutor::handle_chunk(const transport::Frame& frame) {
 void PilotExecutor::handle_result(const transport::Frame& frame) {
   transport::ResultFrame result = transport::decode_result(frame);
   ++counters_.results_received;
-  if (delivered_.count(result.seq) != 0) {
-    // Already surfaced (our ACK was lost); re-ACK so the worker stops
-    // retransmitting. Exactly-once holds because delivery is deduped here.
-    ++counters_.duplicate_results;
-    send_ack(result.seq);
-    return;
-  }
   auto it = inflight_.find(result.seq);
   if (it == inflight_.end()) {
-    send_ack(result.seq);  // alien seq: silence the retransmit
+    // Already surfaced (our ACK was lost), or never sent: re-ACK so the
+    // worker stops retransmitting. The engine takes a new job id for every
+    // attempt, so a seq that leaves inflight_ never comes back, and
+    // exactly-once holds.
+    ++counters_.duplicate_results;
+    send_ack(result.seq);
     return;
   }
   if (it->second.result) {
@@ -460,7 +454,6 @@ void PilotExecutor::try_deliver(std::uint64_t seq) {
   result.stdout_data = std::move(output->stdout_data);
   result.stderr_data = std::move(output->stderr_data);
   completed_.push_back(std::move(result));
-  delivered_.insert(seq);
   inflight_.erase(it);
   send_ack(seq);
 }
@@ -623,7 +616,6 @@ void PilotExecutor::kill_signal(std::uint64_t job_id, int sig) {
     result.term_signal = sig == 0 ? SIGTERM : sig;
     result.start_time = result.end_time = now();
     completed_.push_back(std::move(result));
-    delivered_.insert(job_id);
     inflight_.erase(it);
     unsent_.erase(std::remove(unsent_.begin(), unsent_.end(), job_id),
                   unsent_.end());

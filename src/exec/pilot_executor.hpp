@@ -19,8 +19,12 @@
 // sets died with the link — they surface as host_failure completions (exit
 // 255) so the engine reschedules them without charging --retries. Journal
 // replays and chaotic links mean frames arrive duplicated or out of order;
-// the pilot dedupes by delivered-seq set and by (seq, stream, chunk index),
-// so the joblog stays exactly-once and -k output byte-identical.
+// the pilot drops any frame for a seq no longer in flight (a job id names
+// one attempt, so a delivered seq never returns) and dedupes chunks by
+// (seq, stream, chunk index), so the joblog stays exactly-once and -k
+// output byte-identical. RESULT and HEARTBEAT times are on the worker's
+// inner executor's clock; the pilot moves them onto its own by the offset
+// of the last HELLO or HEARTBEAT.
 //
 // A Dead channel refuses start() with SystemError (MultiExecutor turns that
 // into a host-failure signal and quarantines the host); probe_transport()
@@ -33,7 +37,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -141,8 +144,8 @@ struct TransportCounters {
   std::uint64_t batches_sent = 0;
   std::uint64_t jobs_submitted = 0;
   std::uint64_t results_received = 0;
-  std::uint64_t duplicate_results = 0;   // deduped RESULT frames
-  std::uint64_t duplicate_chunks = 0;    // idempotent chunk overwrites
+  std::uint64_t duplicate_results = 0;   // RESULTs for a seq not in flight
+  std::uint64_t duplicate_chunks = 0;    // chunk overwrites, chunks for such a seq
   std::uint64_t reconnects = 0;          // successful re-attaches
   std::uint64_t connect_failures = 0;
   std::uint64_t stalls = 0;              // heartbeat-stall forced reconnects
@@ -234,10 +237,9 @@ class PilotExecutor final : public core::Executor {
   transport::OutputAssembler assembler_;  // in-flight jobs' chunks
   std::deque<std::uint64_t> unsent_;  // seqs queued for the next SUBMIT batch
   std::deque<core::ExecResult> completed_;
-  std::set<std::uint64_t> delivered_;  // surfaced to the engine (dedupe)
 
   double last_inbound_ = 0.0;
-  double clock_offset_ = 0.0;  // pilot_now - worker_now, refreshed per beat
+  double clock_offset_ = 0.0;  // now() - worker_now, refreshed per beat
   std::size_t consecutive_connect_failures_ = 0;
   bool ever_attached_ = false;   // distinguishes reconnects from first attach
   bool bye_received_ = false;    // worker drained gracefully

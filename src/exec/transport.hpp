@@ -182,16 +182,17 @@ struct ResultFrame {
   std::uint64_t seq = 0;
   std::int32_t exit_code = 0;
   std::int32_t term_signal = 0;
-  double start_time = 0.0;  // worker clock
+  double start_time = 0.0;  // the worker's inner executor's clock
   double end_time = 0.0;
   std::uint64_t stdout_chunks = 0;
   std::uint64_t stderr_chunks = 0;
 };
 
-/// Worker's opening frame on every (re)attach: protocol version, clock for
-/// offset estimation, and the journal — seqs still running plus results
-/// completed but never ACKed. A fresh worker sends an empty journal; a
-/// surviving worker's journal is what makes reconnect-and-reconcile exact.
+/// Worker's opening frame on every (re)attach: protocol version, the inner
+/// executor's clock (the one RESULT times are on) for the pilot's offset,
+/// and the journal — seqs still running plus results completed but never
+/// ACKed. A fresh worker sends an empty journal; a surviving worker's
+/// journal is what makes reconnect-and-reconcile exact.
 struct HelloFrame {
   std::uint32_t version = kProtocolVersion;
   double worker_now = 0.0;
@@ -336,7 +337,7 @@ class FrameDecoder {
 
 /// Writes what `fd` takes now, and never raises SIGPIPE on a socket: send()
 /// with MSG_NOSIGNAL, or write() when `fd` is not a socket (a pipe: the
-/// worker's stdio under ssh, where worker_agent_main ignores SIGPIPE).
+/// worker's stdio under ssh, where parcl's main ignores SIGPIPE).
 /// Retries EINTR. Returns the bytes written, or -1 with errno set.
 ssize_t write_some(int fd, std::string_view bytes);
 

@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,6 +20,10 @@ double monotonic_seconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Unacked journal entries are retransmitted when older than this many
+/// heartbeat intervals (lost-frame recovery without flooding).
+constexpr double kResendAfterBeats = 2.0;
 
 }  // namespace
 
@@ -44,7 +47,8 @@ bool WorkerAgent::write_frames(int fd, const std::string& bytes) {
 bool WorkerAgent::send_hello(int fd) {
   transport::HelloFrame hello;
   hello.version = config_.version;
-  hello.worker_now = now();
+  // The clock RESULT times are on, so the pilot can move them onto its own.
+  hello.worker_now = inner_->now();
   hello.running.assign(running_.begin(), running_.end());
   hello.completed_unacked.reserve(journal_.size());
   for (auto& [seq, entry] : journal_) {
@@ -55,7 +59,7 @@ bool WorkerAgent::send_hello(int fd) {
 }
 
 bool WorkerAgent::send_unacked(int fd, bool force) {
-  double resend_age = config_.resend_after_beats * config_.heartbeat_interval;
+  double resend_age = kResendAfterBeats * config_.heartbeat_interval;
   for (auto& [seq, entry] : journal_) {
     bool due = entry.last_sent == 0.0 || force ||
                now() - entry.last_sent >= resend_age;
@@ -68,7 +72,7 @@ bool WorkerAgent::send_unacked(int fd, bool force) {
 
 double WorkerAgent::seconds_until_due(double last_beat_at) const {
   double due = last_beat_at + config_.heartbeat_interval;
-  double resend_age = config_.resend_after_beats * config_.heartbeat_interval;
+  double resend_age = kResendAfterBeats * config_.heartbeat_interval;
   for (const auto& [seq, entry] : journal_) {
     if (entry.last_sent > 0.0) due = std::min(due, entry.last_sent + resend_age);
   }
@@ -102,6 +106,9 @@ void WorkerAgent::pump_inner() {
 void WorkerAgent::handle_submit(const transport::Frame& frame) {
   transport::SubmitFrame submit = transport::decode_submit(frame);
   for (transport::JobSpec& job : submit.jobs) {
+    if (job.seq >= core::kJobIdLimit) {
+      throw transport::ProtocolError("SUBMIT seq beyond the executor's id range");
+    }
     // A replayed or duplicated SUBMIT must be idempotent: every seq runs
     // at most once per agent life.
     if (running_.count(job.seq) != 0 || journal_.count(job.seq) != 0) continue;
@@ -118,14 +125,15 @@ void WorkerAgent::handle_submit(const transport::Frame& frame) {
     try {
       inner_->start(request);
       running_.insert(job.seq);
-    } catch (const util::SystemError&) {
-      // Worker-side spawn failure: report the engine's spawn-failure
-      // convention (exit 127) as a normal RESULT; the pilot's engine
-      // decides whether to retry or charge it.
+    } catch (const util::Error&) {
+      // Worker-side spawn failure, or a job the inner executor refuses:
+      // report the engine's spawn-failure convention (exit 127) as a normal
+      // RESULT, so no one job ends the agent; the pilot's engine decides
+      // whether to retry or charge it.
       core::ExecResult failed;
       failed.job_id = job.seq;
       failed.exit_code = 127;
-      failed.start_time = failed.end_time = now();
+      failed.start_time = failed.end_time = inner_->now();
       journal_completion(std::move(failed));
     }
   }
@@ -188,7 +196,7 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
       if (now() - last_beat_at >= config_.heartbeat_interval) {
         transport::HeartbeatFrame beat;
         beat.beat = ++beat_;
-        beat.worker_now = now();
+        beat.worker_now = inner_->now();
         beat.running = running_.size();
         if (!write_frames(write_fd, transport::encode_heartbeat(beat))) {
           return ServeOutcome::kConnectionLost;
@@ -258,9 +266,6 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
 }
 
 int worker_agent_main(const WorkerConfig& config) {
-  // The pilot may vanish mid-write (ssh death); EPIPE must surface as a
-  // write error, not kill the agent before it can exit cleanly.
-  ::signal(SIGPIPE, SIG_IGN);
   WorkerAgent agent(config);
   WorkerAgent::ServeOutcome outcome =
       agent.serve(STDIN_FILENO, STDOUT_FILENO);

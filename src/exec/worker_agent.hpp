@@ -48,9 +48,6 @@ struct WorkerFaults {
 
 struct WorkerConfig {
   double heartbeat_interval = 1.0;  // seconds between HEARTBEAT frames
-  /// Unacked journal entries are retransmitted when older than this many
-  /// heartbeat intervals (lost-frame recovery without flooding).
-  double resend_after_beats = 2.0;
   /// Builds the executor jobs actually run on. Default: a LocalExecutor.
   std::function<std::unique_ptr<core::Executor>()> make_inner;
   /// Version stamped into HELLO; tests override to exercise the pilot's

@@ -1404,8 +1404,9 @@ TEST(ChaosSoak, ServerSurvivesKill9MidIntake) {
                              std::ios::app | std::ios::binary);
           torn << "A\t424242\tt0\t7\t0\ttorn-mid-wri";
         }
-        ledgered_at_restart =
-            core::read_resume_skip_set(core::ServerCore::ledger_path(dir), false);
+        std::vector<std::uint64_t> logged =
+            core::read_logged_seqs(core::ServerCore::ledger_path(dir));
+        ledgered_at_restart = std::set<std::uint64_t>(logged.begin(), logged.end());
         executor = make_executor();
         core = std::make_unique<core::ServerCore>(config, *executor);
         EXPECT_EQ(core->stats().replayed,
@@ -1422,8 +1423,9 @@ TEST(ChaosSoak, ServerSurvivesKill9MidIntake) {
 
     // No acked job lost: the final ledger covers every accepted intake id,
     // exactly once (ledger Seq column must have no duplicates).
-    std::set<std::uint64_t> ledgered =
-        core::read_resume_skip_set(core::ServerCore::ledger_path(dir), false);
+    std::vector<std::uint64_t> logged =
+        core::read_logged_seqs(core::ServerCore::ledger_path(dir));
+    std::set<std::uint64_t> ledgered(logged.begin(), logged.end());
     EXPECT_EQ(ledgered.size(), accepted_ids.size()) << "seed " << seed;
     std::size_t ledger_rows = 0;
     {

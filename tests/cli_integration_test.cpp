@@ -5,6 +5,7 @@
 
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -518,6 +520,75 @@ TEST(ParclCli, FilterHostsKeepsAHostThatAnswers) {
     EXPECT_EQ(result.exit_code, 0) << pilot << ": " << result.output;
     EXPECT_EQ(result.output, "a\nb\n") << pilot;
   }
+}
+
+using SeqAndExitval = std::pair<std::string, std::string>;
+
+/// Each joblog row's Seq and Exitval, in file order.
+std::vector<SeqAndExitval> seq_and_exitval(const std::string& path) {
+  std::vector<SeqAndExitval> rows;
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    std::istringstream row(line);
+    std::vector<std::string> fields;
+    std::string field;
+    while (fields.size() < 7 && std::getline(row, field, '\t')) fields.push_back(field);
+    if (fields.size() == 7) rows.emplace_back(fields[0], fields[6]);
+  }
+  return rows;
+}
+
+TEST(ParclCli, NoShellCommandOfNoWordsEndsWith127) {
+  // A --no-shell command that splits into no words (none at all, or an
+  // unterminated quote) names nothing to exec: it ends with the silent 127
+  // of one whose words exec nothing, locally and on a pilot's worker, and
+  // the next job still runs.
+  const std::string log_path =
+      ::testing::TempDir() + "parcl_cli_no_words_" + std::to_string(getpid()) + ".tsv";
+  for (const std::string pilot : {"", " --pilot -S 1/:"}) {
+    std::remove(log_path.c_str());
+    CommandResult result =
+        run_command(parcl() + pilot + " -j1 --no-shell --no-quote --joblog " + log_path +
+                    " '{}' ::: '' 'echo \"x' true");
+    EXPECT_EQ(result.exit_code, 2) << pilot << ": " << result.output;
+    EXPECT_EQ(result.output, "") << pilot;
+    EXPECT_EQ(seq_and_exitval(log_path),
+              (std::vector<SeqAndExitval>{{"1", "127"}, {"2", "127"}, {"3", "0"}}))
+        << pilot;
+  }
+  std::remove(log_path.c_str());
+}
+
+TEST(ParclCli, ClosedStdoutDoesNotEndTheRun) {
+  // parcl ignores SIGPIPE in every mode that runs jobs: a reader that goes
+  // away costs the run its output, not its jobs or its joblog.
+  const std::string log_path = ::testing::TempDir() + "parcl_cli_closed_stdout_" +
+                               std::to_string(getpid()) + ".tsv";
+  std::remove(log_path.c_str());
+  int out[2];
+  ASSERT_EQ(pipe(out), 0);
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    dup2(out[1], STDOUT_FILENO);
+    close(out[0]);
+    close(out[1]);
+    execl(PARCL_BINARY_PATH, "parcl", "-j1", "--joblog", log_path.c_str(),
+          "echo {}; sleep 0.05", ":::", "1", "2", "3", "4", static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(out[1]);
+  char byte = 0;
+  EXPECT_EQ(read(out[0], &byte, 1), 1);
+  close(out[0]);  // the reader exits after one byte
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "parcl ended by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(seq_and_exitval(log_path).size(), 4u);
+  std::remove(log_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -112,8 +113,7 @@ TEST_F(JoblogTest, TornFinalLineIsSkippedAndCounted) {
   EXPECT_EQ(entries[0].seq, 1u);
   EXPECT_EQ(stats.torn_lines, 1u);
   // --resume over the torn log conservatively re-runs the torn seq.
-  auto skip = resume_skip_set(entries, /*rerun_failed=*/false);
-  EXPECT_EQ(skip, (std::set<std::uint64_t>{1}));
+  EXPECT_EQ(read_logged_seqs(path_), (std::vector<std::uint64_t>{1}));
   // The stats out-param is optional; existing callers stay lenient too.
   EXPECT_EQ(read_joblog(path_).size(), 1u);
 }
@@ -255,38 +255,37 @@ TEST(JoblogStream, CommandWithTabsSurvives) {
   EXPECT_EQ(entries[0].command, "awk\t'{print}'\tfile");
 }
 
-TEST(ResumeSkipSet, ResumeSkipsEverything) {
-  std::vector<JoblogEntry> entries(3);
-  entries[0].seq = 1;
-  entries[0].exit_value = 0;
-  entries[1].seq = 2;
-  entries[1].exit_value = 1;  // failed
-  entries[2].seq = 3;
-  entries[2].signal = 9;  // killed
-  auto skip = resume_skip_set(entries, /*rerun_failed=*/false);
-  EXPECT_EQ(skip, (std::set<std::uint64_t>{1, 2, 3}));
+// --resume skips every seq read_logged_seqs returns; --resume-failed skips
+// those read_resume_status maps to true (the latest row succeeded).
+class ResumeSkipSet : public JoblogTest {
+ protected:
+  /// Writes joblog rows of (seq, exitval, signal).
+  void write_rows(std::initializer_list<std::array<int, 3>> rows) {
+    std::ofstream out(path_, std::ios::binary);
+    for (const auto& [seq, exit_value, signal] : rows) {
+      out << seq << "\t:\t1.000\t0.500\t0\t0\t" << exit_value << '\t' << signal
+          << "\tcmd " << seq << '\n';
+    }
+  }
+};
+
+TEST_F(ResumeSkipSet, ResumeSkipsEverything) {
+  write_rows({{1, 0, 0},
+              {2, 1, 0},    // failed
+              {3, 0, 9}});  // killed
+  EXPECT_EQ(read_logged_seqs(path_), (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
-TEST(ResumeSkipSet, ResumeFailedRerunsFailures) {
-  std::vector<JoblogEntry> entries(3);
-  entries[0].seq = 1;
-  entries[0].exit_value = 0;
-  entries[1].seq = 2;
-  entries[1].exit_value = 1;
-  entries[2].seq = 3;
-  entries[2].signal = 15;
-  auto skip = resume_skip_set(entries, /*rerun_failed=*/true);
-  EXPECT_EQ(skip, (std::set<std::uint64_t>{1}));
+TEST_F(ResumeSkipSet, ResumeFailedRerunsFailures) {
+  write_rows({{1, 0, 0}, {2, 1, 0}, {3, 0, 15}});
+  EXPECT_EQ(read_resume_status(path_),
+            (std::map<std::uint64_t, bool>{{1, true}, {2, false}, {3, false}}));
 }
 
-TEST(ResumeSkipSet, LatestEntryWinsForRepeatedSeq) {
-  std::vector<JoblogEntry> entries(2);
-  entries[0].seq = 7;
-  entries[0].exit_value = 1;  // first attempt failed
-  entries[1].seq = 7;
-  entries[1].exit_value = 0;  // retry succeeded
-  auto skip = resume_skip_set(entries, /*rerun_failed=*/true);
-  EXPECT_EQ(skip, (std::set<std::uint64_t>{7}));
+TEST_F(ResumeSkipSet, LatestEntryWinsForRepeatedSeq) {
+  write_rows({{7, 1, 0},    // first attempt failed
+              {7, 0, 0}});  // retry succeeded
+  EXPECT_EQ(read_resume_status(path_), (std::map<std::uint64_t, bool>{{7, true}}));
 }
 
 }  // namespace

@@ -454,11 +454,8 @@ TEST_F(ServerCoreTest, AcceptsRunsAndLedgersExactlyOnce) {
   EXPECT_TRUE(ServerCore::replay_state(dir_).pending.empty());
 
   // Ledger rows subtract from replay; tenant joblog is the delivery copy.
-  EXPECT_EQ(read_resume_skip_set(ServerCore::ledger_path(dir_), false).size(), 3u);
-  EXPECT_EQ(read_resume_skip_set(ServerCore::tenant_joblog_path(dir_, "alice"),
-                                 false)
-                .size(),
-            3u);
+  EXPECT_EQ(read_logged_seqs(ServerCore::ledger_path(dir_)).size(), 3u);
+  EXPECT_EQ(read_logged_seqs(ServerCore::tenant_joblog_path(dir_, "alice")).size(), 3u);
 }
 
 TEST_F(ServerCoreTest, JournalWriteHappensBeforeAcceptReturns) {
@@ -685,11 +682,10 @@ TEST_F(ServerCoreTest, PartialCompletionReplaysOnlyTheRemainder) {
     ASSERT_EQ(core.stats().completed, 2u);
   }
   std::vector<IntakeRecord> pending = ServerCore::replay_state(dir_).pending;
-  std::set<std::uint64_t> ledgered =
-      read_resume_skip_set(ServerCore::ledger_path(dir_), false);
+  std::vector<std::uint64_t> ledgered = read_logged_seqs(ServerCore::ledger_path(dir_));
   EXPECT_EQ(pending.size() + ledgered.size(), 6u);
   for (const IntakeRecord& record : pending) {
-    EXPECT_FALSE(ledgered.count(record.intake_id))
+    EXPECT_FALSE(std::binary_search(ledgered.begin(), ledgered.end(), record.intake_id))
         << "job " << record.intake_id << " would run twice";
   }
 }
@@ -1178,8 +1174,8 @@ TEST_F(ServerCoreTest, QueueLatencySamplesStayInTheirWindow) {
 TEST(ServiceClient, KeepOrderFlushesPastPermanentRejection) {
   namespace transport = exec::transport;
   // The client may close its end before the scripted BYE reply lands; a
-  // raw write would then SIGPIPE this process (parcl_main ignores it, the
-  // test harness does not).
+  // raw write would then SIGPIPE this process (parcl's main ignores it for
+  // --server, the test harness does not).
   ::signal(SIGPIPE, SIG_IGN);
   const std::string path = ::testing::TempDir() + "client_ko_" +
                            std::to_string(getpid()) + ".sock";

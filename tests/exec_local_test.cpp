@@ -227,8 +227,9 @@ TEST(LocalExecutor, PipeModeFeedsStdin) {
 }
 
 TEST(LocalExecutor, LargeStdinDoesNotDeadlock) {
-  // 1 MiB through the child's stdin: beyond the pipe buffer, so the
-  // nonblocking feed path must interleave with output draining.
+  // 1 MiB through the child's stdin, beyond a pipe's buffer: the block is a
+  // memory file written whole before the spawn, and the output a memory
+  // file read after the exit, so nothing waits on the other.
   std::string block;
   block.reserve(1 << 20);
   for (int i = 0; i < (1 << 20) / 16; ++i) block += "0123456789abcde\n";
@@ -246,7 +247,7 @@ TEST(LocalExecutor, ChildIgnoringStdinStillCompletes) {
   LocalExecutor executor;
   std::ostringstream out, err;
   Engine engine(options, executor, out, err);
-  // `true` never reads stdin; the engine must not hang on the unread pipe.
+  // `true` never reads stdin; the engine must not hang on the unread block.
   RunSummary summary = engine.run_pipe("true", {std::string(1 << 20, 'x')});
   EXPECT_EQ(summary.succeeded, 1u);
 }
@@ -572,9 +573,8 @@ TEST(LocalExecutor, ManyShortLivedChildrenCompleteOutOfOrder) {
 }
 
 TEST(LocalExecutor, StdinBackpressureWithSlowConsumer) {
-  // The child reads nothing for 200 ms, so the 1 MiB stdin block backs up
-  // far beyond the pipe buffer before draining; the POLLOUT-driven feed must
-  // deliver every byte.
+  // The child reads nothing for 200 ms and then the whole 1 MiB block, far
+  // beyond a pipe's buffer: its memory file must deliver every byte.
   std::string block(1 << 20, 'x');
   Options options;
   LocalExecutor executor;
@@ -673,7 +673,9 @@ TEST(LocalExecutor, EndTimeRecordedAtReap) {
 
 void custom_sigpipe_handler(int) {}
 
-TEST(LocalExecutor, RestoresPriorSigpipeDisposition) {
+TEST(LocalExecutor, LeavesSigpipeAlone) {
+  // SIGPIPE is the parcl process's own decision (its main ignores it); an
+  // executor writes to no pipe and never changes it.
   struct sigaction custom {};
   custom.sa_handler = custom_sigpipe_handler;
   sigemptyset(&custom.sa_mask);
@@ -681,9 +683,18 @@ TEST(LocalExecutor, RestoresPriorSigpipeDisposition) {
   ASSERT_EQ(sigaction(SIGPIPE, &custom, &original), 0);
   {
     LocalExecutor executor;
+    ExecRequest request;
+    request.job_id = 1;
+    request.command = "cat";
+    request.has_stdin = true;
+    request.stdin_data = "block\n";
+    executor.start(request);
     struct sigaction during {};
     ASSERT_EQ(sigaction(SIGPIPE, nullptr, &during), 0);
-    EXPECT_EQ(during.sa_handler, SIG_IGN);
+    EXPECT_EQ(during.sa_handler, custom_sigpipe_handler);
+    std::optional<core::ExecResult> result = executor.wait_any(10.0);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->stdout_data, "block\n");
   }
   struct sigaction after {};
   ASSERT_EQ(sigaction(SIGPIPE, nullptr, &after), 0);
@@ -1100,6 +1111,66 @@ TEST_P(SpawnPath, DirectExecAgreesWithTheShell) {
   for (const std::string& file : {data, tool, unexecutable}) std::remove(file.c_str());
   rmdir(subdir.c_str());
   rmdir(dir.c_str());
+}
+
+/// True when this kernel has pidfd_open(2), so LocalExecutor waits on pidfds.
+bool have_pidfds() {
+#if defined(SYS_pidfd_open)
+  int fd = static_cast<int>(syscall(SYS_pidfd_open, getpid(), 0));
+  if (fd >= 0) close(fd);
+  return fd >= 0;
+#else
+  return false;
+#endif
+}
+
+// A --pipe block is a memory file on the job's stdin: a regular file the
+// job reads at its own pace, so with pidfds every event the executor waits
+// for is an exit.
+TEST_P(SpawnPath, PipeBlockIsAFileAndOnlyExitsWake) {
+  SpawnTuning tuning;
+  tuning.path = GetParam();
+  LocalExecutor executor{tuning};
+  Options options;
+  options.jobs = 2;
+  std::ostringstream out, err;
+  Engine engine(options, executor, out, err);
+  std::vector<std::string> blocks(8, std::string(1 << 20, 'x'));
+  RunSummary summary = engine.run_pipe("test -f /dev/stdin && wc -c", std::move(blocks));
+  EXPECT_EQ(summary.succeeded, 8u) << err.str();
+  std::string expected;
+  for (int i = 0; i < 8; ++i) expected += "1048576\n";
+  EXPECT_EQ(out.str(), expected);
+  const core::DispatchCounters& counters = executor.counters();
+  EXPECT_EQ(counters.reaps, 8u);
+  if (have_pidfds()) EXPECT_EQ(counters.poll_events, counters.reaps);
+}
+
+// parcl ignores SIGPIPE; its jobs start with the default action on both
+// spawn paths: SIGPIPE is not in a job's SigIgn mask.
+TEST_P(SpawnPath, JobStartsWithSigpipeAtDefault) {
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  sigemptyset(&ignore.sa_mask);
+  struct sigaction original {};
+  ASSERT_EQ(sigaction(SIGPIPE, &ignore, &original), 0);
+  SpawnTuning tuning;
+  tuning.path = GetParam();
+  {
+    LocalExecutor executor{tuning};
+    ExecRequest request;
+    request.job_id = 1;
+    request.command = "/bin/cat /proc/self/status";
+    executor.start(request);
+    std::optional<core::ExecResult> result = executor.wait_any(10.0);
+    ASSERT_TRUE(result.has_value());
+    std::size_t at = result->stdout_data.find("SigIgn:");
+    ASSERT_NE(at, std::string::npos) << result->stdout_data;
+    unsigned long long ignored = std::strtoull(
+        result->stdout_data.c_str() + at + std::strlen("SigIgn:"), nullptr, 16);
+    EXPECT_EQ(ignored & (1ull << (SIGPIPE - 1)), 0u) << "SigIgn " << std::hex << ignored;
+  }
+  sigaction(SIGPIPE, &original, nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(

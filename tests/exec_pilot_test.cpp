@@ -6,8 +6,12 @@
 #include "exec/pilot_executor.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <map>
 #include <mutex>
 #include <set>
@@ -16,6 +20,7 @@
 #include <vector>
 
 #include "exec/function_executor.hpp"
+#include "exec/local_executor.hpp"
 #include "exec/multi_executor.hpp"
 #include "exec/transport.hpp"
 #include "exec/worker_agent.hpp"
@@ -156,6 +161,31 @@ TEST(PilotExecutor, StdinReachesTheJob) {
   std::vector<core::ExecResult> results = collect(pilot, 1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].stdout_data, "line1\nline2\n");
+}
+
+TEST(PilotExecutor, CompletionTimesAreOnThePilotsClock) {
+  // The worker stamps HELLO and HEARTBEAT with its inner executor's clock,
+  // the one RESULT times are on, so the pilot's offset moves a job's times
+  // onto the pilot's own clock: each lies between the pilot's now() before
+  // start() and after the completion surfaced. The offset carries the
+  // link's latency, so the end may trail by as much.
+  constexpr double kLinkLatency = 0.05;
+  WorkerConfig config;
+  config.heartbeat_interval = 0.02;
+  config.make_inner = [] { return std::make_unique<LocalExecutor>(); };
+  PilotExecutor pilot(std::make_unique<ThreadWorkerTransport>(std::move(config)),
+                      fast_settings());
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const double before = pilot.now();
+    pilot.start(request_for(id, "sleep 0.05"));
+    std::vector<core::ExecResult> results = collect(pilot, 1);
+    const double after = pilot.now();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].exit_code, 0);
+    EXPECT_GE(results[0].start_time, before) << "job " << id;
+    EXPECT_GE(results[0].end_time, results[0].start_time + 0.04) << "job " << id;
+    EXPECT_LE(results[0].end_time, after + kLinkLatency) << "job " << id;
+  }
 }
 
 TEST(PilotExecutor, KillBeforeFlushCompletesLocally) {
@@ -493,6 +523,137 @@ TEST(MultiExecutorPilot, TransportProbeReinstatesAfterCrash) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].exit_code, 0);
   EXPECT_EQ(ledger.count("revived"), 1);
+}
+
+// Plays the pilot's side of one link by hand over a socketpair, against a
+// WorkerAgent that serves the other end on a thread.
+class HandDrivenLink {
+ public:
+  explicit HandDrivenLink(WorkerConfig config) : agent_(std::move(config)) {
+    int fds[2];
+    if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+      throw util::SystemError("socketpair", errno);
+    }
+    fd_ = fds[0];
+    agent_fd_ = fds[1];
+    timeval timeout{10, 0};  // a read that waits this long reads as the end
+    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    thread_ = std::thread([this] {
+      try {
+        outcome_ = agent_.serve(agent_fd_, agent_fd_);
+      } catch (const std::exception& error) {
+        thrown_ = error.what();
+      }
+      ::shutdown(agent_fd_, SHUT_RDWR);
+    });
+  }
+  ~HandDrivenLink() {
+    ::shutdown(fd_, SHUT_RDWR);  // a serve() still running sees the link end
+    if (thread_.joinable()) thread_.join();
+    close(fd_);
+    close(agent_fd_);
+  }
+  HandDrivenLink(const HandDrivenLink&) = delete;
+  HandDrivenLink& operator=(const HandDrivenLink&) = delete;
+
+  bool send(const std::string& bytes) { return transport::write_all(fd_, bytes); }
+  void submit(std::uint64_t seq, const std::string& command) {
+    transport::SubmitFrame submit;
+    submit.jobs.emplace_back();
+    submit.jobs.back().seq = seq;
+    submit.jobs.back().command = command;
+    submit.jobs.back().slot = 1;
+    send(transport::encode_submit(submit));
+  }
+  /// The next frame of `type`, past any other; nullopt once the link ends.
+  std::optional<transport::Frame> next(transport::FrameType type) {
+    while (true) {
+      while (std::optional<transport::Frame> frame = decoder_.next()) {
+        if (frame->type == type) return frame;
+      }
+      if (transport::read_some(fd_, decoder_) != transport::ReadStatus::kData) {
+        return std::nullopt;
+      }
+    }
+  }
+  /// Waits for serve() to return.
+  WorkerAgent::ServeOutcome outcome() {
+    thread_.join();
+    return outcome_;
+  }
+  /// What serve() threw, if it threw.
+  const std::string& thrown() const { return thrown_; }
+
+ private:
+  WorkerAgent agent_;
+  int fd_ = -1;
+  int agent_fd_ = -1;
+  transport::FrameDecoder decoder_;
+  std::thread thread_;
+  WorkerAgent::ServeOutcome outcome_ = WorkerAgent::ServeOutcome::kConnectionLost;
+  std::string thrown_;
+};
+
+TEST(WorkerAgent, RefusesASeqBeyondTheJobIdRangeAsAProtocolError) {
+  // The seq is wire input: one no executor takes ends the link, not the
+  // agent's thread.
+  WorkerConfig config;
+  config.heartbeat_interval = 0.05;  // the inner executor is a LocalExecutor
+  HandDrivenLink link(std::move(config));
+  ASSERT_TRUE(link.next(transport::FrameType::kHello).has_value());
+  ASSERT_TRUE(link.send(transport::encode_hello_ack({})));
+  link.submit(core::kJobIdLimit, "true");
+  EXPECT_EQ(link.outcome(), WorkerAgent::ServeOutcome::kProtocolError);
+  EXPECT_EQ(link.thrown(), "");
+}
+
+/// A FunctionExecutor whose start() refuses the command "refuse".
+class RefusingExecutor final : public core::Executor {
+ public:
+  void start(const core::ExecRequest& request) override {
+    if (request.command == "refuse") throw util::InternalError("refused");
+    inner_.start(request);
+  }
+  std::optional<core::ExecResult> wait_any(double timeout_seconds) override {
+    return inner_.wait_any(timeout_seconds);
+  }
+  void kill(std::uint64_t job_id, bool force) override { inner_.kill(job_id, force); }
+  std::size_t active_count() const override { return inner_.active_count(); }
+  double now() const override { return inner_.now(); }
+  int readiness_fd() const override { return inner_.readiness_fd(); }
+
+ private:
+  FunctionExecutor inner_{[](const core::ExecRequest& request) {
+                            TaskOutcome outcome;
+                            outcome.stdout_data = request.command + "\n";
+                            return outcome;
+                          },
+                          1};
+};
+
+TEST(WorkerAgent, AJobTheInnerExecutorRefusesEndsWith127) {
+  WorkerConfig config;
+  config.heartbeat_interval = 0.05;
+  config.make_inner = [] { return std::make_unique<RefusingExecutor>(); };
+  HandDrivenLink link(std::move(config));
+  ASSERT_TRUE(link.next(transport::FrameType::kHello).has_value());
+  ASSERT_TRUE(link.send(transport::encode_hello_ack({})));
+  link.submit(1, "refuse");
+  std::optional<transport::Frame> refused = link.next(transport::FrameType::kResult);
+  ASSERT_TRUE(refused.has_value()) << link.thrown();
+  EXPECT_EQ(transport::decode_result(*refused).seq, 1u);
+  EXPECT_EQ(transport::decode_result(*refused).exit_code, 127);
+  link.submit(2, "accept");
+  std::optional<transport::Frame> ran = link.next(transport::FrameType::kResult);
+  ASSERT_TRUE(ran.has_value()) << link.thrown();
+  EXPECT_EQ(transport::decode_result(*ran).seq, 2u);
+  EXPECT_EQ(transport::decode_result(*ran).exit_code, 0);
+  transport::AckFrame ack;
+  ack.seqs = {1, 2};
+  ASSERT_TRUE(link.send(transport::encode_ack(ack) + transport::encode_drain()));
+  EXPECT_TRUE(link.next(transport::FrameType::kBye).has_value());
+  EXPECT_EQ(link.outcome(), WorkerAgent::ServeOutcome::kDrained);
+  EXPECT_EQ(link.thrown(), "");
 }
 
 }  // namespace

@@ -6,14 +6,16 @@
 //   - after the pair, the joblog covers every seq exactly once (zero
 //     duplicated seqs),
 //   - the --results tree is byte-identical to an uninterrupted run's.
-// Kill delays are derived from a seeded Rng scaled by the measured duration
-// of the reference run, so the points land mid-run on fast and slow
-// machines alike. Override the seed with PARCL_RESUME_SEED to widen a soak.
+// Kill points are seeded joblog row counts: the kill goes out once the log
+// holds that many rows (polled every millisecond), so every point lands
+// mid-run however fast or busy the host is. Override the seed with
+// PARCL_RESUME_SEED to widen a soak.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -37,6 +39,9 @@ using namespace parcl;
 
 constexpr std::size_t kTotalJobs = 500;
 constexpr int kKillPoints = 20;
+// The last kill point leaves this many jobs to run: 100 jobs at -j16 take
+// several times the poll period.
+constexpr std::size_t kTailJobs = 100;
 
 struct TempDir {
   fs::path path;
@@ -99,6 +104,32 @@ int wait_for(pid_t pid) {
   return status;
 }
 
+/// Sends `pid` SIGKILL once the joblog at `path` holds `rows` rows (0: once
+/// its header is written, before any row), polling every millisecond.
+/// Sends nothing if the process exits first; it stays unreaped.
+void kill_at_row(pid_t pid, const fs::path& path, std::size_t rows) {
+  std::size_t lines = 0;  // the header's too
+  std::ifstream log;
+  while (lines < rows + 1) {
+    siginfo_t info{};
+    if (waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOHANG | WNOWAIT) == 0 &&
+        info.si_pid == pid) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (!log.is_open()) log.open(path, std::ios::binary);
+    if (!log.is_open()) continue;
+    // Read on from where the last poll ended; a row still being written
+    // counts once its newline lands.
+    log.clear();
+    char buffer[4096];
+    while (log.read(buffer, sizeof(buffer)) || log.gcount() > 0) {
+      lines += static_cast<std::size_t>(std::count(buffer, buffer + log.gcount(), '\n'));
+    }
+  }
+  ::kill(pid, SIGKILL);
+}
+
 std::uint64_t seed_from_env() {
   const char* env = std::getenv("PARCL_RESUME_SEED");
   if (env == nullptr || *env == '\0') return 0xC0FFEEULL;
@@ -108,14 +139,10 @@ std::uint64_t seed_from_env() {
 }  // namespace
 
 TEST(InterruptResume, SigkillAtSeededPointsResumesExactlyUnloggedSeqs) {
-  // Reference: the same invocation run to completion, for output bytes,
-  // the --results tree, and the wall-clock window the kill points scale to.
+  // Reference: the same invocation run to completion, for output bytes and
+  // the --results tree.
   TempDir ref;
-  auto ref_start = std::chrono::steady_clock::now();
   int status = wait_for(spawn_parcl(parcl_argv(ref.path), ref.path / "out"));
-  double ref_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - ref_start)
-                           .count();
   ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
       << "reference run failed, status " << status;
 
@@ -133,16 +160,14 @@ TEST(InterruptResume, SigkillAtSeededPointsResumesExactlyUnloggedSeqs) {
     TempDir dir;
     std::vector<std::string> args = parcl_argv(dir.path);
 
-    // First half: SIGKILL parcl partway through the reference duration.
-    double delay = ref_seconds * rng.uniform(0.05, 0.9);
+    // First half: SIGKILL parcl once its joblog holds a seeded number of
+    // rows.
+    const auto kill_row = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kTotalJobs - kTailJobs)));
     pid_t pid = spawn_parcl(args, dir.path / "out1");
-    std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    ::kill(pid, SIGKILL);
+    kill_at_row(pid, dir.path / "joblog", kill_row);
     status = wait_for(pid);
-    bool killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-    // The run may have finished before the kill landed; that pair still
-    // exercises the resume-of-a-complete-log path.
-    if (killed) ++interrupted_mid_run;
+    if (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) ++interrupted_mid_run;
 
     std::set<std::uint64_t> logged;
     core::JoblogReadStats stats;
@@ -180,7 +205,7 @@ TEST(InterruptResume, SigkillAtSeededPointsResumesExactlyUnloggedSeqs) {
       if (logged.count(n) == 0) expected << "job-" << n << "\n";
     }
     EXPECT_EQ(slurp(dir.path / "out2"), expected.str())
-        << "kill point " << point << " (killed after " << delay << "s, "
+        << "kill point " << point << " (killed at row " << kill_row << ", "
         << logged.size() << " seqs logged)";
 
     // Zero duplicated seqs: the pair's joblog covers 1..N exactly once.
@@ -202,9 +227,9 @@ TEST(InterruptResume, SigkillAtSeededPointsResumesExactlyUnloggedSeqs) {
           << "kill point " << point << ": results diverge at seq " << n;
     }
   }
-  // The scaled delays must actually interrupt most runs; a machine so fast
-  // that nothing is ever caught mid-run would make this soak vacuous.
-  EXPECT_GE(interrupted_mid_run, static_cast<std::size_t>(kKillPoints / 2))
+  // Every kill must interrupt its run: a run that finished first would not
+  // test a resume at all.
+  EXPECT_EQ(interrupted_mid_run, static_cast<std::size_t>(kKillPoints))
       << "only " << interrupted_mid_run << "/" << kKillPoints
       << " kill points landed mid-run";
 }
